@@ -35,10 +35,10 @@
 //!   all-or-nothing).
 //!
 //! Torn tails are covered separately: sampled byte-level truncations of the
-//! log image are written to a scratch file and reopened through
-//! [`LogManager::open_file`], asserting the file path resolves every torn
-//! tail to the record boundary below it — which the boundary enumeration
-//! already verified.
+//! log image are written as the single active segment of a scratch
+//! directory and reopened through [`LogManager::open_dir`], asserting the
+//! file path resolves every torn tail to the record boundary below it —
+//! which the boundary enumeration already verified.
 //!
 //! # Segmented-WAL coverage
 //!
@@ -825,8 +825,9 @@ fn check_tree(sc: &Scenario, st: CrashState, db: &Arc<Database>, when: &str, rep
     }
 }
 
-/// Verify sampled byte-level torn tails: a truncated WAL file must reopen
-/// to exactly the record boundary below the cut, which the boundary
+/// Verify sampled byte-level torn tails: the log image cut at an arbitrary
+/// byte, written as the single active segment `wal-<first_lsn>.seg`, must
+/// reopen to exactly the record boundary below the cut, which the boundary
 /// enumeration has already proven recoverable.
 fn verify_torn_tails(
     sc: &Scenario,
@@ -838,19 +839,14 @@ fn verify_torn_tails(
     if opts.torn_tail_samples == 0 {
         return;
     }
-    // Segmented scenarios skip the single-file path: `open_file` numbers
-    // records from LSN 1, but a recycled segmented log starts later. Their
-    // torn tails go through `open_dir` in [`verify_segment_states`].
-    if sc.wal_dir.is_some() {
-        return;
-    }
-    if let Err(e) = std::fs::create_dir_all(scratch) {
+    let dir = scratch.join(format!("torn-{}", sc.name));
+    if let Err(e) = std::fs::create_dir_all(&dir) {
         report.error(
             CHECKER,
             "checker-error",
             None,
             None,
-            format!("cannot create scratch dir {}: {e}", scratch.display()),
+            format!("cannot create scratch dir {}: {e}", dir.display()),
         );
         return;
     }
@@ -860,7 +856,7 @@ fn verify_torn_tails(
         return;
     }
     let mut rng = Prng::new(opts.seed ^ 0x70_72_6e);
-    let path = scratch.join(format!("torn-{}.wal", sc.name));
+    let path = dir.join(segment::segment_file_name(first_lsn));
     for _ in 0..opts.torn_tail_samples {
         let cut = rng.below(bytes.len() + 1);
         let expect = LogReader::last_lsn(&LogReader::scan(&bytes[..cut]), first_lsn);
@@ -874,7 +870,7 @@ fn verify_torn_tails(
             );
             return;
         }
-        match LogManager::open_file(&path) {
+        match LogManager::open_dir(&dir, opts.segment_bytes) {
             Ok(log) => {
                 let got = log.durable_lsn();
                 if got != expect {
@@ -884,7 +880,7 @@ fn verify_torn_tails(
                         None,
                         Some(expect),
                         format!(
-                            "[scenario {}] WAL truncated at byte {cut}: open_file \
+                            "[scenario {}] WAL truncated at byte {cut}: open_dir \
                              recovered through LSN {got}, scan says the clean \
                              prefix ends at LSN {expect}",
                             sc.name
@@ -1145,4 +1141,30 @@ fn verify_segment_states_inner(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The segmented scenario's log starts past LSN 1 (its prefix was
+    /// recycled), and its torn tails still go through the one open path.
+    #[test]
+    fn segmented_scenario_contributes_torn_tails() {
+        let opts = CrashCheckOptions {
+            torn_tail_samples: 12,
+            ..CrashCheckOptions::default()
+        };
+        let sc = scenario_segmented_wal(&opts).unwrap();
+        assert!(sc.log.first_lsn() > Lsn(1), "scenario must have recycled");
+        let scratch =
+            std::env::temp_dir().join(format!("obr-crashcheck-unit-{}", std::process::id()));
+        let mut report = Report::new();
+        let mut stats = CrashCheckStats::default();
+        verify_torn_tails(&sc, &opts, &scratch, &mut report, &mut stats);
+        assert_eq!(stats.torn_tails_checked, 12);
+        assert!(!report.has_errors(), "{report}");
+        std::fs::remove_dir_all(&scratch).ok();
+        std::fs::remove_dir_all(sc.wal_dir.as_ref().unwrap().parent().unwrap()).ok();
+    }
 }

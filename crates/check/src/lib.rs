@@ -68,9 +68,7 @@ pub use lockorder::{
 pub use protocol::{check_protocol, check_sources, scan_files};
 pub use report::{Finding, Report, Severity};
 pub use srclint::{check_whitelist, lint_sources, FACADE_EXEMPT, RELAXED_OK};
-pub use wal_lint::{
-    lint_log, lint_records, lint_wal_dir, lint_wal_file, lint_wal_path, WalLintOptions,
-};
+pub use wal_lint::{lint_log, lint_records, lint_wal_dir, lint_wal_file, WalLintOptions};
 
 use obr_core::Database;
 

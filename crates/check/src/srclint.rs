@@ -91,10 +91,6 @@ pub const RELAXED_OK: &[(&str, &str)] = &[
         "benchmark harness statistics counters",
     ),
     (
-        "crates/bench/src/bin/concurrency.rs",
-        "benchmark harness statistics counters and stop flags",
-    ),
-    (
         "src/workloads.rs",
         "CLI workload-driver statistics counters",
     ),
@@ -115,6 +111,7 @@ pub const FACADE_EXEMPT: &[&str] = &[
     "crates/check/",
     "crates/race/",
     "crates/bench/",
+    "benchmark/",
     "src/",
     "tests/",
     "examples/",

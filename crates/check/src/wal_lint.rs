@@ -443,7 +443,7 @@ pub fn lint_log(log: &LogManager, opts: &WalLintOptions) -> Report {
     }
 }
 
-/// Lint a log file on disk without repairing it.
+/// Lint one segment file on disk without repairing it.
 ///
 /// Unlike [`LogManager`]'s open path this never truncates a torn tail:
 /// the tail is reported as a finding naming the byte offset and the last
@@ -595,17 +595,6 @@ pub fn lint_wal_dir(dir: &Path, opts: &WalLintOptions) -> std::io::Result<Report
     ));
     report.merge(lint_records(&records, opts));
     Ok(report)
-}
-
-/// Lint a WAL at `path`, dispatching on its layout: a directory is linted
-/// as a segmented log ([`lint_wal_dir`]), a file as a single-file log
-/// ([`lint_wal_file`]).
-pub fn lint_wal_path(path: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
-    if path.is_dir() {
-        lint_wal_dir(path, opts)
-    } else {
-        lint_wal_file(path, opts)
-    }
 }
 
 #[cfg(test)]

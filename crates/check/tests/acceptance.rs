@@ -35,7 +35,7 @@ impl Drop for Scratch {
 }
 
 /// Build a durable database, load it, punch deletion holes, reorganize,
-/// flush, and drop it — leaving `pages.db` and `wal.log` behind.
+/// flush, and drop it — leaving `pages.db` and `wal/` behind.
 fn build_reorganized_db(dir: &Path) {
     let db = Database::create_durable(dir, 2048, 512, SidePointerMode::TwoWay).unwrap();
     let session = Session::new(Arc::clone(&db));

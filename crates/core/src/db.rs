@@ -19,15 +19,10 @@ use crate::sidefile::SideFile;
 /// Sentinel for "no pass-3 read position" (reorganization idle).
 pub const CK_IDLE: u64 = u64::MAX;
 
-/// Knobs for the engine's concurrency substrates. [`Default`] is the tuned
-/// configuration; the degraded settings exist so benchmarks can measure
-/// what each optimization buys (`EngineConfig::single_mutex_baseline`).
+/// Sizing knobs for the engine and its network frontend. [`Default`] is
+/// the tuned configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Buffer-pool shard count; `None` sizes it to the machine.
-    pub pool_shards: Option<usize>,
-    /// Batch concurrent WAL committers into shared fsyncs (on by default).
-    pub group_commit: bool,
     /// Pages reserved at the front of the disk for meta/internal pages.
     pub internal_region_pages: u32,
     /// Seal threshold for durable WAL segments: once the active segment
@@ -58,32 +53,11 @@ pub const DEFAULT_ADMISSION_QUEUE: usize = 128;
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            pool_shards: None,
-            group_commit: true,
             internal_region_pages: 0,
             wal_segment_bytes: DEFAULT_WAL_SEGMENT_BYTES,
             max_sessions: DEFAULT_MAX_SESSIONS,
             admission_queue: DEFAULT_ADMISSION_QUEUE,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The pre-sharding, pre-group-commit engine: one frame-table mutex, one
-    /// log lock held across fsync. Exists for A/B benchmarking only.
-    pub fn single_mutex_baseline() -> Self {
-        EngineConfig {
-            pool_shards: Some(1),
-            group_commit: false,
-            ..EngineConfig::default()
-        }
-    }
-
-    fn build_pool(&self, disk: &Arc<dyn DiskManager>, frames: usize) -> Arc<BufferPool> {
-        Arc::new(match self.pool_shards {
-            Some(n) => BufferPool::with_shards(Arc::clone(disk), frames, n),
-            None => BufferPool::new(Arc::clone(disk), frames),
-        })
     }
 }
 
@@ -185,27 +159,15 @@ impl Database {
         )
     }
 
-    /// Like [`Self::create`], with explicit [`EngineConfig`] knobs (pool
-    /// sharding, WAL group commit, region split).
+    /// Like [`Self::create`], with explicit [`EngineConfig`] knobs (region
+    /// split; the log is memory-only).
     pub fn create_with_config(
         disk: Arc<dyn DiskManager>,
         pool_frames: usize,
         side: SidePointerMode,
         cfg: EngineConfig,
     ) -> CoreResult<Arc<Database>> {
-        let pool = cfg.build_pool(&disk, pool_frames);
-        let fsm = Arc::new(FreeSpaceMap::new_all_free(disk.num_pages()));
-        fsm.set_leaf_boundary(PageId(cfg.internal_region_pages));
-        let log = Arc::new(LogManager::new());
-        log.set_group_commit(cfg.group_commit);
-        pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
-        let tree = Arc::new(BTree::create(
-            Arc::clone(&pool),
-            Arc::clone(&fsm),
-            Arc::clone(&log),
-            side,
-        )?);
-        Ok(Self::assemble(disk, pool, fsm, log, tree))
+        Self::create_with_log(disk, Arc::new(LogManager::new()), pool_frames, side, cfg)
     }
 
     /// Create a fully durable database: pages in `<dir>/pages.db`, WAL as
@@ -235,12 +197,12 @@ impl Database {
             &dir.join("wal"),
             cfg.wal_segment_bytes,
         )?);
-        Self::create_over(disk, log, pool_frames, side, cfg)
+        Self::create_with_log(disk, log, pool_frames, side, cfg)
     }
 
     /// Assemble a fresh database over an already-opened disk and log. The
     /// crash checker uses this to pair a journaling page disk with a real
-    /// file-backed (segmented) WAL.
+    /// segmented WAL.
     pub fn create_with_log(
         disk: Arc<dyn DiskManager>,
         log: Arc<LogManager>,
@@ -248,18 +210,7 @@ impl Database {
         side: SidePointerMode,
         cfg: EngineConfig,
     ) -> CoreResult<Arc<Database>> {
-        Self::create_over(disk, log, pool_frames, side, cfg)
-    }
-
-    fn create_over(
-        disk: Arc<dyn DiskManager>,
-        log: Arc<LogManager>,
-        pool_frames: usize,
-        side: SidePointerMode,
-        cfg: EngineConfig,
-    ) -> CoreResult<Arc<Database>> {
-        log.set_group_commit(cfg.group_commit);
-        let pool = cfg.build_pool(&disk, pool_frames);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_frames));
         let fsm = Arc::new(FreeSpaceMap::new_all_free(disk.num_pages()));
         fsm.set_leaf_boundary(PageId(cfg.internal_region_pages));
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
@@ -273,21 +224,41 @@ impl Database {
     }
 
     /// Reopen a durable database from its directory (run
-    /// [`crate::recovery::recover`] on the result before use). Opens the
-    /// segmented WAL at `<dir>/wal/` when present, falling back to a
-    /// legacy single-file `<dir>/wal.log`.
+    /// [`crate::recovery::recover`] on the result before use). The WAL is
+    /// the segment directory `<dir>/wal/`.
     pub fn open_durable(
         dir: &std::path::Path,
         pool_frames: usize,
         side: SidePointerMode,
     ) -> CoreResult<Arc<Database>> {
-        let disk = Arc::new(obr_storage::FileDisk::open(&dir.join("pages.db"), 1)?);
+        Self::open_durable_with_config(dir, pool_frames, side, &EngineConfig::default())
+    }
+
+    /// Like [`Self::open_durable`], with explicit [`EngineConfig`] knobs
+    /// (the WAL seal threshold applies from this open on).
+    ///
+    /// A directory written before the WAL was segmented holds a single
+    /// `wal.log` and no `wal/`. It is refused: opening it as a segment
+    /// directory would create an empty `wal/` and recover the populated
+    /// `pages.db` against an empty log.
+    pub fn open_durable_with_config(
+        dir: &std::path::Path,
+        pool_frames: usize,
+        side: SidePointerMode,
+        cfg: &EngineConfig,
+    ) -> CoreResult<Arc<Database>> {
         let wal_dir = dir.join("wal");
-        let log = if wal_dir.is_dir() || !dir.join("wal.log").exists() {
-            Arc::new(LogManager::open_dir(&wal_dir, DEFAULT_WAL_SEGMENT_BYTES)?)
-        } else {
-            Arc::new(LogManager::open_file(&dir.join("wal.log"))?)
-        };
+        let old_log = dir.join("wal.log");
+        if !wal_dir.is_dir() && old_log.exists() {
+            return Err(obr_storage::StorageError::Corrupt(format!(
+                "{} is a single-file WAL, which this version cannot read, and {} is missing",
+                old_log.display(),
+                wal_dir.display()
+            ))
+            .into());
+        }
+        let disk = Arc::new(obr_storage::FileDisk::open(&dir.join("pages.db"), 1)?);
+        let log = Arc::new(LogManager::open_dir(&wal_dir, cfg.wal_segment_bytes)?);
         Self::reopen(disk as Arc<dyn DiskManager>, log, pool_frames, side)
     }
 
@@ -300,21 +271,8 @@ impl Database {
         pool_frames: usize,
         side: SidePointerMode,
     ) -> CoreResult<Arc<Database>> {
-        Self::reopen_with_config(disk, log, pool_frames, side, EngineConfig::default())
-    }
-
-    /// Like [`Self::reopen`], with explicit [`EngineConfig`] knobs (used by
-    /// recovery drivers that restart a tuned or baseline engine as-was).
-    pub fn reopen_with_config(
-        disk: Arc<dyn DiskManager>,
-        log: Arc<LogManager>,
-        pool_frames: usize,
-        side: SidePointerMode,
-        cfg: EngineConfig,
-    ) -> CoreResult<Arc<Database>> {
-        let pool = cfg.build_pool(&disk, pool_frames);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_frames));
         let fsm = Arc::new(FreeSpaceMap::new_all_allocated(disk.num_pages()));
-        log.set_group_commit(cfg.group_commit);
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
         let tree = Arc::new(BTree::open(
             Arc::clone(&pool),
@@ -573,6 +531,66 @@ mod tests {
         assert!(d.log().durable_lsn() >= lsn);
         let (_, rec) = d.log().last_checkpoint().unwrap().unwrap();
         assert!(matches!(rec, LogRecord::Checkpoint { .. }));
+    }
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("obr-db-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn reopen_honours_wal_segment_bytes() {
+        let dir = scratch("segbytes");
+        let cfg = EngineConfig {
+            wal_segment_bytes: 2048,
+            ..EngineConfig::default()
+        };
+        drop(
+            Database::create_durable_with_config(
+                &dir,
+                64,
+                64,
+                SidePointerMode::TwoWay,
+                cfg.clone(),
+            )
+            .unwrap(),
+        );
+        let d =
+            Database::open_durable_with_config(&dir, 64, SidePointerMode::TwoWay, &cfg).unwrap();
+        for i in 0..6 {
+            d.log().append(&LogRecord::TxnInsert {
+                txn: TxnId(i + 1),
+                page: PageId(1),
+                key: i,
+                value: vec![7; 512],
+                prev_lsn: Lsn::ZERO,
+            });
+        }
+        d.log().flush_all().unwrap();
+        assert!(d.metrics().snapshot().counter("wal_segment_seals") >= 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn single_file_wal_directory_is_refused_not_emptied() {
+        let dir = scratch("oldwal");
+        drop(Database::create_durable(&dir, 64, 64, SidePointerMode::TwoWay).unwrap());
+        std::fs::remove_dir_all(dir.join("wal")).unwrap();
+        std::fs::write(dir.join("wal.log"), [1u8; 64]).unwrap();
+        let Err(err) = Database::open_durable(&dir, 64, SidePointerMode::TwoWay) else {
+            panic!("a directory holding only wal.log must be refused");
+        };
+        assert!(
+            matches!(
+                err,
+                crate::error::CoreError::Storage(obr_storage::StorageError::Corrupt(_))
+            ),
+            "unexpected: {err}"
+        );
+        assert!(err.to_string().contains("wal.log"), "unexpected: {err}");
+        assert!(!dir.join("wal").exists(), "refusal must not create wal/");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

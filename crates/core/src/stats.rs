@@ -5,8 +5,9 @@ use std::fmt;
 
 use obr_btree::TreeStats;
 use obr_lock::LockStats;
+use obr_obs::Snapshot;
 use obr_storage::DiskStats;
-use obr_wal::{LogStats, SyncStats};
+use obr_wal::LogStats;
 
 use crate::db::Database;
 use crate::error::CoreResult;
@@ -28,8 +29,9 @@ pub struct DatabaseStats {
     pub pool_capacity: usize,
     /// Buffer pool shard count (frame-table concurrency).
     pub pool_shards: usize,
-    /// WAL durability counters (fsync batching from group commit).
-    pub wal_sync: SyncStats,
+    /// The metrics registry at collection time (the `log:` line's
+    /// durability counters are read from here).
+    pub metrics: Snapshot,
     /// Free pages available.
     pub free_pages: usize,
     /// Queued side-file entries (non-zero only during pass 3).
@@ -78,9 +80,9 @@ impl fmt::Display for DatabaseStats {
             self.log.records,
             self.log.bytes,
             self.log.reorg_bytes,
-            self.wal_sync.flush_calls,
-            self.wal_sync.batches,
-            self.wal_sync.syncs
+            self.metrics.counter("wal_flush_calls"),
+            self.metrics.counter("wal_batches"),
+            self.metrics.counter("wal_syncs")
         )?;
         writeln!(
             f,
@@ -114,7 +116,7 @@ impl Database {
             pool_resident: self.pool().resident(),
             pool_capacity: self.pool().capacity(),
             pool_shards: self.pool().shard_count(),
-            wal_sync: self.log().sync_stats(),
+            metrics: self.metrics().snapshot(),
             free_pages: self.fsm().free_count(),
             side_file_len: self.side_file().len(),
             reorg_bit: self.tree().reorg_bit()?,

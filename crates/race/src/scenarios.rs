@@ -136,9 +136,10 @@ fn wal_watermark_file() {
     // std atomic so it is invisible to the model scheduler (it must not
     // add scheduling decisions or vary between schedules).
     let n = FILE_SCENARIO_RUNS.fetch_add(1, StdOrdering::Relaxed);
-    let path = std::env::temp_dir().join(format!("obr-race-wal-{}-{n}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let log = Arc::new(LogManager::open_file(&path).expect("open file-backed log"));
+    let dir = std::env::temp_dir().join(format!("obr-race-wal-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Never seals: the schedule space is the baton protocol alone.
+    let log = Arc::new(LogManager::open_dir(&dir, u64::MAX).expect("open file-backed log"));
     let writer = {
         let log = Arc::clone(&log);
         thread::spawn(move || {
@@ -164,7 +165,7 @@ fn wal_watermark_file() {
     reader.join().unwrap();
     assert!(log.durable_is_written());
     drop(log);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 static TRUNC_SCENARIO_RUNS: AtomicU64 = AtomicU64::new(0);

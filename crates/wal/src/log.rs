@@ -24,18 +24,15 @@
 //!
 //! No lock is ever held across `write`+`fsync` except the `io` mutex, which
 //! only the elected flusher (or an exclusive maintenance operation such as
-//! [`LogManager::compact_file`]) touches. The pre-group-commit behaviour —
-//! one mutex held across the entire append/flush path *including the fsync*
-//! — is kept behind [`LogManager::set_group_commit`]`(false)` as the A/B
-//! baseline for the concurrency benchmark.
+//! [`LogManager::recycle_segments`]) touches.
 //!
 //! # Segmented durability
 //!
 //! A durable log opened with [`LogManager::open_dir`] is a directory of
-//! fixed-size-threshold segment files (see [`crate::segment`]) instead of
-//! one ever-growing file. The flusher appends to the *active* segment;
-//! when a batch pushes it past the size threshold the segment is *sealed*
-//! (a new active file is created — sealed files are never written again)
+//! fixed-size-threshold segment files (see [`crate::segment`]). The flusher
+//! appends to the *active* segment; when a batch pushes it past the size
+//! threshold the segment is *sealed* (a new active file is created —
+//! sealed files are never written again)
 //! and becomes shippable to a replica. [`LogManager::truncate_before`]
 //! rounds the low-water mark down to a segment boundary, and
 //! [`LogManager::recycle_segments`] deletes — oldest first — every sealed
@@ -107,32 +104,6 @@ impl LogStats {
     }
 }
 
-/// Durability-path counters: how much batching group commit achieved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// `flush_to`/`flush_all` calls that found work to do.
-    pub flush_calls: u64,
-    /// Physical `fsync`s issued (file-backed logs only).
-    pub syncs: u64,
-    /// Watermark advances (batches), including memory-only logs.
-    pub batches: u64,
-    /// Times a committer parked behind an in-flight flush instead of
-    /// issuing its own.
-    pub group_waits: u64,
-}
-
-impl SyncStats {
-    /// Counter deltas relative to an earlier snapshot.
-    pub fn since(&self, earlier: &SyncStats) -> SyncStats {
-        SyncStats {
-            flush_calls: self.flush_calls - earlier.flush_calls,
-            syncs: self.syncs - earlier.syncs,
-            batches: self.batches - earlier.batches,
-            group_waits: self.group_waits - earlier.group_waits,
-        }
-    }
-}
-
 /// The in-memory log: what `append` touches. Its critical sections are a
 /// few vector pushes — never I/O.
 struct LogMem {
@@ -169,41 +140,24 @@ struct SealedSegment {
 /// path holding the flusher baton) locks this, so the lock is uncontended —
 /// it exists to keep `File` mutation safe, not to serialize committers.
 struct IoState {
-    /// Backing file, when the log is durable: the active segment of a
-    /// segmented log, or the single file of a legacy log. Frames below
+    /// The active segment file, when the log is durable. Frames below
     /// `file_next` have been appended and fsynced.
     file: Option<File>,
     /// Next LSN whose frame still needs writing.
     file_next: Lsn,
-    /// Segment directory; `None` for memory-only and legacy single-file
-    /// logs (which never seal or recycle).
+    /// Segment directory; `None` for memory-only logs (which never seal
+    /// or recycle).
     dir: Option<PathBuf>,
     /// Seal threshold: once the active segment reaches this many bytes,
     /// the batch that crossed the line seals it.
     seg_bytes: u64,
     /// First LSN of the active segment.
     active_first: Lsn,
-    /// Bytes written to the active segment so far.
+    /// Bytes written to the active segment so far — the known-good offset
+    /// flush errors roll the file back to.
     active_bytes: u64,
     /// Sealed segments, ascending by `first_lsn`.
     sealed: Vec<SealedSegment>,
-}
-
-impl IoState {
-    /// A legacy (single-file or memory-only) io state: never seals.
-    /// `active_bytes` must equal the backing file's current length — it is
-    /// the known-good offset flush errors roll the file back to.
-    fn plain(file: Option<File>, file_next: Lsn, active_bytes: u64) -> IoState {
-        IoState {
-            file,
-            file_next,
-            dir: None,
-            seg_bytes: u64::MAX,
-            active_first: Lsn(1),
-            active_bytes,
-            sealed: Vec::new(),
-        }
-    }
 }
 
 /// The write-ahead log.
@@ -226,7 +180,6 @@ pub struct LogManager {
     io: Mutex<IoState>,
     /// Highest durable LSN — readable without any lock.
     durable: AtomicU64,
-    group_commit: AtomicBool,
     /// Set when a flush I/O failure left the backing file in a state a
     /// retry cannot safely build on (see [`Self::poison`]). Once set,
     /// every durability call fails; appends stay available so aborts can
@@ -235,10 +188,10 @@ pub struct LogManager {
     metrics: WalMetrics,
 }
 
-/// Per-manager metric handles: the durability-path counters behind
-/// [`SyncStats`] plus the append-path counters and the durable-watermark
-/// lag gauge. [`LogManager::register_metrics`] publishes these same
-/// handles into a database's [`Registry`].
+/// Per-manager metric handles: the durability-path counters, the
+/// append-path counters and the durable-watermark lag gauge.
+/// [`LogManager::register_metrics`] publishes these same handles into a
+/// database's [`Registry`].
 #[derive(Debug, Default)]
 struct WalMetrics {
     flush_calls: Counter,
@@ -249,7 +202,7 @@ struct WalMetrics {
     append_bytes: Counter,
     batch_records: Histogram,
     durable_lag: Gauge,
-    /// Live segment files (sealed + active); 0 for non-segmented logs.
+    /// Live segment files (sealed + active); 0 for memory-only logs.
     segments: Gauge,
     /// Segments sealed since open.
     seals: Counter,
@@ -274,9 +227,18 @@ fn sabotage_early_watermark() -> bool {
 }
 
 impl LogManager {
-    fn assemble(mem: LogMem, file: Option<File>, durable: Lsn, file_bytes: u64) -> LogManager {
-        let file_next = Lsn(durable.0 + 1);
-        Self::assemble_io(mem, IoState::plain(file, file_next, file_bytes), durable)
+    /// A memory-only log (the zero-segment case): no file, no directory.
+    fn assemble(mem: LogMem, durable: Lsn) -> LogManager {
+        let io = IoState {
+            file: None,
+            file_next: Lsn(durable.0 + 1),
+            dir: None,
+            seg_bytes: u64::MAX,
+            active_first: Lsn(1),
+            active_bytes: 0,
+            sealed: Vec::new(),
+        };
+        Self::assemble_io(mem, io, durable)
     }
 
     fn assemble_io(mem: LogMem, io: IoState, durable: Lsn) -> LogManager {
@@ -292,7 +254,6 @@ impl LogManager {
             dur_cv: Condvar::new(),
             io: Mutex::named(io, "wal.io"),
             durable: AtomicU64::new(durable.0),
-            group_commit: AtomicBool::new(true),
             poisoned: AtomicBool::new(false),
             metrics: WalMetrics::default(),
         };
@@ -307,8 +268,8 @@ impl LogManager {
 
     /// Publish this log's counters into `reg` under the canonical `wal_*`
     /// names (see DESIGN.md "Observability"). The registry adopts the live
-    /// handles, so snapshots read the same atomics [`Self::sync_stats`]
-    /// reads; `wal_batches_per_fsync` is derived by consumers as
+    /// handles, so snapshots read the same atomics the hot paths update;
+    /// `wal_batches_per_fsync` is derived by consumers as
     /// `wal_batches / wal_syncs`.
     pub fn register_metrics(&self, reg: &Registry) {
         reg.register_counter("wal_flush_calls", &self.metrics.flush_calls);
@@ -324,7 +285,8 @@ impl LogManager {
         reg.register_counter("wal_segments_recycled", &self.metrics.recycled);
     }
 
-    /// Create an empty log. LSNs start at 1; [`Lsn::ZERO`] means "none".
+    /// Create an empty memory-only log. LSNs start at 1; [`Lsn::ZERO`]
+    /// means "none".
     pub fn new() -> LogManager {
         Self::assemble(
             LogMem {
@@ -333,53 +295,15 @@ impl LogManager {
                 next_lsn: Lsn(1),
                 stats: LogStats::default(),
             },
-            None,
             Lsn::ZERO,
-            0,
         )
     }
 
-    /// Open a durable log backed by `path`. Existing frames are read back
-    /// (they are all durable); appends reach the file on [`Self::flush_to`].
-    ///
-    /// On-disk format: a sequence of `[len: u32 LE][frame bytes]` records; a
-    /// torn tail (incomplete final record after a crash) is truncated away.
-    pub fn open_file(path: &Path) -> StorageResult<LogManager> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        // One torn-tail policy for every consumer: the shared byte-level
-        // reader returns the intact prefix; whatever trails it (a partial
-        // length, a cut frame, or an undecodable one) is truncated away.
-        let scan = crate::reader::LogReader::scan(&buf);
-        let mut stats = LogStats::default();
-        for (frame, rec) in scan.frames.iter().zip(scan.records.iter()) {
-            stats.absorb(frame, rec);
-        }
-        let frames = scan.frames;
-        file.set_len(scan.good_end)?;
-        file.seek(SeekFrom::End(0))?;
-        let n = frames.len() as u64;
-        Ok(Self::assemble(
-            LogMem {
-                frames,
-                first_lsn: Lsn(1),
-                next_lsn: Lsn(n + 1),
-                stats,
-            },
-            Some(file),
-            Lsn(n),
-            scan.good_end,
-        ))
-    }
-
     /// Open (or create) a segmented durable log in directory `dir` with a
-    /// seal threshold of `seg_bytes` bytes per segment.
+    /// seal threshold of `seg_bytes` bytes per segment. Existing frames are
+    /// read back (they are all durable); appends reach the active segment
+    /// on [`Self::flush_to`]. Each segment file is a sequence of
+    /// `[len: u32 LE][frame bytes]` records.
     ///
     /// Reopen semantics enforce the segment invariants (see
     /// [`crate::segment`]): segments must form a contiguous LSN run (a gap
@@ -482,18 +406,6 @@ impl LogManager {
         ))
     }
 
-    /// Enable or disable group commit. Disabled, [`Self::flush_to`] reverts
-    /// to the historical single-lock path — the append mutex held across
-    /// the whole write+fsync — kept only as a benchmark baseline.
-    pub fn set_group_commit(&self, enabled: bool) {
-        self.group_commit.store(enabled, Ordering::Release);
-    }
-
-    /// Whether group commit is enabled (the default).
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group_commit.load(Ordering::Acquire)
-    }
-
     /// Mark the log failed: every subsequent durability call
     /// ([`Self::flush_to`], [`Self::flush_all`], [`Self::append_force`])
     /// returns an error without touching the file, and the durable
@@ -576,9 +488,6 @@ impl LogManager {
             return Err(Self::poisoned_err());
         }
         self.metrics.flush_calls.inc();
-        if !self.group_commit.load(Ordering::Acquire) {
-            return self.legacy_flush(target);
-        }
         let mut d = self.dur.lock();
         if d.requested < target {
             d.requested = target;
@@ -669,10 +578,8 @@ impl LogManager {
     }
 
     /// Append `buf` (frames through `batch`) to the active file, fsync it,
-    /// and — for segmented logs — seal the active segment if the write
-    /// pushed it past the size threshold. Caller holds the `io` lock and
-    /// the flusher baton (or, on the legacy path, the `mem` lock, which is
-    /// equally exclusive with other writers).
+    /// and seal the active segment if the write pushed it past the size
+    /// threshold. Caller holds the `io` lock and the flusher baton.
     fn write_to_active(&self, io: &mut IoState, buf: &[u8], batch: Lsn) -> StorageResult<()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(Self::poisoned_err());
@@ -711,7 +618,7 @@ impl LogManager {
         io.active_bytes += buf.len() as u64;
         self.metrics.syncs.inc();
         self.metrics.batch_records.record(covered);
-        if io.dir.is_some() && io.active_bytes >= io.seg_bytes {
+        if io.active_bytes >= io.seg_bytes {
             self.seal_active(io)?;
         }
         Ok(())
@@ -754,36 +661,6 @@ impl LogManager {
         io.active_bytes = 0;
         self.metrics.seals.inc();
         self.metrics.segments.set(io.sealed.len() as u64 + 1);
-        Ok(())
-    }
-
-    /// The pre-group-commit durability path: the append mutex is held
-    /// across the entire write+fsync, stalling every concurrent append and
-    /// committer. Reachable only via [`Self::set_group_commit`]`(false)`;
-    /// exists so the concurrency benchmark can measure what group commit
-    /// buys against the original behaviour.
-    fn legacy_flush(&self, target: Lsn) -> StorageResult<()> {
-        let m = self.mem.lock();
-        let target = target.min(Lsn(m.next_lsn.0 - 1));
-        if self.durable.load(Ordering::Acquire) >= target.0 {
-            return Ok(());
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(Self::poisoned_err());
-        }
-        let mut io = self.io.lock();
-        if io.file.is_some() && target >= io.file_next {
-            let lo = (io.file_next.0 - m.first_lsn.0) as usize;
-            let hi = (target.0 + 1 - m.first_lsn.0) as usize;
-            let mut buf = Vec::new();
-            for frame in &m.frames[lo..hi] {
-                buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                buf.extend_from_slice(frame);
-            }
-            self.write_to_active(&mut io, &buf, target)?;
-        }
-        self.metrics.batches.inc();
-        self.durable.fetch_max(target.0, Ordering::AcqRel);
         Ok(())
     }
 
@@ -868,9 +745,7 @@ impl LogManager {
                 first_lsn,
                 stats,
             },
-            None,
             durable,
-            0,
         )
     }
 
@@ -894,12 +769,10 @@ impl LogManager {
 
     /// Drop all records strictly below `lsn` (the low-water mark, §5).
     ///
-    /// Memory-only and legacy single-file logs drop exactly `[first_lsn,
-    /// lsn)` (for a file call [`Self::compact_file`] afterwards to rewrite
-    /// the backing file). A segmented log rounds `lsn` *down* to the
-    /// nearest segment boundary, so the retained frames always mirror the
-    /// retained files; the boundary segments themselves are reclaimed by
-    /// [`Self::recycle_segments`].
+    /// A memory-only log drops exactly `[first_lsn, lsn)`. A segmented log
+    /// rounds `lsn` *down* to the nearest segment boundary, so the
+    /// retained frames always mirror the retained files; the boundary
+    /// segments themselves are reclaimed by [`Self::recycle_segments`].
     ///
     /// Readers are safe across truncation: [`Self::records_from`] and
     /// [`Self::read`] take the same `mem` lock, so each call sees an
@@ -907,7 +780,7 @@ impl LogManager {
     /// passed its cursor by re-checking [`Self::first_lsn`] (pinned by the
     /// `wal_truncate_vs_tail` obr-race scenario).
     pub fn truncate_before(&self, lsn: Lsn) {
-        // Lock order mem -> io matches compact_file.
+        // Lock order mem -> io (check/lockorder.toml).
         let mut g = self.mem.lock();
         let lsn = {
             let io = self.io.lock();
@@ -944,7 +817,7 @@ impl LogManager {
     /// Delete — oldest first — every sealed segment whose records all lie
     /// below the current `first_lsn` (i.e. below the last
     /// [`Self::truncate_before`] mark, rounded to a boundary). Returns how
-    /// many segment files were recycled. No-op for non-segmented logs.
+    /// many segment files were recycled. No-op for memory-only logs.
     ///
     /// Oldest-first deletion means a crash part-way through leaves a
     /// contiguous suffix of segments, which reopens cleanly; a gap would
@@ -996,56 +869,6 @@ impl LogManager {
         self.dur_cv.notify_all();
     }
 
-    /// Reclaim the on-disk space of the truncated prefix. For a segmented
-    /// log this is [`Self::recycle_segments`] — whole-file deletion, never
-    /// a rewrite. For a legacy single-file log it rewrites the file to
-    /// contain only the retained frames (everything from the current
-    /// `first_lsn` up to the durable watermark). No-op for memory-only
-    /// logs.
-    ///
-    /// NOTE: after compaction the file's first record is `first_lsn`, so it
-    /// can only be re-opened alongside the metadata that records the
-    /// truncation point; in this system the sharp checkpoint written by
-    /// `Database::truncate_log` makes the dropped prefix unnecessary.
-    pub fn compact_file(&self) -> StorageResult<()> {
-        if self.is_segmented() {
-            return self.recycle_segments().map(|_| ());
-        }
-        // Exclusive with any in-flight flush: take the baton, then the
-        // locks in the fixed mem -> io order.
-        self.acquire_flusher();
-        let result = (|| {
-            let g = self.mem.lock();
-            let mut io = self.io.lock();
-            if io.file.is_none() {
-                return Ok(());
-            }
-            let durable = self.durable_lsn();
-            let durable_count = (durable.0 + 1).saturating_sub(g.first_lsn.0) as usize;
-            let mut out = Vec::new();
-            for frame in g.frames.iter().take(durable_count) {
-                out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                out.extend_from_slice(frame);
-            }
-            let file = io.file.as_mut().expect("checked above");
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&out)?;
-            file.sync_data()?;
-            io.file_next = Lsn(durable.0 + 1);
-            io.active_bytes = out.len() as u64;
-            Ok(())
-        })();
-        if result.is_err() {
-            // The rewrite can stop anywhere between the truncation and the
-            // final fsync; nothing about the file's content is known, so no
-            // later flush may append to it.
-            self.poison();
-        }
-        self.release_flusher();
-        result
-    }
-
     /// Simulate a crash: the volatile tail past the durability watermark is
     /// lost. Returns how many records were discarded.
     pub fn simulate_crash(&self) -> usize {
@@ -1074,16 +897,6 @@ impl LogManager {
         self.mem.lock().stats.clone()
     }
 
-    /// Durability-path counters (fsync batching).
-    pub fn sync_stats(&self) -> SyncStats {
-        SyncStats {
-            flush_calls: self.metrics.flush_calls.get(),
-            syncs: self.metrics.syncs.get(),
-            batches: self.metrics.batches.get(),
-            group_waits: self.metrics.group_waits.get(),
-        }
-    }
-
     /// Number of records currently retained (post-truncation).
     pub fn len(&self) -> usize {
         self.mem.lock().frames.len()
@@ -1109,7 +922,7 @@ impl LogManager {
 
     /// The current segment files, ascending by first LSN: every sealed
     /// (immutable, shippable) segment followed by the active one. Empty
-    /// for non-segmented logs. The active entry's `end_lsn` reflects only
+    /// for memory-only logs. The active entry's `end_lsn` reflects only
     /// what has been *written to the file*, i.e. the durable tail a
     /// shipping reader may rely on.
     pub fn segment_catalog(&self) -> Vec<SegmentMeta> {
@@ -1137,8 +950,7 @@ impl LogManager {
     }
 
     /// Total bytes the log currently occupies on disk (sealed segments
-    /// plus the active one). Zero for memory-only logs; for legacy
-    /// single-file logs this is the written byte count since open.
+    /// plus the active one). Zero for memory-only logs.
     pub fn on_disk_bytes(&self) -> u64 {
         let io = self.io.lock();
         io.sealed.iter().map(|s| s.bytes).sum::<u64>() + io.active_bytes
@@ -1243,9 +1055,6 @@ mod tests {
         // Already-durable targets still answer Ok; appends stay available.
         log.flush_to(l1).unwrap();
         assert!(log.append_force(&begin(3)).is_err());
-        // The legacy single-lock path refuses too.
-        log.set_group_commit(false);
-        assert!(log.flush_to(l2).is_err());
     }
 
     #[test]
@@ -1331,97 +1140,12 @@ mod tests {
         let l1 = log.append(&begin(1));
         log.flush_to(l1).unwrap();
         log.flush_to(l1).unwrap(); // already durable: no new batch
-        let s = log.sync_stats();
-        assert_eq!(s.flush_calls, 1);
-        assert_eq!(s.batches, 1);
-        assert_eq!(s.syncs, 0, "memory-only log never fsyncs");
-    }
-
-    #[test]
-    fn file_backed_log_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("obr-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        {
-            let log = LogManager::open_file(&path).unwrap();
-            log.append(&begin(1));
-            let l2 = log.append(&begin(2));
-            log.append(&begin(3)); // never flushed: lost
-            log.flush_to(l2).unwrap();
-        }
-        {
-            let log = LogManager::open_file(&path).unwrap();
-            assert_eq!(log.len(), 2, "only the flushed prefix survives");
-            assert_eq!(log.read(Lsn(1)).unwrap(), Some(begin(1)));
-            assert_eq!(log.read(Lsn(2)).unwrap(), Some(begin(2)));
-            assert_eq!(log.durable_lsn(), Lsn(2));
-            // Appends continue from the recovered position.
-            assert_eq!(log.append(&begin(4)), Lsn(3));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_backed_log_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("obr-wal-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        {
-            let log = LogManager::open_file(&path).unwrap();
-            log.append_force(&begin(1)).unwrap();
-            log.append_force(&begin(2)).unwrap();
-        }
-        // Tear the last record: chop bytes off the file end.
-        {
-            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            let len = f.metadata().unwrap().len();
-            f.set_len(len - 3).unwrap();
-        }
-        let log = LogManager::open_file(&path).unwrap();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.read(Lsn(1)).unwrap(), Some(begin(1)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_file_drops_truncated_prefix() {
-        let dir = std::env::temp_dir().join(format!("obr-wal-cmp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let log = LogManager::open_file(&path).unwrap();
-        for i in 1..=10 {
-            log.append(&begin(i));
-        }
-        log.flush_all().unwrap();
-        let full = std::fs::metadata(&path).unwrap().len();
-        log.truncate_before(Lsn(8));
-        log.compact_file().unwrap();
-        let compacted = std::fs::metadata(&path).unwrap().len();
-        assert!(compacted < full);
-        assert_eq!(log.read(Lsn(8)).unwrap(), Some(begin(8)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_mode_still_reaches_durability() {
-        let dir = std::env::temp_dir().join(format!("obr-wal-legacy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        {
-            let log = LogManager::open_file(&path).unwrap();
-            log.set_group_commit(false);
-            assert!(!log.group_commit_enabled());
-            let l1 = log.append(&begin(1));
-            let l2 = log.append(&begin(2));
-            log.flush_to(l1).unwrap();
-            assert_eq!(log.durable_lsn(), l1);
-            log.flush_to(l2).unwrap();
-            assert_eq!(log.durable_lsn(), l2);
-            assert_eq!(log.sync_stats().syncs, 2, "legacy mode never batches");
-        }
-        let log = LogManager::open_file(&path).unwrap();
-        assert_eq!(log.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        let reg = Registry::new();
+        log.register_metrics(&reg);
+        let s = reg.snapshot();
+        assert_eq!(s.counter("wal_flush_calls"), 1);
+        assert_eq!(s.counter("wal_batches"), 1);
+        assert_eq!(s.counter("wal_syncs"), 0, "memory-only log never fsyncs");
     }
 
     static SEG_TEST_DIRS: obr_sync::atomic::AtomicU64 = obr_sync::atomic::AtomicU64::new(0);
@@ -1450,7 +1174,7 @@ mod tests {
             for w in cat.windows(2) {
                 assert_eq!(w[1].first_lsn, Lsn(w[0].end_lsn.0 + 1));
             }
-            assert_eq!(log.sync_stats().syncs, 20);
+            assert_eq!(log.metrics.syncs.get(), 20);
         }
         let log = LogManager::open_dir(&dir, 64).unwrap();
         assert_eq!(log.len(), 20);

@@ -1,9 +1,8 @@
 //! Segment naming and directory layout for the segmented WAL.
 //!
 //! A segmented log is a directory of files `wal-<first-lsn>.seg`, each
-//! holding a contiguous run of `[len: u32 LE][frame]` records in the same
-//! byte format as the legacy single-file log (see [`crate::reader`]). The
-//! file name carries the LSN of its first record, zero-padded so
+//! holding a contiguous run of `[len: u32 LE][frame]` records (parsed by
+//! [`crate::reader`]). The file name carries the LSN of its first record, zero-padded so
 //! lexicographic order equals LSN order. Exactly one segment — the one with
 //! the highest first-LSN — is *active* (still being appended to); every
 //! other segment is *sealed* and immutable.

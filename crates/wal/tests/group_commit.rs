@@ -5,12 +5,18 @@
 
 use std::sync::{Arc, Barrier};
 
+use obr_obs::Registry;
 use obr_wal::{LogManager, LogRecord, TxnId};
 
-fn temp_wal(tag: &str) -> std::path::PathBuf {
+/// A fresh durable log that never seals, with its counters published into
+/// a local registry so the tests can diff snapshots.
+fn temp_wal(tag: &str) -> (std::path::PathBuf, Arc<LogManager>, Registry) {
     let dir = std::env::temp_dir().join(format!("obr-wal-gc-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("wal.log")
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = Arc::new(LogManager::open_dir(&dir, u64::MAX).unwrap());
+    let reg = Registry::new();
+    log.register_metrics(&reg);
+    (dir, log, reg)
 }
 
 /// K concurrent committers: every waiter sees `durable_lsn >= its lsn`, and
@@ -19,9 +25,8 @@ fn temp_wal(tag: &str) -> std::path::PathBuf {
 fn concurrent_committers_batch_into_at_most_k_fsyncs() {
     const K: u64 = 8;
     const COMMITS_PER_THREAD: u64 = 10;
-    let path = temp_wal("batch");
-    let log = Arc::new(LogManager::open_file(&path).unwrap());
-    let before = log.sync_stats();
+    let (dir, log, reg) = temp_wal("batch");
+    let before = reg.snapshot();
     let barrier = Barrier::new(K as usize);
     std::thread::scope(|s| {
         for t in 0..K {
@@ -43,20 +48,21 @@ fn concurrent_committers_batch_into_at_most_k_fsyncs() {
             });
         }
     });
-    let d = log.sync_stats().since(&before);
+    let after = reg.snapshot();
+    let flush_calls = after.counter("wal_flush_calls") - before.counter("wal_flush_calls");
+    let syncs = after.counter("wal_syncs") - before.counter("wal_syncs");
     // A committer whose lsn was already covered by someone else's batch
     // returns without touching the disk, so flush_calls <= total commits.
-    assert!(d.flush_calls <= K * COMMITS_PER_THREAD);
-    assert!(d.syncs >= 1, "someone must have hit the disk");
+    assert!(flush_calls <= K * COMMITS_PER_THREAD);
+    assert!(syncs >= 1, "someone must have hit the disk");
     assert!(
-        d.syncs <= K * COMMITS_PER_THREAD,
-        "group commit can never fsync more than once per commit: {} > {}",
-        d.syncs,
+        syncs <= K * COMMITS_PER_THREAD,
+        "group commit can never fsync more than once per commit: {syncs} > {}",
         K * COMMITS_PER_THREAD
     );
     // Nothing is lost: a crash now replays every record.
     assert_eq!(log.simulate_crash(), 0);
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One storm of K committers released at once on a single barrier tick:
@@ -64,9 +70,8 @@ fn concurrent_committers_batch_into_at_most_k_fsyncs() {
 #[test]
 fn single_wave_of_committers_never_exceeds_k_fsyncs() {
     const K: u64 = 8;
-    let path = temp_wal("wave");
-    let log = Arc::new(LogManager::open_file(&path).unwrap());
-    let before = log.sync_stats();
+    let (dir, log, reg) = temp_wal("wave");
+    let before = reg.snapshot();
     let barrier = Barrier::new(K as usize);
     std::thread::scope(|s| {
         for t in 0..K {
@@ -80,12 +85,12 @@ fn single_wave_of_committers_never_exceeds_k_fsyncs() {
             });
         }
     });
-    let d = log.sync_stats().since(&before);
-    assert!(d.flush_calls <= K);
+    let after = reg.snapshot();
+    assert!(after.counter("wal_flush_calls") - before.counter("wal_flush_calls") <= K);
+    let syncs = after.counter("wal_syncs") - before.counter("wal_syncs");
     assert!(
-        (1..=K).contains(&d.syncs),
-        "got {} fsyncs for {K} commits",
-        d.syncs
+        (1..=K).contains(&syncs),
+        "got {syncs} fsyncs for {K} commits"
     );
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    let _ = std::fs::remove_dir_all(dir);
 }

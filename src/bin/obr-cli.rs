@@ -30,9 +30,9 @@
 //! |-------------------|----------------------------------------------------|
 //! | `check <dir>`     | files under `<dir>` without opening the database:  |
 //! |                   | tree fsck over `pages.db` (`--tree`), WAL linter   |
-//! |                   | over the segment dir `wal/` (or a legacy `wal.log` |
-//! |                   | file) via `--wal`, lock-protocol model             |
-//! |                   | checker (`--locks`, needs no files); default `--all` |
+//! |                   | over the segment dir `wal/` (`--wal`),             |
+//! |                   | lock-protocol model checker (`--locks`, needs no   |
+//! |                   | files); default `--all`                            |
 //! | `check <dir> --live` | opens and recovers the database, then walks the |
 //! |                   | live sharded buffer pool (non-perturbing)          |
 //! | `check --crash`   | exhaustive crash-consistency checker over scripted |
@@ -323,16 +323,13 @@ fn run_check(args: &[String]) -> ! {
         }
     }
     if wal {
-        // Prefer the segmented layout; fall back to a legacy single file.
-        let base = dir.as_ref().unwrap();
-        let wal_dir = base.join("wal");
-        let path = if wal_dir.is_dir() {
-            wal_dir
-        } else {
-            base.join("wal.log")
-        };
+        let path = dir.as_ref().unwrap().join("wal");
+        if !path.is_dir() {
+            eprintln!("no WAL segment directory at {}", path.display());
+            std::process::exit(2);
+        }
         println!("== wal lint: {}", path.display());
-        match obr::check::lint_wal_path(&path, &obr::check::WalLintOptions::default()) {
+        match obr::check::lint_wal_dir(&path, &obr::check::WalLintOptions::default()) {
             Ok(r) => report.merge(r),
             Err(e) => {
                 eprintln!("cannot read {}: {e}", path.display());
@@ -648,8 +645,8 @@ fn run_serve(args: &[String]) -> ! {
         std::process::exit(2);
     };
     let db = if dir.join("pages.db").exists() {
-        let db =
-            Database::open_durable(&dir, 1024, SidePointerMode::TwoWay).expect("open database");
+        let db = Database::open_durable_with_config(&dir, 1024, SidePointerMode::TwoWay, &cfg)
+            .expect("open database");
         let report = recover(&db).expect("recovery");
         println!(
             "recovered: {} records redone, {} units forward-completed",
@@ -949,8 +946,8 @@ fn main() {
     }
     let dir = std::path::PathBuf::from(dir);
     let db = if dir.join("pages.db").exists() {
-        let db =
-            Database::open_durable(&dir, 1024, SidePointerMode::TwoWay).expect("open database");
+        let db = Database::open_durable_with_config(&dir, 1024, SidePointerMode::TwoWay, &cfg)
+            .expect("open database");
         let report = recover(&db).expect("recovery");
         println!(
             "recovered: {} records redone, {} units forward-completed",

@@ -250,23 +250,24 @@ proptest! {
         );
     }
 
-    /// The segmented WAL is observationally equivalent to the legacy
-    /// single-file log it replaced. The same append/force pattern is driven
-    /// into both layouts, then the equivalence is checked at every split
-    /// point the segmentation introduces:
+    /// The segmented WAL is observationally the memory-only log plus the
+    /// byte-level reader: the same append/force pattern is driven into a
+    /// segment directory and into `LogManager::new()` (the zero-segment
+    /// case), then checked at every split point segmentation introduces:
     ///
     /// 1. fully flushed — identical LSNs, records, checkpoints, and the
-    ///    segment files concatenate byte-for-byte to the single-file image;
+    ///    segment files concatenate byte-for-byte to
+    ///    `LogReader::encode_frames` of the retained frames;
     /// 2. torn tail — a crash cut at an arbitrary byte of the active
-    ///    segment reopens to exactly the state the single file cut at the
-    ///    same global offset reopens to;
+    ///    segment reopens to exactly the record boundary `LogReader::scan`
+    ///    finds in the log image cut at the same global offset;
     /// 3. truncate + recycle — after `truncate_before` at an arbitrary LSN,
     ///    the segmented log (whole-file recycling, rounded down to a
-    ///    segment boundary) retains a superset of what the single file
-    ///    (exact rewrite) retains, agreeing record-for-record past the
+    ///    segment boundary) retains a superset of what the memory-only log
+    ///    (exact truncation) retains, agreeing record-for-record past the
     ///    truncation point, both live and across a reopen.
     #[test]
-    fn prop_segmented_log_matches_single_file_oracle(
+    fn prop_segmented_log_matches_memory_and_scan_oracles(
         ops in prop::collection::vec(
             (0u64..1000, prop::collection::vec(any::<u8>(), 0..48), any::<bool>(), 0u8..16),
             1..50),
@@ -275,7 +276,7 @@ proptest! {
         trunc_permille in 0u64..=1000,
     ) {
         use obr::storage::{Lsn, PageId};
-        use obr::wal::{segment, CheckpointData, LogManager, LogRecord, TxnId};
+        use obr::wal::{segment, CheckpointData, LogManager, LogReader, LogRecord, TxnId};
 
         static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         // relaxed: scratch-directory name uniqueness counter only.
@@ -283,9 +284,8 @@ proptest! {
         let root = std::env::temp_dir().join(format!("obr-prop-seg-{}-{n}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         std::fs::create_dir_all(&root).unwrap();
-        let file_path = root.join("wal.log");
         let dir_path = root.join("wal");
-        let single = LogManager::open_file(&file_path).unwrap();
+        let mem = LogManager::new();
         let seg = LogManager::open_dir(&dir_path, seg_bytes).unwrap();
 
         for (i, (key, value, force, kind)) in ops.iter().enumerate() {
@@ -300,47 +300,48 @@ proptest! {
                     prev_lsn: Lsn::ZERO,
                 }
             };
-            let a = single.append(&record);
+            let a = mem.append(&record);
             let b = seg.append(&record);
-            prop_assert_eq!(a, b, "append must assign the same LSN in both layouts");
+            prop_assert_eq!(a, b, "append must assign the same LSN in both logs");
             if *force {
-                single.flush_to(a).unwrap();
+                mem.flush_to(a).unwrap();
                 seg.flush_to(b).unwrap();
+                prop_assert_eq!(mem.durable_lsn(), seg.durable_lsn());
             }
         }
-        single.flush_all().unwrap();
+        mem.flush_all().unwrap();
         seg.flush_all().unwrap();
 
         // 1) Fully flushed: observationally identical.
-        prop_assert_eq!(single.durable_lsn(), seg.durable_lsn());
+        prop_assert_eq!(mem.durable_lsn(), seg.durable_lsn());
+        let all_records = mem.records_from(Lsn(1)).unwrap();
+        prop_assert_eq!(&all_records, &seg.records_from(Lsn(1)).unwrap());
         prop_assert_eq!(
-            single.records_from(Lsn(1)).unwrap(),
-            seg.records_from(Lsn(1)).unwrap()
-        );
-        prop_assert_eq!(
-            single.last_checkpoint().unwrap(),
+            mem.last_checkpoint().unwrap(),
             seg.last_checkpoint().unwrap()
         );
-        let single_bytes = std::fs::read(&file_path).unwrap();
+        let (first_lsn, frames) = mem.frames_snapshot();
+        let image = LogReader::encode_frames(frames.iter().map(Vec::as_slice));
         let segments = segment::list_segments(&dir_path).unwrap();
         let mut cat_bytes = Vec::new();
         for (_, p) in &segments {
             cat_bytes.extend(std::fs::read(p).unwrap());
         }
         prop_assert_eq!(
-            &single_bytes,
+            &image,
             &cat_bytes,
-            "segment files must concatenate to the single-file image"
+            "segment files must concatenate to the encoded frame image"
         );
 
-        // 2) Torn tail: a byte cut inside the active segment is the same
-        // crash as cutting the single file at the same global offset.
+        // 2) Torn tail: a byte cut inside the active segment reopens to the
+        // boundary the byte-level reader finds in the image cut at the same
+        // global offset.
         let (_, active_path) = segments.last().unwrap();
         let active_bytes = std::fs::read(active_path).unwrap();
         let sealed_total = cat_bytes.len() - active_bytes.len();
         let cut = active_bytes.len() * cut_permille as usize / 1000;
-        let torn_file = root.join("torn.log");
-        std::fs::write(&torn_file, &single_bytes[..sealed_total + cut]).unwrap();
+        let torn_image = LogReader::scan(&image[..sealed_total + cut]);
+        let expect = LogReader::last_lsn(&torn_image, first_lsn);
         let torn_dir = root.join("torn-wal");
         std::fs::create_dir_all(&torn_dir).unwrap();
         for (_, p) in &segments {
@@ -352,64 +353,44 @@ proptest! {
         )
         .unwrap();
         {
-            let a = LogManager::open_file(&torn_file).unwrap();
             let b = LogManager::open_dir(&torn_dir, seg_bytes).unwrap();
             prop_assert_eq!(
-                a.durable_lsn(),
                 b.durable_lsn(),
-                "torn reopen must land on the same record boundary"
+                expect,
+                "torn reopen must land on the scanned record boundary"
             );
             prop_assert_eq!(
-                a.records_from(Lsn(1)).unwrap(),
-                b.records_from(Lsn(1)).unwrap()
+                &all_records[..expect.0 as usize],
+                &b.records_from(Lsn(1)).unwrap()[..]
             );
         }
 
-        // 3) Truncate + recycle vs. truncate + compact.
-        let end = single.durable_lsn().0;
+        // 3) Truncate + recycle vs. exact in-memory truncation.
+        let end = mem.durable_lsn().0;
         let t = Lsn(1 + (end - 1) * trunc_permille / 1000);
-        single.truncate_before(t);
-        single.compact_file().unwrap();
+        mem.truncate_before(t);
         seg.truncate_before(t);
         seg.recycle_segments().unwrap();
-        prop_assert_eq!(single.first_lsn(), t, "single-file truncation is exact");
+        prop_assert_eq!(mem.first_lsn(), t, "memory-only truncation is exact");
         prop_assert!(
             seg.first_lsn() <= t,
             "segmented truncation rounds down to a boundary, never past the mark"
         );
+        let tail = mem.records_from(t).unwrap();
         prop_assert_eq!(
-            single.records_from(t).unwrap(),
-            seg.records_from(t).unwrap(),
-            "both layouts must agree on every record past the truncation point"
+            &tail,
+            &seg.records_from(t).unwrap(),
+            "both logs must agree on every record past the truncation point"
         );
-        drop(single);
+        let live_first = seg.first_lsn();
         drop(seg);
 
-        // Reopen both from disk. The single file was rewritten so its LSN
-        // labels restart at 1; the segmented dir keeps true labels. The
-        // retained *records* must line up: the single file's contents are
-        // exactly the tail of the segmented log's.
-        let single2 = LogManager::open_file(&file_path).unwrap();
+        // Reopen from disk: segment names carry the true LSNs, so the
+        // recycled directory comes back with the same labels and tail.
         let seg2 = LogManager::open_dir(&dir_path, seg_bytes).unwrap();
-        let vals_a: Vec<LogRecord> = single2
-            .records_from(Lsn(1))
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        let vals_b: Vec<LogRecord> = seg2
-            .records_from(Lsn(1))
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        prop_assert!(vals_b.len() >= vals_a.len());
-        prop_assert_eq!(
-            &vals_b[vals_b.len() - vals_a.len()..],
-            &vals_a[..],
-            "single-file tail must be a suffix of the recycled segmented log"
-        );
-        drop(single2);
+        prop_assert_eq!(seg2.first_lsn(), live_first);
+        prop_assert_eq!(seg2.durable_lsn(), Lsn(end));
+        prop_assert_eq!(&tail, &seg2.records_from(t).unwrap());
         drop(seg2);
         std::fs::remove_dir_all(&root).ok();
     }
