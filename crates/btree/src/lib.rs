@@ -33,4 +33,4 @@ pub use leaf::{LeafRef, LeafView};
 pub use meta::{MetaRef, MetaView};
 pub use node::{NodeRef, NodeView};
 pub use stats::TreeStats;
-pub use tree::{BTree, SidePointerMode, SmoObserver};
+pub use tree::{BTree, SidePointerMode, SmoGuard, SmoObserver};

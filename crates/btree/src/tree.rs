@@ -6,12 +6,15 @@
 //!
 //! Record operations take a short write latch on one leaf. Structure
 //! modifications (splits, root growth, free-at-empty deallocation, and every
-//! reorganization unit) serialize on a single SMO mutex and bump an *SMO
-//! epoch*. Descents are optimistic: read the epoch, navigate with brief read
-//! latches, latch the target leaf, and re-check the epoch — if any SMO ran
-//! meanwhile, retry. Once the leaf is latched with a stable epoch, its key
-//! range cannot move (anything that would move it must write-latch the
-//! leaf).
+//! reorganization unit) take the write side of a single SMO latch and bump
+//! an *SMO epoch*. Descents are optimistic: read the epoch, navigate with
+//! brief read latches, latch the target leaf, and re-check the epoch — if
+//! any SMO ran meanwhile, retry. Once the leaf is latched with a stable
+//! epoch, its key range cannot move (anything that would move it must
+//! write-latch the leaf). A descent that keeps losing that race, and every
+//! range scan, takes the read side of the SMO latch instead: it excludes
+//! structure modifications without bumping the epoch, so it always
+//! finishes and other readers stay optimistic.
 //!
 //! Logical locking (S/X/R/RX of §4) lives in `obr-txn`/`obr-core` above
 //! this layer.
@@ -19,7 +22,7 @@
 use obr_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use obr_sync::{Mutex, MutexGuard};
+use obr_sync::{RwLock, RwLockWriteGuard};
 
 use obr_storage::{BufferPool, FreeSpaceMap, Lsn, Page, PageId, PageType, StorageError, PAGE_SIZE};
 use obr_wal::{LogManager, LogRecord, TxnId};
@@ -67,18 +70,28 @@ pub struct BTree {
     fsm: Arc<FreeSpaceMap>,
     log: Arc<LogManager>,
     meta_id: PageId,
-    smo: Mutex<()>,
+    /// Write side: one structure modification at a time. Read side: the
+    /// structure holds still (scans, and descents that lost the optimistic
+    /// race too often).
+    smo: RwLock<()>,
     /// Even = quiescent; odd = an SMO is mutating the structure.
     epoch: AtomicU64,
     side: SidePointerMode,
-    observer: obr_sync::RwLock<Option<Arc<dyn SmoObserver>>>,
+    observer: RwLock<Option<Arc<dyn SmoObserver>>>,
 }
 
-/// RAII guard for a structure modification: holds the SMO mutex and keeps
-/// the epoch odd for its lifetime. The reorganizer takes one per unit
-/// application.
+/// Optimistic attempts a descent makes before it takes the read side of
+/// the SMO latch. Each failed attempt yields, so this is on the order of
+/// one structure modification's duration: the common loser still never
+/// sleeps on the latch, and a reader facing a descheduled SMO holder or a
+/// burst of units blocks instead of spinning its way to an error.
+const OPTIMISTIC_DESCENTS: u32 = 64;
+
+/// RAII guard for a structure modification: holds the write side of the
+/// SMO latch and keeps the epoch odd for its lifetime. The reorganizer
+/// takes one per unit application.
 pub struct SmoGuard<'a> {
-    _mutex: MutexGuard<'a, ()>,
+    _latch: RwLockWriteGuard<'a, ()>,
     epoch: &'a AtomicU64,
 }
 
@@ -123,10 +136,10 @@ impl BTree {
             fsm,
             log,
             meta_id,
-            smo: Mutex::named((), "tree.smo"),
+            smo: RwLock::named((), "tree.smo"),
             epoch: AtomicU64::new(0),
             side,
-            observer: obr_sync::RwLock::named(None, "tree.observer"),
+            observer: RwLock::named(None, "tree.observer"),
         })
     }
 
@@ -148,10 +161,10 @@ impl BTree {
             fsm,
             log,
             meta_id,
-            smo: Mutex::named((), "tree.smo"),
+            smo: RwLock::named((), "tree.smo"),
             epoch: AtomicU64::new(0),
             side,
-            observer: obr_sync::RwLock::named(None, "tree.observer"),
+            observer: RwLock::named(None, "tree.observer"),
         })
     }
 
@@ -267,22 +280,38 @@ impl BTree {
     /// makes concurrent descents retry. Used internally and by the
     /// reorganizer for each unit application.
     pub fn smo_guard(&self) -> SmoGuard<'_> {
-        let g = self.smo.lock();
+        let g = self.smo.write();
         self.epoch.fetch_add(1, Ordering::Release); // even -> odd
         SmoGuard {
-            _mutex: g,
+            _latch: g,
             epoch: &self.epoch,
         }
     }
 
+    /// The SMO epoch: it changes when a structure modification starts and
+    /// again when it ends. A caller that read it before [`Self::path_for`]
+    /// and reads the same value later knows no SMO started in between, so
+    /// the path is still the tree's routing for that key.
+    pub fn structure_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
     fn epoch_stable(&self) -> Option<u64> {
-        let e = self.epoch.load(Ordering::Acquire);
+        let e = self.structure_epoch();
         e.is_multiple_of(2).then_some(e)
     }
 
+    /// True when no SMO started since `epoch` was read stable; `None`
+    /// stands for "the caller holds the SMO latch", which nothing can
+    /// invalidate.
+    fn unchanged_since(&self, epoch: Option<u64>) -> bool {
+        epoch.is_none_or(|e| self.structure_epoch() == e)
+    }
+
     /// Raw root-to-leaf descent with no epoch validation. Correct only when
-    /// the structure cannot change underneath — i.e. while holding the SMO
-    /// guard. Public for the reorganizer, which always holds the guard.
+    /// the structure cannot change underneath — i.e. while holding either
+    /// side of the SMO latch. Public for the reorganizer, which calls it
+    /// under its [`SmoGuard`].
     pub fn path_for_locked(&self, key: u64) -> BTreeResult<Vec<PageId>> {
         let (root, height) = self.anchor()?;
         let mut path = Vec::with_capacity(height as usize + 1);
@@ -312,34 +341,51 @@ impl BTree {
         }
     }
 
-    /// Path of page ids from the root to the leaf for `key`, validated
-    /// against concurrent structure modifications (retried around SMOs).
-    pub fn path_for(&self, key: u64) -> BTreeResult<Vec<PageId>> {
-        let mut spins = 0u32;
-        loop {
-            spins += 1;
-            if spins > 1_000_000 {
-                return Err(BTreeError::Inconsistent(
-                    "descent did not stabilize (livelock or corrupt tree)".into(),
-                ));
-            }
-            let Some(e1) = self.epoch_stable() else {
-                std::thread::yield_now();
-                continue;
-            };
-            match self.path_for_locked(key) {
-                Ok(path) => {
-                    if self.epoch.load(Ordering::Acquire) == e1 {
-                        return Ok(path);
-                    }
-                }
-                Err(_) if self.epoch.load(Ordering::Acquire) != e1 => {
+    /// Descend to the leaf for `key` and hand the path to `visit` at a
+    /// moment the structure provably holds still. The first
+    /// [`OPTIMISTIC_DESCENTS`] attempts are optimistic: `visit` gets the
+    /// epoch the descent started at and answers `Ok(None)` when
+    /// [`Self::unchanged_since`] fails after it has taken its latch. After
+    /// that the descent runs under the read side of the SMO latch, where no
+    /// SMO can interfere, so it makes progress however busy the reorganizer
+    /// is; a failure there is a malformed tree, not a race.
+    fn descend<T>(
+        &self,
+        key: u64,
+        mut visit: impl FnMut(Vec<PageId>, Option<u64>) -> BTreeResult<Option<T>>,
+    ) -> BTreeResult<T> {
+        for _ in 0..OPTIMISTIC_DESCENTS {
+            if let Some(e1) = self.epoch_stable() {
+                match self
+                    .path_for_locked(key)
+                    .and_then(|path| visit(path, Some(e1)))
+                {
+                    Ok(Some(t)) => return Ok(t),
+                    Ok(None) => {}
                     // Transient inconsistency caused by a concurrent SMO.
+                    Err(_) if !self.unchanged_since(Some(e1)) => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
             }
             std::thread::yield_now();
         }
+        // The read side blocks while an SMO runs and keeps the next one out.
+        let _frozen = self.smo.read();
+        let path = self.path_for_locked(key)?;
+        let end = *path.last().expect("path never empty");
+        visit(path, None)?.ok_or_else(|| {
+            BTreeError::Inconsistent(format!(
+                "descent for key {key} ends at {end}, which is not a leaf"
+            ))
+        })
+    }
+
+    /// Path of page ids from the root to the leaf for `key`, validated
+    /// against concurrent structure modifications (retried around SMOs).
+    pub fn path_for(&self, key: u64) -> BTreeResult<Vec<PageId>> {
+        self.descend(key, |path, epoch| {
+            Ok(self.unchanged_since(epoch).then_some(path))
+        })
     }
 
     /// The leaf currently responsible for `key`.
@@ -362,30 +408,15 @@ impl BTree {
     /// retrying around SMOs. The epoch is validated *while the latch is
     /// held*, so `f` never observes a leaf whose key range has moved.
     fn with_leaf_read<T>(&self, key: u64, mut f: impl FnMut(PageId, &Page) -> T) -> BTreeResult<T> {
-        let mut spins = 0u32;
-        loop {
-            spins += 1;
-            if spins > 100_000 {
-                return Err(BTreeError::Inconsistent(
-                    "descent did not stabilize (livelock or corrupt tree)".into(),
-                ));
-            }
-            let Some(e1) = self.epoch_stable() else {
-                std::thread::yield_now();
-                continue;
-            };
-            let path = self.path_for(key)?;
+        self.descend(key, |path, epoch| {
             let leaf_id = *path.last().expect("path never empty");
             let g = self.pool.fetch(leaf_id)?;
             let page = g.read();
-            if self.epoch.load(Ordering::Acquire) != e1 || page.page_type() != Some(PageType::Leaf)
-            {
-                drop(page);
-                std::thread::yield_now();
-                continue;
+            if !self.unchanged_since(epoch) || page.page_type() != Some(PageType::Leaf) {
+                return Ok(None);
             }
-            return Ok(f(leaf_id, &page));
-        }
+            Ok(Some(f(leaf_id, &page)))
+        })
     }
 
     /// Exclusive-latch counterpart of [`Self::with_leaf_read`].
@@ -394,30 +425,16 @@ impl BTree {
         key: u64,
         mut f: impl FnMut(PageId, &mut Page) -> BTreeResult<T>,
     ) -> BTreeResult<T> {
-        let mut spins = 0u32;
-        loop {
-            spins += 1;
-            if spins > 100_000 {
-                return Err(BTreeError::Inconsistent(
-                    "descent did not stabilize (livelock or corrupt tree)".into(),
-                ));
-            }
-            let Some(e1) = self.epoch_stable() else {
-                std::thread::yield_now();
-                continue;
-            };
-            let path = self.path_for(key)?;
+        self.descend(key, |path, epoch| {
             let leaf_id = *path.last().expect("path never empty");
             let g = self.pool.fetch(leaf_id)?;
             let mut page = g.write();
-            if self.epoch.load(Ordering::Acquire) != e1 || page.page_type() != Some(PageType::Leaf)
-            {
-                drop(page);
-                std::thread::yield_now();
-                continue;
+            if !self.unchanged_since(epoch) || page.page_type() != Some(PageType::Leaf) {
+                return Ok(None);
             }
-            return f(leaf_id, &mut page);
-        }
+            // `f`'s own verdict is final: only the descent is retried.
+            Ok(Some(f(leaf_id, &mut page)))
+        })?
     }
 
     /// Point lookup.
@@ -1085,7 +1102,19 @@ impl BTree {
     }
 
     /// Inclusive range scan.
+    ///
+    /// The whole walk runs under the read side of the SMO latch. Every
+    /// structure modification re-stitches the side chain before it lets go
+    /// of the write side, so a walk that starts at the right leaf meets
+    /// every record exactly once — also while a reorganization unit sits
+    /// between its MOVE and its base-page MODIFY, when the chain is already
+    /// whole and only the base page is behind. Starting at the right leaf
+    /// is the caller's part: in that window the base page may still route
+    /// `lo` to an emptied source, which is why `Txn::scan` first takes a
+    /// validated S lock on the first leaf. Without side pointers the walk
+    /// goes through the base pages themselves and has no such guarantee.
     pub fn range_scan(&self, lo: u64, hi: u64) -> BTreeResult<Vec<(u64, Vec<u8>)>> {
+        let _frozen = self.smo.read();
         let mut out = Vec::new();
         match self.side {
             SidePointerMode::None => {
@@ -1104,7 +1133,8 @@ impl BTree {
                 }
             }
             _ => {
-                let mut cur = self.leaf_for(lo)?;
+                let path = self.path_for_locked(lo)?;
+                let mut cur = *path.last().expect("path never empty");
                 let mut hops = 0usize;
                 let bound = self.fsm.num_pages() as usize + 1;
                 while cur.is_valid() {

@@ -20,9 +20,16 @@
 //! - **Checkpoint ordering** — a checkpoint's reorg-table snapshot must
 //!   reference LSNs of reorg records that precede the checkpoint, with
 //!   `begin_lsn <= recent_lsn < checkpoint LSN`.
-//! - **Transaction pairing** — begin/commit/abort bracketing per
-//!   transaction ([`TxnId::SYSTEM`] is exempt: system actions are logged
-//!   without brackets).
+//! - **Transaction undo chains** — a transaction is in the log from its
+//!   first update record to its commit or abort; there is no begin record
+//!   (old logs hold `TxnBegin`, which is accepted and ignored), and one
+//!   that wrote nothing leaves at most a bare commit/abort, which is
+//!   counted, not flagged. What recovery relies on is the `prev_lsn` chain
+//!   it walks to roll a loser back: every update record must point at the
+//!   transaction's previous one (zero for the first), and every CLR's
+//!   `undo_next` at the predecessor of the record it compensates. A chain
+//!   that skips a record would leave that update in place after an abort.
+//!   ([`TxnId::SYSTEM`] is exempt: system actions are never rolled back.)
 //! - **Pass-3 progress** — `stable_key` never regresses within one build
 //!   of the new tree (it resets at the switch).
 
@@ -60,6 +67,16 @@ struct OpenUnit {
     work: u64,
 }
 
+/// A user transaction with update records and no commit/abort yet.
+#[derive(Default)]
+struct OpenTxn {
+    /// `(lsn, prev_lsn)` of its update records not yet compensated, oldest
+    /// first: the undo chain as recovery would walk it, back to front.
+    updates: Vec<(Lsn, Lsn)>,
+    /// A CLR was seen: the transaction is rolling back and may not update.
+    rolling_back: bool,
+}
+
 /// Scan state for [`lint_records`].
 struct Linter<'a> {
     opts: &'a WalLintOptions,
@@ -67,8 +84,15 @@ struct Linter<'a> {
     open: Option<OpenUnit>,
     /// LSNs at which reorg-unit records (BEGIN/chained/END) were seen.
     reorg_lsns: BTreeSet<Lsn>,
-    /// Active user transactions and the LSN of their begin record.
-    txns: BTreeMap<TxnId, Lsn>,
+    /// First LSN of the scanned log: a `prev_lsn` below it points into a
+    /// truncated prefix and cannot be checked.
+    first_lsn: Lsn,
+    /// User transactions with update records and no end record yet.
+    txns: BTreeMap<TxnId, OpenTxn>,
+    /// Commit/abort records of transactions with no update record in view
+    /// (read-only commits written through the raw log API, or the tail of
+    /// a transaction whose updates were truncated away).
+    bare_ends: u64,
     finished_units: u64,
     checkpoints: u64,
     stable_key: Option<u64>,
@@ -76,13 +100,15 @@ struct Linter<'a> {
 }
 
 impl<'a> Linter<'a> {
-    fn new(opts: &'a WalLintOptions) -> Linter<'a> {
+    fn new(opts: &'a WalLintOptions, first_lsn: Lsn) -> Linter<'a> {
         Linter {
             opts,
             report: Report::new(),
             open: None,
             reorg_lsns: BTreeSet::new(),
+            first_lsn,
             txns: BTreeMap::new(),
+            bare_ends: 0,
             finished_units: 0,
             checkpoints: 0,
             stable_key: None,
@@ -333,34 +359,89 @@ impl<'a> Linter<'a> {
                 // A switch completes the build; a later Pass 3 starts over.
                 self.stable_key = None;
             }
-            LogRecord::TxnBegin { txn } => {
-                if *txn != TxnId::SYSTEM && self.txns.insert(*txn, lsn).is_some() {
-                    self.report.error(
-                        CHECKER,
-                        "txn-double-begin",
-                        None,
-                        Some(lsn),
-                        format!("transaction {} begins twice", txn.0),
-                    );
-                }
-            }
+            // Old logs only; a transaction begins at its first update.
+            LogRecord::TxnBegin { .. } => {}
             LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
                 if *txn != TxnId::SYSTEM && self.txns.remove(txn).is_none() {
-                    self.report.error(
-                        CHECKER,
-                        "txn-unpaired-end",
-                        None,
-                        Some(lsn),
-                        format!("transaction {} ends without a begin", txn.0),
-                    );
+                    self.bare_ends += 1;
                 }
             }
-            LogRecord::TxnInsert { .. }
-            | LogRecord::TxnDelete { .. }
-            | LogRecord::TxnUpdate { .. }
-            | LogRecord::Clr { .. }
-            | LogRecord::Smo { .. } => {}
+            LogRecord::TxnInsert { txn, prev_lsn, .. }
+            | LogRecord::TxnDelete { txn, prev_lsn, .. }
+            | LogRecord::TxnUpdate { txn, prev_lsn, .. } => {
+                self.txn_update(lsn, *txn, *prev_lsn);
+            }
+            LogRecord::Clr { txn, undo_next, .. } => self.txn_clr(lsn, *txn, *undo_next),
+            LogRecord::Smo { .. } => {}
         }
+    }
+
+    /// An update record extends its transaction's undo chain: `prev_lsn`
+    /// must be the transaction's previous update (zero for the first).
+    fn txn_update(&mut self, lsn: Lsn, txn: TxnId, prev_lsn: Lsn) {
+        if txn == TxnId::SYSTEM {
+            return;
+        }
+        let first_lsn = self.first_lsn;
+        let t = self.txns.entry(txn).or_default();
+        let expected = match t.updates.last() {
+            Some((head, _)) => *head,
+            // First record in view: the chain starts here, or continues
+            // from a record the truncated prefix held.
+            None if prev_lsn < first_lsn => prev_lsn,
+            None => Lsn::ZERO,
+        };
+        if prev_lsn != expected || t.rolling_back {
+            let why = if t.rolling_back {
+                "follows the transaction's own rollback".to_string()
+            } else {
+                format!(
+                    "has prev_lsn={prev_lsn} but the transaction's previous update is at LSN {expected}"
+                )
+            };
+            self.report.error(
+                CHECKER,
+                "txn-broken-undo-chain",
+                None,
+                Some(lsn),
+                format!(
+                    "update record of transaction {} {why}: a rollback walking \
+                     the chain would skip earlier updates",
+                    txn.0
+                ),
+            );
+        }
+        t.updates.push((lsn, prev_lsn));
+    }
+
+    /// A CLR compensates the newest update not yet compensated and must
+    /// hand the rollback on to that update's predecessor.
+    fn txn_clr(&mut self, lsn: Lsn, txn: TxnId, undo_next: Lsn) {
+        // No update of this transaction in view: the rollback that follows
+        // a commit whose force failed, or a truncated prefix.
+        let Some(t) = self.txns.get_mut(&txn) else {
+            return;
+        };
+        t.rolling_back = true;
+        let complaint = match t.updates.pop() {
+            Some((_, prev)) if prev == undo_next => return,
+            Some((target, prev)) => {
+                format!("compensates the update at LSN {target}, whose predecessor is {prev}")
+            }
+            // The rollback reached records the truncated prefix held.
+            None if self.first_lsn > Lsn(1) => return,
+            None => "has no update left to compensate".to_string(),
+        };
+        self.report.error(
+            CHECKER,
+            "txn-broken-undo-chain",
+            None,
+            Some(lsn),
+            format!(
+                "CLR of transaction {} has undo_next={undo_next} but {complaint}",
+                txn.0
+            ),
+        );
     }
 
     fn finish(mut self, last_lsn: Option<Lsn>) -> Report {
@@ -393,11 +474,14 @@ impl<'a> Linter<'a> {
             }
         }
         self.report.note(format!(
-            "scanned {} records (last LSN {}), {} finished reorg units, {} checkpoints",
+            "scanned {} records (last LSN {}), {} finished reorg units, {} checkpoints, \
+             {} transactions open at end of log, {} bare commit/abort records",
             self.records,
             last_lsn.map_or_else(|| "-".into(), |l| l.to_string()),
             self.finished_units,
             self.checkpoints,
+            self.txns.len(),
+            self.bare_ends,
         ));
         self.report
     }
@@ -405,7 +489,8 @@ impl<'a> Linter<'a> {
 
 /// Lint an already-decoded record sequence.
 pub fn lint_records(records: &[(Lsn, LogRecord)], opts: &WalLintOptions) -> Report {
-    let mut linter = Linter::new(opts);
+    let first = records.first().map_or(Lsn(1), |(lsn, _)| *lsn);
+    let mut linter = Linter::new(opts, first);
     let mut last: Option<Lsn> = None;
     for (lsn, rec) in records {
         if let Some(prev) = last {
@@ -455,9 +540,17 @@ pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Repo
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
 
     let scan = LogReader::scan(&bytes);
+    // A segment's name carries its first LSN; any other file is taken to
+    // start the log. The chain rules compare `prev_lsn` fields with record
+    // LSNs, so a later segment numbered from 1 would fail them all.
+    let first = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .and_then(obr_wal::segment::parse_segment_name)
+        .unwrap_or(Lsn(1));
     let mut report = Report::new();
     if let Some(tail) = scan.torn {
-        let last = scan.records.len() as u64;
+        let last = first.0 + scan.records.len() as u64 - 1;
         let (code, what) = match tail.reason {
             TornReason::TruncatedLength => {
                 ("torn-frame", "trailing bytes too short for a frame header")
@@ -480,7 +573,7 @@ pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Repo
         .records
         .into_iter()
         .enumerate()
-        .map(|(i, rec)| (Lsn(i as u64 + 1), rec))
+        .map(|(i, rec)| (Lsn(first.0 + i as u64), rec))
         .collect();
     report.merge(lint_records(&records, opts));
     Ok(report)
@@ -732,6 +825,148 @@ mod tests {
             "{r}"
         );
         assert_eq!(r.error_count(), 0, "{r}");
+    }
+
+    fn ins(txn: u64, key: u64, prev: u64) -> LogRecord {
+        LogRecord::TxnInsert {
+            txn: TxnId(txn),
+            page: PageId(10),
+            key,
+            value: vec![1],
+            prev_lsn: Lsn(prev),
+        }
+    }
+
+    fn clr(txn: u64, key: u64, undo_next: u64) -> LogRecord {
+        LogRecord::Clr {
+            txn: TxnId(txn),
+            page: PageId(10),
+            reinsert: false,
+            key,
+            value: Vec::new(),
+            undo_next: Lsn(undo_next),
+        }
+    }
+
+    fn has(r: &Report, code: &str, lsn: u64) -> bool {
+        r.findings
+            .iter()
+            .any(|f| f.code == code && f.lsn == Some(Lsn(lsn)))
+    }
+
+    #[test]
+    fn transactions_without_begin_records_are_clean() {
+        let r = lint_records(
+            &seq(vec![
+                // A writer: first record is an update, chained, committed.
+                ins(1, 5, 0),
+                ins(1, 6, 1),
+                LogRecord::TxnCommit { txn: TxnId(1) },
+                // A reader written through the raw log API: bare commit.
+                LogRecord::TxnCommit { txn: TxnId(2) },
+                // An old log's shape: begin, update, commit; begin, abort.
+                LogRecord::TxnBegin { txn: TxnId(3) },
+                ins(3, 7, 0),
+                LogRecord::TxnCommit { txn: TxnId(3) },
+                LogRecord::TxnBegin { txn: TxnId(4) },
+                LogRecord::TxnAbort { txn: TxnId(4) },
+                // A rollback: CLRs walk the chain back to zero.
+                ins(5, 8, 0),
+                ins(5, 9, 10),
+                clr(5, 9, 10),
+                clr(5, 8, 0),
+                LogRecord::TxnAbort { txn: TxnId(5) },
+                // A loser: open at end of log.
+                ins(6, 1, 0),
+            ]),
+            &WalLintOptions::default(),
+        );
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.findings.len(), 0, "not even a warning: {r}");
+    }
+
+    #[test]
+    fn update_that_skips_its_predecessor_breaks_the_undo_chain() {
+        // The third update points at the first: undo would skip the second.
+        let r = lint_records(
+            &seq(vec![ins(1, 5, 0), ins(1, 6, 1), ins(1, 7, 1)]),
+            &WalLintOptions::default(),
+        );
+        assert!(has(&r, "txn-broken-undo-chain", 3), "{r}");
+        // So does a chain restarted at zero mid-transaction.
+        let r = lint_records(
+            &seq(vec![ins(1, 5, 0), ins(1, 6, 0)]),
+            &WalLintOptions::default(),
+        );
+        assert!(has(&r, "txn-broken-undo-chain", 2), "{r}");
+        // And a first record pointing into the visible log at nothing of
+        // its own.
+        let r = lint_records(
+            &seq(vec![ins(1, 5, 0), ins(2, 6, 1)]),
+            &WalLintOptions::default(),
+        );
+        assert!(has(&r, "txn-broken-undo-chain", 2), "{r}");
+    }
+
+    #[test]
+    fn clr_that_skips_an_update_breaks_the_undo_chain() {
+        // The first CLR compensates LSN 2 but hands on to zero: the update
+        // at LSN 1 would stay in place after the abort.
+        let r = lint_records(
+            &seq(vec![
+                ins(1, 5, 0),
+                ins(1, 6, 1),
+                clr(1, 6, 0),
+                LogRecord::TxnAbort { txn: TxnId(1) },
+            ]),
+            &WalLintOptions::default(),
+        );
+        assert!(has(&r, "txn-broken-undo-chain", 3), "{r}");
+        // One CLR too many, and an update after the rollback began.
+        let r = lint_records(
+            &seq(vec![ins(1, 5, 0), clr(1, 5, 0), clr(1, 5, 0), ins(1, 6, 1)]),
+            &WalLintOptions::default(),
+        );
+        assert!(has(&r, "txn-broken-undo-chain", 3), "{r}");
+        assert!(has(&r, "txn-broken-undo-chain", 4), "{r}");
+    }
+
+    #[test]
+    fn chains_reaching_into_a_truncated_prefix_are_accepted() {
+        // The log starts at LSN 100: transaction 1's first visible update
+        // continues a chain from LSN 40, and its rollback runs past the
+        // visible records; transaction 2's commit has no update in view.
+        let records: Vec<(Lsn, LogRecord)> = vec![
+            ins(1, 5, 40),
+            ins(1, 6, 100),
+            LogRecord::TxnCommit { txn: TxnId(2) },
+            clr(1, 6, 100),
+            clr(1, 5, 40),
+            clr(1, 4, 0),
+            LogRecord::TxnAbort { txn: TxnId(1) },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (Lsn(100 + i as u64), r))
+        .collect();
+        let r = lint_records(&records, &WalLintOptions::default());
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn rollback_after_a_failed_commit_force_is_clean() {
+        // `Txn::commit` appended the commit record, the force failed, and
+        // the rollback's CLRs and abort landed after it.
+        let r = lint_records(
+            &seq(vec![
+                ins(1, 5, 0),
+                LogRecord::TxnCommit { txn: TxnId(1) },
+                clr(1, 5, 0),
+                LogRecord::TxnAbort { txn: TxnId(1) },
+            ]),
+            &WalLintOptions::default(),
+        );
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]

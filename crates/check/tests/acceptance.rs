@@ -273,3 +273,130 @@ fn reordered_wal_is_caught_naming_the_lsn() {
         "no broken-prev-chain finding naming LSN {lsn}: {report}"
     );
 }
+
+/// A real rollback lints clean; the same log with one update's `prev_lsn`
+/// cut to zero — the undo chain now skips every earlier update of that
+/// transaction — is caught naming the record.
+#[test]
+fn cut_undo_chain_is_caught_naming_the_lsn() {
+    use obr_wal::LogRecord;
+    let scratch = Scratch::new("undo-chain");
+    {
+        let db =
+            Database::create_durable(scratch.path(), 256, 64, SidePointerMode::TwoWay).unwrap();
+        let session = Session::new(Arc::clone(&db));
+        session.insert(1, b"kept").unwrap();
+        let mut t = session.begin();
+        t.insert(2, b"a").unwrap();
+        t.insert(3, b"b").unwrap();
+        t.delete(1).unwrap();
+        t.abort().unwrap();
+        assert_eq!(
+            session.read(1).unwrap().as_deref(),
+            Some(b"kept".as_slice())
+        );
+        db.log().flush_all().unwrap();
+    }
+    let wal = scratch.path().join("wal");
+    let clean = lint_wal_dir(&wal, &WalLintOptions::default()).unwrap();
+    assert!(clean.is_clean(), "{clean}");
+
+    let seg = active_segment(scratch.path());
+    let bytes = fs::read(&seg).unwrap();
+    let parsed = frames(&bytes);
+    // The aborted transaction's third update is the first record whose
+    // `prev_lsn` names an update that itself has a predecessor.
+    let (i, cut) = parsed
+        .iter()
+        .enumerate()
+        .find_map(|(i, (_, frame))| match LogRecord::decode(&frame[4..]) {
+            Ok(LogRecord::TxnDelete {
+                txn,
+                page,
+                key,
+                old_value,
+                ..
+            }) => Some((
+                i,
+                LogRecord::TxnDelete {
+                    txn,
+                    page,
+                    key,
+                    old_value,
+                    prev_lsn: obr_storage::Lsn::ZERO,
+                },
+            )),
+            _ => None,
+        })
+        .expect("the aborted transaction logged a delete");
+    let mut sabotaged = Vec::with_capacity(bytes.len());
+    for (j, (_, frame)) in parsed.iter().enumerate() {
+        if j == i {
+            let payload = cut.encode();
+            sabotaged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            sabotaged.extend_from_slice(&payload);
+        } else {
+            sabotaged.extend_from_slice(frame);
+        }
+    }
+    fs::write(&seg, &sabotaged).unwrap();
+
+    let report = lint_wal_dir(&wal, &WalLintOptions::default()).unwrap();
+    let lsn = obr_storage::Lsn(i as u64 + 1);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.code == "txn-broken-undo-chain" && f.lsn == Some(lsn)),
+        "no txn-broken-undo-chain finding naming LSN {lsn}: {report}"
+    );
+}
+
+/// A log in the shape older versions wrote (begin records) that also holds
+/// what the raw log API can still produce (a commit for a transaction with
+/// no other record) recovers — the begun-and-unfinished writer is undone,
+/// the committed one kept — and lints without a finding.
+#[test]
+fn log_with_begin_records_and_a_bare_commit_recovers_and_lints_clean() {
+    use obr_check::lint_log;
+    use obr_storage::{DiskManager, Lsn};
+    use obr_wal::{LogRecord, TxnId};
+    let disk = Arc::new(InMemoryDisk::new(256));
+    let db = Database::create(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        256,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
+    let (tree, log) = (db.tree(), db.log());
+    // Ids far from the ones `begin_txn` hands out.
+    let (winner, loser, idle, reader) = (TxnId(9_001), TxnId(9_002), TxnId(9_003), TxnId(9_004));
+    log.append(&LogRecord::TxnBegin { txn: winner });
+    let l = tree.insert(winner, Lsn::ZERO, 10, b"kept").unwrap();
+    tree.insert(winner, l, 11, b"kept too").unwrap();
+    log.append(&LogRecord::TxnCommit { txn: winner });
+    log.append(&LogRecord::TxnBegin { txn: loser });
+    tree.insert(loser, Lsn::ZERO, 20, b"undone").unwrap();
+    log.append(&LogRecord::TxnBegin { txn: idle });
+    log.append(&LogRecord::TxnCommit { txn: reader });
+    log.flush_all().unwrap();
+    db.crash(|_| true).unwrap();
+
+    let db2 = Database::reopen(
+        disk as Arc<dyn DiskManager>,
+        Arc::clone(db.log()),
+        256,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
+    let report = obr_core::recover(&db2).unwrap();
+    assert_eq!(report.losers_undone, 2, "the writer and the idle begin");
+    assert_eq!(report.clrs_written, 1);
+    assert_eq!(
+        db2.tree().search(10).unwrap().as_deref(),
+        Some(b"kept".as_slice())
+    );
+    assert_eq!(db2.tree().search(20).unwrap(), None);
+    let lint = lint_log(db2.log(), &WalLintOptions::default());
+    assert!(lint.findings.is_empty(), "{lint}");
+}

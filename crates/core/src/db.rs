@@ -76,7 +76,9 @@ pub struct Database {
     /// `Get_Current()` of §7.2: the low mark of the base page pass 3 is
     /// currently reading; [`CK_IDLE`] when no internal reorganization runs.
     ck: AtomicU64,
-    /// Active transactions: id -> (begin LSN, most recent LSN).
+    /// Transactions with at least one log record and no commit/abort yet:
+    /// id -> (LSN of the first record, LSN of the most recent one). A
+    /// transaction that has written nothing is not in the log and not here.
     active_txns:
         obr_sync::Mutex<std::collections::HashMap<TxnId, (obr_storage::Lsn, obr_storage::Lsn)>>,
     /// Per-database metrics directory: every subsystem publishes its live
@@ -351,15 +353,17 @@ impl Database {
         &self.side_file
     }
 
-    /// Allocate a fresh transaction id and register it active.
+    /// Allocate a fresh transaction id. Nothing is logged and nothing is
+    /// registered: a transaction exists, for the log, the checkpoint's
+    /// active list, the low-water mark and recovery alike, from its first
+    /// update record ([`Self::note_txn_lsn`]). One that only reads never
+    /// does.
     pub fn begin_txn(&self) -> TxnId {
-        let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        let lsn = self.log.append(&LogRecord::TxnBegin { txn });
-        self.active_txns.lock().insert(txn, (lsn, lsn));
-        txn
+        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Record a transaction's newest LSN (its undo chain head).
+    /// Record a transaction's newest LSN (its undo chain head). The first
+    /// call for `txn` registers it active, with `lsn` as its first record.
     pub fn note_txn_lsn(&self, txn: TxnId, lsn: obr_storage::Lsn) {
         let mut g = self.active_txns.lock();
         let e = g.entry(txn).or_insert((lsn, lsn));
@@ -375,7 +379,8 @@ impl Database {
             .unwrap_or(obr_storage::Lsn::ZERO)
     }
 
-    /// Mark a transaction finished (committed or fully rolled back).
+    /// Mark a transaction finished (committed or fully rolled back). A no-op
+    /// for one that never logged a record.
     pub fn end_txn(&self, txn: TxnId) {
         self.active_txns.lock().remove(&txn);
     }
@@ -399,7 +404,10 @@ impl Database {
     /// Write a **sharp** checkpoint: every dirty page is flushed first (so
     /// redo never needs records that precede the checkpoint), then a
     /// checkpoint record carrying the reorganization state table and the
-    /// active-transaction list is forced to the log.
+    /// active-transaction list is forced to the log. The list holds the
+    /// transactions that have logged a record and not yet ended, each with
+    /// its most recent LSN — recovery's loser candidates. Open readers are
+    /// not in it: they have nothing to undo.
     ///
     /// A flush or log I/O failure is returned, not panicked: checkpoints
     /// are retried by the daemon, and a transient error must not take the
@@ -434,8 +442,9 @@ impl Database {
 
     /// §5: the log low-water mark — "the lowest LSN that must be kept
     /// available for recovery": the minimum of the last checkpoint, the
-    /// oldest active transaction's BEGIN, and the in-flight reorganization
-    /// unit's BEGIN.
+    /// oldest active transaction's *first record* (where its undo chain
+    /// ends), and the in-flight reorganization unit's BEGIN. A transaction
+    /// that has only read has no record, so it does not hold the mark back.
     pub fn log_low_water_mark(&self) -> obr_storage::Lsn {
         use obr_storage::Lsn;
         let ckpt = self
@@ -449,7 +458,7 @@ impl Database {
             .active_txns
             .lock()
             .values()
-            .map(|(begin, _)| *begin)
+            .map(|(first, _)| *first)
             .min()
             .unwrap_or(Lsn(u64::MAX));
         let reorg = self.reorg_table.begin_lsn().unwrap_or(Lsn(u64::MAX));

@@ -99,12 +99,15 @@ impl SmoObserver for Pass3Observer {
 
     fn base_entry_upserted(&self, key: u64, leaf: PageId) {
         if key < self.db.get_current() {
-            // Record-level locking on the side-file entry key (§7.2).
+            // Record-level locking on the side-file entry key (§7.2). This
+            // runs inside the SMO, and a transaction holding the same key
+            // number may be waiting for the SMO latch (a scan, a descent
+            // that fell back to it): take the lock only if it is free.
             let owner = self.db.new_owner();
             let _ = self
                 .db
                 .locks()
-                .lock(owner, ResourceId::Key(key), LockMode::X);
+                .try_lock(owner, ResourceId::Key(key), LockMode::X);
             self.db.side_file().append(
                 TxnId::SYSTEM,
                 SideEntry {
@@ -125,7 +128,7 @@ impl SmoObserver for Pass3Observer {
             let _ = self
                 .db
                 .locks()
-                .lock(owner, ResourceId::Key(key), LockMode::X);
+                .try_lock(owner, ResourceId::Key(key), LockMode::X);
             self.db.side_file().append(
                 TxnId::SYSTEM,
                 SideEntry {

@@ -3,7 +3,23 @@
 //!
 //! Redo starts at the last (sharp) checkpoint and replays every logged
 //! action whose page LSN shows it never reached disk. Loser transactions
-//! are rolled back logically with compensation records. An interrupted
+//! are rolled back logically with compensation records.
+//!
+//! A transaction is in the log from its first update record to its commit
+//! or abort record, and nowhere else: there is no begin record, and one
+//! that only read never appears. Loser analysis follows from that. The
+//! candidates are the checkpoint's active list — transactions that had
+//! logged an update and not ended when it was taken, each with its most
+//! recent LSN — plus every transaction whose update or CLR the redo scan
+//! meets; a commit or abort record takes its transaction out again, and one
+//! naming an id the scan never saw (a reader that committed through the raw
+//! log API) takes out nothing. What is left is undone by walking each
+//! loser's `prev_lsn` chain from its newest record until the chain reaches
+//! zero at its first one. Logs written before this rule hold `TxnBegin`
+//! records; the scan still reads them, as a transaction with nothing to
+//! undo yet.
+//!
+//! An interrupted
 //! reorganization unit, however, is *not* rolled back: its BEGIN record
 //! names the pages involved, the already-logged MOVEs are redone, and the
 //! remaining moves / base-page MODIFY / side-pointer repairs are performed
@@ -100,6 +116,7 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
     for (lsn, rec) in log.records_from(redo_start)? {
         report.redo_scanned += 1;
         match &rec {
+            // Old logs only: a begun transaction with nothing to undo yet.
             LogRecord::TxnBegin { txn } => {
                 losers.insert(*txn, Lsn::ZERO);
             }
@@ -634,7 +651,8 @@ fn redo_swap(
     Ok(true)
 }
 
-/// Roll back one loser transaction by walking its prev-LSN chain.
+/// Roll back one loser transaction by walking its prev-LSN chain from
+/// `last` down to zero, which is what its first update record carries.
 fn undo_txn(
     db: &Arc<Database>,
     txn: TxnId,
@@ -689,7 +707,8 @@ fn undo_txn(
             } if t == txn => {
                 cur = undo_next;
             }
-            LogRecord::TxnBegin { txn: t } if t == txn => break,
+            // An old log's begin record, or anything that is not this
+            // transaction's: the chain ends here.
             _ => break,
         }
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use obr_sync::Mutex;
 
 use obr_btree::leaf::LEAF_BODY;
-use obr_btree::{LeafRef, LeafView, NodeRef, NodeView};
+use obr_btree::{LeafRef, LeafView, NodeRef, NodeView, SmoGuard};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
 use obr_storage::{Lsn, Page, PageId, PageType, PAGE_SIZE};
@@ -887,7 +887,7 @@ impl Reorganizer {
             if matches!(e, CoreError::InjectedCrash(_)) {
                 return Err(e); // the "crash" leaves everything in place
             }
-            self.undo_moves(unit, &journal)?;
+            self.undo_moves(&tree.smo_guard(), unit, &journal)?;
             self.close_undone_unit(unit);
             return Err(e);
         }
@@ -896,14 +896,19 @@ impl Reorganizer {
         if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
             // §5.2: deadlock after records moved — undo the moves and
             // restore the side-pointer chain through the group, all before
-            // END so every SIDEPTR stays inside the unit's chain.
-            self.undo_moves(unit, &journal)?;
-            let mut prev = left_n;
-            for &(_, leaf) in group {
-                self.stitch(unit, prev, leaf)?;
-                prev = leaf;
+            // END so every SIDEPTR stays inside the unit's chain, and all
+            // in one SMO so no scan walks a chain that skips the refilled
+            // sources.
+            {
+                let smo = tree.smo_guard();
+                self.undo_moves(&smo, unit, &journal)?;
+                let mut prev = left_n;
+                for &(_, leaf) in group {
+                    self.stitch(unit, prev, leaf)?;
+                    prev = leaf;
+                }
+                self.stitch(unit, prev, right_n)?;
             }
-            self.stitch(unit, prev, right_n)?;
             self.close_undone_unit(unit);
             return Err(e.into());
         }
@@ -1149,11 +1154,16 @@ impl Reorganizer {
 
     /// §5.2: undo a unit's moves via compensating MOVE records. The unit
     /// stays open so callers can log chain repairs (SIDEPTR) inside it;
-    /// follow with [`Self::close_undone_unit`].
-    fn undo_moves(&self, unit: UnitId, journal: &[MoveJournal]) -> CoreResult<()> {
+    /// follow with [`Self::close_undone_unit`]. The caller passes its SMO
+    /// guard so that it can make those repairs under the same one: between
+    /// SMOs the side chain has to be whole.
+    fn undo_moves(
+        &self,
+        _smo: &SmoGuard<'_>,
+        unit: UnitId,
+        journal: &[MoveJournal],
+    ) -> CoreResult<()> {
         let db = &self.db;
-        let tree = db.tree();
-        let _g = tree.smo_guard();
         let pool = db.pool();
         for m in journal.iter().rev() {
             let og = pool.fetch(m.org)?;
@@ -1444,9 +1454,13 @@ impl Reorganizer {
         // MODIFY: repoint the parent entry from src to target.
         if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
             // §5.2: deadlock after the records moved — undo the moves and
-            // repair the chain before END so the SIDEPTRs stay in-unit.
-            self.undo_moves(unit, &journal)?;
-            self.fix_chain_after_compact(unit, &[], src, left_n, right_n)?;
+            // repair the chain before END so the SIDEPTRs stay in-unit, in
+            // one SMO so no scan sees the chain skip the refilled source.
+            {
+                let smo = tree.smo_guard();
+                self.undo_moves(&smo, unit, &journal)?;
+                self.fix_chain_after_compact(unit, &[], src, left_n, right_n)?;
+            }
             self.close_undone_unit(unit);
             return Err(e.into());
         }

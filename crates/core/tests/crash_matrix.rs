@@ -377,7 +377,7 @@ fn active_transaction_pins_the_low_water_mark() {
         .unwrap();
     sc.db.note_txn_lsn(txn, first_lsn);
     // Lots of unrelated committed work + a checkpoint cannot advance the
-    // mark past the open transaction's BEGIN.
+    // mark past the open transaction's first record.
     for k in 0..50u64 {
         let t2 = sc.db.begin_txn();
         let l = sc
@@ -393,16 +393,86 @@ fn active_transaction_pins_the_low_water_mark() {
         sc.db.end_txn(t2);
     }
     sc.db.checkpoint().unwrap();
-    // The open transaction's BEGIN precedes its first insert; the mark may
-    // never pass it while the transaction lives.
+    // The open transaction's undo chain ends at its first update record;
+    // the mark stays there while the transaction lives.
     let mark_while_open = sc.db.log_low_water_mark();
-    assert!(
-        mark_while_open < first_lsn,
-        "{mark_while_open} vs {first_lsn}"
-    );
+    assert_eq!(mark_while_open, first_lsn);
     sc.db.end_txn(txn);
     sc.db.checkpoint().unwrap();
     assert!(sc.db.log_low_water_mark() > mark_while_open);
+}
+
+#[test]
+fn open_reader_does_not_pin_the_log() {
+    let sc = setup(SidePointerMode::TwoWay);
+    // A transaction that has begun and read, and stays open.
+    let reader = sc.db.begin_txn();
+    sc.db.tree().search(7).unwrap();
+    let appended_at_begin = sc.db.log().next_lsn();
+    for k in 0..50u64 {
+        let t = sc.db.begin_txn();
+        let l = sc
+            .db
+            .tree()
+            .insert(t, obr_storage::Lsn::ZERO, 200_000 + k, &val(k))
+            .unwrap();
+        sc.db.note_txn_lsn(t, l);
+        sc.db
+            .log()
+            .append_force(&obr_wal::LogRecord::TxnCommit { txn: t })
+            .unwrap();
+        sc.db.end_txn(t);
+    }
+    // It has no log record, so nothing of it needs keeping: truncation
+    // drops everything below the checkpoint it writes.
+    let dropped = sc.db.truncate_log().unwrap();
+    assert!(dropped >= 100, "dropped {dropped} records");
+    let (ckpt, _) = sc.db.log().last_checkpoint().unwrap().unwrap();
+    assert_eq!(sc.db.log_low_water_mark(), ckpt);
+    assert!(sc.db.log().first_lsn() > appended_at_begin);
+    sc.db.end_txn(reader);
+}
+
+#[test]
+fn loser_whose_first_record_is_an_update_is_undone() {
+    let sc = setup(SidePointerMode::TwoWay);
+    let loser = sc.db.begin_txn();
+    let mut prev = obr_storage::Lsn::ZERO;
+    for k in 0..5u64 {
+        prev = sc
+            .db
+            .tree()
+            .insert(loser, prev, 300_000 + k, &val(k))
+            .unwrap();
+        sc.db.note_txn_lsn(loser, prev);
+    }
+    let (last, _) = sc.db.tree().delete(loser, prev, 10).unwrap();
+    sc.db.note_txn_lsn(loser, last);
+    assert!(
+        sc.db
+            .log()
+            .records_from(obr_storage::Lsn(1))
+            .unwrap()
+            .iter()
+            .all(|(_, r)| !matches!(r, obr_wal::LogRecord::TxnBegin { .. })),
+        "no begin record is written any more"
+    );
+    // The crash keeps every dirty page: the loser's changes are on disk and
+    // only the undo pass can take them out again.
+    sc.db.log().flush_all().unwrap();
+    sc.db.crash(|_| true).unwrap();
+    let db2 = Database::reopen(
+        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
+        Arc::clone(sc.db.log()),
+        8192,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
+    let report = recover(&db2).unwrap();
+    assert_eq!(report.losers_undone, 1);
+    assert_eq!(report.clrs_written, 6);
+    db2.tree().validate().unwrap();
+    assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
 }
 
 #[test]

@@ -413,6 +413,17 @@ impl LockManager {
             .unwrap_or_default()
     }
 
+    /// All `(owner, mode)` pairs queued on `res`, oldest first. Lets a test
+    /// tell that a thread has reached its lock wait without sleeping.
+    pub fn waiting(&self, res: ResourceId) -> Vec<(OwnerId, LockMode)> {
+        self.state
+            .lock()
+            .resources
+            .get(&res)
+            .map(|q| q.waiters.iter().map(|w| (w.owner, w.mode)).collect())
+            .unwrap_or_default()
+    }
+
     /// Resources `owner` currently holds locks on.
     pub fn held_resources(&self, owner: OwnerId) -> Vec<ResourceId> {
         self.state

@@ -691,10 +691,14 @@ impl Response {
 // --- frame i/o -------------------------------------------------------------
 
 /// Write one frame: 4-byte big-endian payload length, then the payload.
+/// The two go out in one `write_all`: the sockets run with `TCP_NODELAY`,
+/// so two writes would be two system calls and two segments per frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> ProtoResult<()> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -63,8 +63,9 @@ struct Frame {
     data: RwLock<Page>,
     pin: AtomicU32,
     dirty: AtomicBool,
-    /// Set (under no lock, after the frame leaves its shard's table) when
-    /// the frame is retired by discard/eviction/crash. A flusher that
+    /// Set when the frame is retired: by discard and crash after it left
+    /// its shard's table ([`Frame::retire`]), by eviction under the write
+    /// latch just before it does. A flusher that
     /// cloned the frame's `Arc` out of the table before removal re-checks
     /// this under the data latch and skips the disk write: without it,
     /// the stale flush could land *after* the page id was reallocated and
@@ -83,7 +84,10 @@ impl Frame {
     /// so by the time the write latch is granted here, every flusher that
     /// saw `dead == false` has already finished writing (i.e. before the
     /// caller returns and the page id can be reused), and every later
-    /// flusher sees `dead == true` and skips.
+    /// flusher sees `dead == true` and skips. Sound only when nobody can
+    /// fetch the page again until the caller returns — true for a discard
+    /// (the caller owns the id) and a crash, not for an eviction, which
+    /// therefore runs its barrier before the removal (`drop_clean_frame`).
     fn retire(&self) {
         if sabotage_stale_frame_flush() {
             return; // model-only: reintroduce the pre-fix behaviour whole
@@ -424,7 +428,7 @@ impl BufferPool {
     /// Pick the globally least-recently-used unpinned frame and retire it.
     /// Shard locks are taken one at a time: the scan is advisory (a frame may
     /// be pinned between selection and removal), so removal re-checks under
-    /// the victim's shard lock.
+    /// the victim's data latch and shard lock.
     fn evict_one(&self) -> StorageResult<()> {
         if self.resident.load(Ordering::Acquire) < self.capacity {
             return Ok(());
@@ -447,31 +451,59 @@ impl BufferPool {
             return Err(StorageError::PoolExhausted);
         };
         self.flush_page(victim)?;
-        let shard = self.shard(victim);
-        let removed = {
-            let mut frames = shard.frames.lock();
-            match frames.get(&victim) {
-                // Only drop it if still unpinned and clean.
-                Some(f)
-                    if f.pin.load(Ordering::Acquire) == 0 && !f.dirty.load(Ordering::Acquire) =>
-                {
-                    frames.remove(&victim)
-                }
-                _ => None,
-            }
-        };
-        if let Some(f) = removed {
-            // Retire outside the shard lock: the barrier takes the data
-            // latch, and pool.shard.frames -> pool.frame.data is not a
-            // vetted nesting (see check/lockorder.toml).
-            f.retire();
-            self.resident.fetch_sub(1, Ordering::AcqRel);
+        if self.drop_clean_frame(victim) {
             // relaxed: eviction counter is observability-only.
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            self.shard(victim).evictions.fetch_add(1, Ordering::Relaxed);
             self.metrics.evictions.inc();
             self.metrics.resident.set(self.resident() as u64);
         }
         Ok(())
+    }
+
+    /// Drop `id`'s frame from the pool if it is still unpinned and clean;
+    /// says whether it did.
+    ///
+    /// The frame's write latch is taken *before* it leaves the table. A
+    /// flusher that cloned the frame out of the table holds the read latch
+    /// across its dead-check and its disk write, so once the write latch is
+    /// granted none is mid-write, and `dead`, set under it, turns away the
+    /// ones still to come. Retiring after the removal instead — as
+    /// `discard` may, because its caller owns the page id — left a window:
+    /// any thread could fetch the page into a new frame, modify it and have
+    /// that flushed while an old flusher's write of the previous image was
+    /// still in flight, to land on top of it (the "lost its last write"
+    /// flake of `pool_churn_under_eviction_and_flush`).
+    fn drop_clean_frame(&self, id: PageId) -> bool {
+        let shard = self.shard(id);
+        // Bound first, so the frames guard is gone before the data latch
+        // is requested (pool.shard.frames -> pool.frame.data is not a
+        // vetted nesting; the reverse, used below, is).
+        let candidate = shard.frames.lock().get(&id).cloned();
+        let Some(f) = candidate else {
+            return false;
+        };
+        if f.pin.load(Ordering::Acquire) != 0 {
+            return false;
+        }
+        let latch = f.data.write();
+        let dropped = {
+            let mut frames = shard.frames.lock();
+            let droppable = frames.get(&id).is_some_and(|cur| {
+                Arc::ptr_eq(cur, &f)
+                    && f.pin.load(Ordering::Acquire) == 0
+                    && !f.dirty.load(Ordering::Acquire)
+            });
+            if droppable {
+                f.dead.store(true, Ordering::Release);
+                frames.remove(&id);
+            }
+            droppable
+        };
+        drop(latch);
+        if dropped {
+            self.resident.fetch_sub(1, Ordering::AcqRel);
+        }
+        dropped
     }
 
     /// Record that `dependent` may not reach disk before `prerequisite` is
@@ -699,28 +731,12 @@ impl BufferPool {
     /// cold (used by experiments to measure real scan I/O).
     pub fn evict_all(&self) -> StorageResult<()> {
         self.flush_all()?;
-        for shard in self.shards.iter() {
-            let mut dropped = Vec::new();
-            {
-                let mut frames = shard.frames.lock();
-                // Keep pinned frames, and frames re-dirtied since the
-                // flush above — dropping those would silently lose the
-                // write (their writer has already released its guard, so
-                // nothing would flush them again).
-                frames.retain(|_, f| {
-                    let keep = f.pin.load(Ordering::Acquire) > 0 || f.dirty.load(Ordering::Acquire);
-                    if !keep {
-                        dropped.push(Arc::clone(f));
-                    }
-                    keep
-                });
-            }
-            if !dropped.is_empty() {
-                self.resident.fetch_sub(dropped.len(), Ordering::AcqRel);
-                for f in dropped {
-                    f.retire();
-                }
-            }
+        // Pinned frames stay, and so do frames re-dirtied since the flush
+        // above — dropping those would silently lose the write (their
+        // writer has already released its guard, so nothing would flush
+        // them again).
+        for id in self.resident_ids() {
+            self.drop_clean_frame(id);
         }
         Ok(())
     }

@@ -55,6 +55,16 @@ impl From<BTreeError> for TxnError {
     }
 }
 
+impl From<LockError> for TxnError {
+    fn from(e: LockError) -> Self {
+        match e {
+            LockError::Deadlock => TxnError::Deadlock,
+            LockError::Timeout => TxnError::Timeout,
+            other => TxnError::Engine(CoreError::Lock(other)),
+        }
+    }
+}
+
 impl From<obr_storage::StorageError> for TxnError {
     fn from(e: obr_storage::StorageError) -> Self {
         TxnError::Engine(CoreError::Storage(e))
@@ -89,7 +99,8 @@ impl Session {
         &self.db
     }
 
-    /// Begin a transaction.
+    /// Begin a transaction. This allocates an id and nothing else: the
+    /// transaction enters the log with its first update record.
     pub fn begin(&self) -> Txn {
         let id = self.db.begin_txn();
         let owner = OwnerId(id.0);
@@ -167,31 +178,33 @@ impl Txn {
     /// generation (the tree's lock *name*, which changes at a switch §7.4).
     fn lock_tree(&self, mode: LockMode) -> TxnResult<u32> {
         let gen = self.db.tree().generation().map_err(CoreError::Tree)?;
-        self.lockmap(
-            self.db
-                .locks()
-                .lock(self.owner, ResourceId::Tree(gen), mode),
-        )?;
+        self.db
+            .locks()
+            .lock(self.owner, ResourceId::Tree(gen), mode)?;
         Ok(gen)
-    }
-
-    fn lockmap(&self, r: Result<(), LockError>) -> TxnResult<()> {
-        match r {
-            Ok(()) => Ok(()),
-            Err(LockError::Deadlock) => Err(TxnError::Deadlock),
-            Err(LockError::Timeout) => Err(TxnError::Timeout),
-            Err(e) => Err(TxnError::Engine(CoreError::Lock(e))),
-        }
     }
 
     /// The §4.1.2 descent: S lock-couple to the leaf; on an RX conflict,
     /// release the base-page lock, wait via an unconditional instant RS on
-    /// the base page, and retry. Returns `(base, leaf)` with `mode` held on
-    /// the leaf and the base-page S lock *released* (coupled past).
+    /// the base page, and retry. Returns the leaf with `leaf_mode` held on
+    /// it and the base-page S lock *released* (coupled past).
+    ///
+    /// The leaf is named by a descent made before the lock waits, and a
+    /// reorganization unit can finish in between: the grant would then land
+    /// on a page the key no longer lives in, leaving the real leaf open to
+    /// the next unit's RX. So once the lock is held the routing is checked
+    /// again — for free while the tree's structure epoch has not moved, by
+    /// a second descent when it has — and the coupling starts over when the
+    /// tree now routes `key` elsewhere. From a grant that passes the check
+    /// until the lock is released, RX keeps every unit away from the leaf,
+    /// so the tree operation that follows cannot meet one between its MOVE
+    /// and its base-page MODIFY. A stale leaf lock is left for commit to
+    /// release: the transaction may hold it from an earlier operation.
     fn couple_to_leaf(&mut self, key: u64, leaf_mode: LockMode) -> TxnResult<obr_storage::PageId> {
         let locks = Arc::clone(self.db.locks());
         let tree = Arc::clone(self.db.tree());
         loop {
+            let epoch = tree.structure_epoch();
             let path = tree.path_for(key).map_err(CoreError::Tree)?;
             let leaf = *path.last().expect("path never empty");
             let base = if path.len() >= 2 {
@@ -200,50 +213,36 @@ impl Txn {
                 None
             };
             if let Some(b) = base {
-                self.lockmap(locks.lock(self.owner, ResourceId::Page(b.0), LockMode::S))?;
+                locks.lock(self.owner, ResourceId::Page(b.0), LockMode::S)?;
             }
-            match locks.lock(self.owner, ResourceId::Page(leaf.0), leaf_mode) {
+            let granted = locks.lock(self.owner, ResourceId::Page(leaf.0), leaf_mode);
+            // Lock-couple: the base-page S lock goes once the child lock is
+            // held, or was refused.
+            if let Some(b) = base {
+                locks.unlock(self.owner, ResourceId::Page(b.0));
+            }
+            match granted {
                 Ok(()) => {
-                    // Lock-couple: the base-page S lock is released once the
-                    // child lock is held.
-                    if let Some(b) = base {
-                        locks.unlock(self.owner, ResourceId::Page(b.0));
+                    if tree.structure_epoch() == epoch
+                        || tree.leaf_for(key).map_err(CoreError::Tree)? == leaf
+                    {
+                        return Ok(leaf);
                     }
-                    return Ok(leaf);
                 }
                 Err(LockError::ConflictsWithReorg) => {
-                    // §4.1.2: forgo, release the base lock, and block on an
-                    // unconditional instant-duration RS request until the
-                    // reorganizer finishes.
+                    // §4.1.2: forgo, and block on an unconditional
+                    // instant-duration RS request on the base page until
+                    // the reorganizer finishes; then re-descend, since the
+                    // unit may have changed the path.
                     self.rs_fallbacks += 1;
-                    if let Some(b) = base {
-                        locks.unlock(self.owner, ResourceId::Page(b.0));
-                        self.lockmap(locks.lock_instant(
-                            self.owner,
-                            ResourceId::Page(b.0),
-                            LockMode::RS,
-                        ))?;
-                        // "After the success status is returned ... the
-                        // reader will request a S lock on the base page and
-                        // proceed" — we proceed by re-descending, since the
-                        // reorganization may have changed the path.
-                    } else {
-                        std::thread::yield_now();
+                    match base {
+                        Some(b) => {
+                            locks.lock_instant(self.owner, ResourceId::Page(b.0), LockMode::RS)?
+                        }
+                        None => std::thread::yield_now(),
                     }
                 }
-                Err(LockError::Deadlock) => {
-                    if let Some(b) = base {
-                        locks.unlock(self.owner, ResourceId::Page(b.0));
-                    }
-                    return Err(TxnError::Deadlock);
-                }
-                Err(LockError::Timeout) => {
-                    if let Some(b) = base {
-                        locks.unlock(self.owner, ResourceId::Page(b.0));
-                    }
-                    return Err(TxnError::Timeout);
-                }
-                Err(e) => return Err(TxnError::Engine(CoreError::Lock(e))),
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -255,21 +254,24 @@ impl Txn {
         let v = self.db.tree().search(key).map_err(CoreError::Tree)?;
         // "the S lock on the page is downgraded to IS while an S lock on the
         // read record is held to the end of transaction."
-        self.lockmap(
-            self.db
-                .locks()
-                .lock(self.owner, ResourceId::Key(key), LockMode::S),
-        )?;
+        self.db
+            .locks()
+            .lock(self.owner, ResourceId::Key(key), LockMode::S)?;
         self.db
             .locks()
             .downgrade(self.owner, ResourceId::Page(leaf.0), LockMode::IS);
         Ok(v)
     }
 
-    /// Range scan (reader protocol, leaf by leaf over the side chain).
+    /// Range scan (reader protocol). The S lock on the first leaf makes the
+    /// entry point trustworthy (no unit can be emptying it); from there
+    /// [`obr_btree::BTree::range_scan`] walks the side chain under the
+    /// shared SMO latch, and between structure modifications the chain is
+    /// always whole — a unit re-stitches it in the same SMO that moves the
+    /// records, so the walk meets every record exactly once even inside a
+    /// unit's MOVE→MODIFY window.
     pub fn scan(&mut self, lo: u64, hi: u64) -> TxnResult<Vec<(u64, Vec<u8>)>> {
         self.lock_tree(LockMode::IS)?;
-        // Lock the first leaf; the tree-level scan follows side pointers.
         let leaf = self.couple_to_leaf(lo, LockMode::S)?;
         let out = self.db.tree().range_scan(lo, hi).map_err(CoreError::Tree)?;
         self.db
@@ -282,11 +284,9 @@ impl Txn {
     pub fn insert(&mut self, key: u64, value: &[u8]) -> TxnResult<()> {
         self.lock_tree(LockMode::IX)?;
         let leaf = self.couple_to_leaf(key, LockMode::IX)?;
-        self.lockmap(
-            self.db
-                .locks()
-                .lock(self.owner, ResourceId::Key(key), LockMode::X),
-        )?;
+        self.db
+            .locks()
+            .lock(self.owner, ResourceId::Key(key), LockMode::X)?;
         let _ = leaf;
         match self.db.tree().insert(self.id, self.prev_lsn, key, value) {
             Ok(lsn) => {
@@ -302,11 +302,9 @@ impl Txn {
     pub fn delete(&mut self, key: u64) -> TxnResult<Vec<u8>> {
         self.lock_tree(LockMode::IX)?;
         let leaf = self.couple_to_leaf(key, LockMode::IX)?;
-        self.lockmap(
-            self.db
-                .locks()
-                .lock(self.owner, ResourceId::Key(key), LockMode::X),
-        )?;
+        self.db
+            .locks()
+            .lock(self.owner, ResourceId::Key(key), LockMode::X)?;
         let _ = leaf;
         match self.db.tree().delete(self.id, self.prev_lsn, key) {
             Ok((lsn, old)) => {
@@ -324,12 +322,29 @@ impl Txn {
         Ok(old)
     }
 
-    /// Commit: force the commit record, then release all locks.
+    /// End a transaction that logged no record: it has nothing to make
+    /// durable, nothing to undo and no entry in the active table, so
+    /// releasing its locks is all there is to do. Returns false, having done
+    /// nothing, for a transaction that has written.
+    fn end_if_unlogged(&mut self) -> bool {
+        if self.prev_lsn != Lsn::ZERO {
+            return false;
+        }
+        self.db.locks().release_all(self.owner);
+        self.finished = true;
+        true
+    }
+
+    /// Commit: force the commit record, then release all locks. A
+    /// transaction that wrote nothing appends and forces nothing.
     ///
     /// The append is a short in-memory critical section; the durability wait
     /// rides the WAL group committer, so concurrent committers share one
     /// write+fsync instead of serializing on the log file.
     pub fn commit(mut self) -> TxnResult<()> {
+        if self.end_if_unlogged() {
+            return Ok(());
+        }
         let commit_lsn = self.db.log().append(&LogRecord::TxnCommit { txn: self.id });
         if let Err(e) = self.db.log().flush_to(commit_lsn) {
             // The force failed, but the commit record already sits in the
@@ -351,6 +366,9 @@ impl Txn {
 
     /// Abort: roll back via the prev-LSN chain with compensation records.
     pub fn abort(mut self) -> TxnResult<()> {
+        if self.end_if_unlogged() {
+            return Ok(());
+        }
         self.rollback()
     }
 
@@ -413,7 +431,7 @@ impl Txn {
 
 impl Drop for Txn {
     fn drop(&mut self) {
-        if !self.finished {
+        if !self.finished && !self.end_if_unlogged() {
             // Leaked transaction: release its locks so nothing hangs; its
             // log records will be rolled back by recovery (it never
             // committed).
@@ -462,6 +480,36 @@ mod tests {
         let mut t2 = s.begin();
         t2.insert(3, b"unblocked").unwrap();
         assert!(t2.commit().is_err());
+    }
+
+    #[test]
+    fn transaction_that_wrote_nothing_logs_nothing() {
+        let s = session();
+        s.insert(1, b"one").unwrap();
+        let db = Arc::clone(s.db());
+        let log_counts = || {
+            let m = db.metrics().snapshot();
+            (m.counter("wal_appends"), m.counter("wal_batches"))
+        };
+        let before = log_counts();
+        let end: [fn(Txn) -> TxnResult<()>; 3] = [Txn::commit, Txn::abort, |t| {
+            drop(t);
+            Ok(())
+        }];
+        for end in end {
+            let mut t = s.begin();
+            assert_eq!(t.get(1).unwrap().as_deref(), Some(b"one".as_slice()));
+            assert_eq!(t.scan(0, 9).unwrap().len(), 1);
+            let (id, owner) = (t.id(), t.owner);
+            assert_eq!(db.txn_lsn(id), Lsn::ZERO, "a reader is not registered");
+            end(t).unwrap();
+            assert_eq!(db.txn_lsn(id), Lsn::ZERO);
+            assert!(db.locks().held_resources(owner).is_empty());
+        }
+        assert_eq!(log_counts(), before, "(appends, forces)");
+        // A writer still appends its update and its commit, and forces once.
+        s.insert(2, b"two").unwrap();
+        assert_eq!(log_counts(), (before.0 + 2, before.1 + 1));
     }
 
     #[test]

@@ -59,8 +59,16 @@ fn replica_follows_sealed_segments_and_tail() {
     let session = Session::new(Arc::clone(&db));
     for k in 0..300u64 {
         session.insert(k, &[0x21; 48]).unwrap();
+        // Reads leave no trace in the log the replica follows.
+        assert!(session.read(k).unwrap().is_some());
     }
     db.log().flush_all().unwrap();
+    let records = db.log().records_from(obr_storage::Lsn(1)).unwrap();
+    let txn_records = records
+        .iter()
+        .filter(|(_, r)| !matches!(r, obr_wal::LogRecord::Smo { .. }))
+        .count();
+    assert_eq!(txn_records, 2 * 300, "an insert and a commit each");
     assert!(
         db.log().segment_catalog().len() >= 2,
         "workload must seal at least one segment, got {:?}",
