@@ -752,6 +752,42 @@ mod tests {
     }
 
     #[test]
+    fn calls_through_a_lock_guard_resolve_and_nest_under_it() {
+        let w = ws(&[(
+            "a.rs",
+            r#"
+            pub struct State { n: u8 }
+            pub struct Disk { l: Mutex<u8> }
+            impl Disk { fn new() -> Disk { Disk { l: Mutex::named(0, "disk.pages") } } }
+            impl State {
+                pub fn step(&mut self, d: &Disk) { let g = d.l.lock(); }
+            }
+            pub struct Holder { state: Mutex<State>, disk: Disk }
+            impl Holder {
+                fn new() -> Holder { Holder { state: Mutex::named(State { n: 0 }, "h.state"), disk: Disk::new() } }
+                pub fn run(&self) {
+                    let mut s = self.state.lock();
+                    s.step(&self.disk);
+                }
+            }
+            "#,
+        )]);
+        let run = (0..w.fns.len())
+            .find(|i| w.fn_info(*i).name == "run")
+            .unwrap();
+        let callees: Vec<String> = w.fns[run]
+            .callees
+            .iter()
+            .flat_map(|(_, c)| c.iter().map(|id| w.fn_path(*id)))
+            .collect();
+        assert_eq!(callees, vec!["State::step".to_string()]);
+        assert!(w
+            .static_edges(run)
+            .iter()
+            .any(|e| e.held == "h.state" && e.acquired == "disk.pages"));
+    }
+
+    #[test]
     fn trait_object_fanout() {
         let w = ws(&[(
             "a.rs",

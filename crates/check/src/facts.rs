@@ -1480,6 +1480,12 @@ impl<'a, 't> BodyScanner<'a, 't> {
                         let id = *next_scope;
                         *next_scope += 1;
                         let stmt = !is_let || bind_name.is_none();
+                        if let Some(bn) = &bind_name {
+                            // Type the guard as what it guards.
+                            let (name, recv) = (name.to_string(), Recv::Chain(ch.clone()));
+                            let call = RawCall { name, recv, line };
+                            self.locals.push((bn.clone(), TyperHint::FromCall(call)));
+                        }
                         self.ops.push(Op::Acquire {
                             class,
                             scope: id,

@@ -34,11 +34,12 @@
 //!   of the new tree (it resets at the switch).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Read;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use obr_storage::{Lsn, PageId};
-use obr_wal::{LogManager, LogReader, LogRecord, MovePayload, TornReason, TxnId, UnitId};
+use obr_wal::{
+    LogManager, LogRecord, MovePayload, SegmentFault, SegmentReader, TornReason, TxnId, UnitId,
+};
 
 use crate::report::Report;
 
@@ -528,18 +529,50 @@ pub fn lint_log(log: &LogManager, opts: &WalLintOptions) -> Report {
     }
 }
 
-/// Lint one segment file on disk without repairing it.
-///
-/// Unlike [`LogManager`]'s open path this never truncates a torn tail:
-/// the tail is reported as a finding naming the byte offset and the last
-/// intact LSN before it, and the intact prefix is linted. Frame parsing is
-/// [`LogReader::scan`], the same parser the open path uses, so the linter
-/// and recovery agree on where the clean prefix ends.
-pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+/// The finding code and LSN a segment fault is reported under.
+fn finding(fault: &SegmentFault) -> (&'static str, Lsn) {
+    match *fault {
+        SegmentFault::Gap { expected, .. } => ("segment-gap", expected),
+        SegmentFault::EmptySealed(first) => ("empty-sealed-segment", first),
+        SegmentFault::Torn {
+            sealed,
+            last_intact,
+            tail,
+        } => match (sealed, tail.reason) {
+            (true, _) => ("torn-sealed-segment", last_intact),
+            (false, TornReason::Undecodable) => ("undecodable-frame", last_intact),
+            (false, _) => ("torn-frame", last_intact),
+        },
+    }
+}
 
-    let scan = LogReader::scan(&bytes);
+/// Lint segment files in LSN order, all sealed but the last: each fault is
+/// an error, and the intact records are linted as one stream.
+fn lint_segments(segments: &[(Lsn, PathBuf)], opts: &WalLintOptions) -> std::io::Result<Report> {
+    let mut report = Report::new();
+    let mut records = Vec::new();
+    let mut reader = SegmentReader::default();
+    for (i, (first_lsn, path)) in segments.iter().enumerate() {
+        let sealed = i + 1 < segments.len();
+        let seg = reader.read(*first_lsn, sealed, &std::fs::read(path)?);
+        for fault in &seg.faults {
+            let (code, lsn) = finding(fault);
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            report.error(CHECKER, code, None, Some(lsn), format!("{fault} ({name})"));
+        }
+        records.extend(seg.into_records());
+    }
+    report.merge(lint_records(&records, opts));
+    Ok(report)
+}
+
+/// Lint one segment file on disk, read as an active segment, without
+/// repairing it.
+///
+/// The reader is [`LogManager`]'s, so the linter and recovery agree on
+/// where the clean prefix ends; but where the open path truncates a torn
+/// tail, the linter reports it, naming the last intact LSN.
+pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
     // A segment's name carries its first LSN; any other file is taken to
     // start the log. The chain rules compare `prev_lsn` fields with record
     // LSNs, so a later segment numbered from 1 would fail them all.
@@ -548,49 +581,19 @@ pub fn lint_wal_file(path: &Path, opts: &WalLintOptions) -> std::io::Result<Repo
         .and_then(|n| n.to_str())
         .and_then(obr_wal::segment::parse_segment_name)
         .unwrap_or(Lsn(1));
-    let mut report = Report::new();
-    if let Some(tail) = scan.torn {
-        let last = first.0 + scan.records.len() as u64 - 1;
-        let (code, what) = match tail.reason {
-            TornReason::TruncatedLength => {
-                ("torn-frame", "trailing bytes too short for a frame header")
-            }
-            TornReason::TruncatedFrame => ("torn-frame", "frame cut short"),
-            TornReason::Undecodable => ("undecodable-frame", "frame bytes do not decode"),
-        };
-        report.error(
-            CHECKER,
-            code,
-            None,
-            Some(Lsn(last)),
-            format!(
-                "{what} at byte offset {}; last intact record is LSN {last}",
-                tail.offset
-            ),
-        );
-    }
-    let records: Vec<(Lsn, LogRecord)> = scan
-        .records
-        .into_iter()
-        .enumerate()
-        .map(|(i, rec)| (Lsn(first.0 + i as u64), rec))
-        .collect();
-    report.merge(lint_records(&records, opts));
-    Ok(report)
+    lint_segments(&[(first, path.to_path_buf())], opts)
 }
 
 /// Lint a segmented WAL directory (`wal-<first-LSN>.seg` files) without
 /// repairing it.
 ///
-/// Segment-level structure is checked first — contiguous first-LSN naming,
-/// no empty or torn **sealed** segments (only the active segment, the one
-/// with the highest first LSN, may legitimately end mid-frame after a
-/// crash) — then the concatenated record stream is linted exactly like a
-/// single file.
+/// Every [`SegmentFault`] is a finding: a gap in first-LSN naming, a torn
+/// or empty **sealed** segment, a torn active tail. The concatenated record
+/// stream is then linted exactly like a single file.
 pub fn lint_wal_dir(dir: &Path, opts: &WalLintOptions) -> std::io::Result<Report> {
     let segments = obr_wal::segment::list_segments(dir)?;
-    let mut report = Report::new();
     if segments.is_empty() {
+        let mut report = Report::new();
         report.error(
             CHECKER,
             "no-segments",
@@ -600,93 +603,13 @@ pub fn lint_wal_dir(dir: &Path, opts: &WalLintOptions) -> std::io::Result<Report
         );
         return Ok(report);
     }
-    let mut records: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut expect = segments[0].0;
-    let last_idx = segments.len() - 1;
-    for (i, (first_lsn, path)) in segments.iter().enumerate() {
-        let name = path
-            .file_name()
-            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
-        if *first_lsn != expect {
-            report.error(
-                CHECKER,
-                "segment-gap",
-                None,
-                Some(expect),
-                format!(
-                    "segment {name} starts at LSN {first_lsn} but LSN {expect} \
-                     was expected (missing or misnamed segment)"
-                ),
-            );
-            // Linting resynchronizes to where the file actually starts
-            // (`expect` is recomputed from `first_lsn` below).
-        }
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        let scan = LogReader::scan(&bytes);
-        let sealed = i != last_idx;
-        if let Some(tail) = scan.torn {
-            let last = Lsn(first_lsn.0 + scan.records.len() as u64 - 1);
-            if sealed {
-                // A sealed segment was complete when the next one was
-                // created; a tear here is corruption, not a crash shape.
-                report.error(
-                    CHECKER,
-                    "torn-sealed-segment",
-                    None,
-                    Some(last),
-                    format!(
-                        "sealed segment {name} is torn at byte offset {}; \
-                         last intact record is LSN {last}",
-                        tail.offset
-                    ),
-                );
-            } else {
-                let (code, what) = match tail.reason {
-                    TornReason::TruncatedLength => {
-                        ("torn-frame", "trailing bytes too short for a frame header")
-                    }
-                    TornReason::TruncatedFrame => ("torn-frame", "frame cut short"),
-                    TornReason::Undecodable => ("undecodable-frame", "frame bytes do not decode"),
-                };
-                report.error(
-                    CHECKER,
-                    code,
-                    None,
-                    Some(last),
-                    format!(
-                        "{what} at byte offset {} of active segment {name}; \
-                         last intact record is LSN {last}",
-                        tail.offset
-                    ),
-                );
-            }
-        }
-        if sealed && scan.records.is_empty() {
-            report.error(
-                CHECKER,
-                "empty-sealed-segment",
-                None,
-                Some(*first_lsn),
-                format!("sealed segment {name} holds no complete records"),
-            );
-        }
-        let parsed = scan.records.len() as u64;
-        for (j, rec) in scan.records.into_iter().enumerate() {
-            records.push((Lsn(first_lsn.0 + j as u64), rec));
-        }
-        // The next segment must start one past this file's last record.
-        expect = Lsn(first_lsn.0 + parsed);
-    }
+    let mut report = lint_segments(&segments, opts)?;
+    let (_, active) = segments.last().expect("checked non-empty");
+    let name = active.file_name().unwrap_or_default().to_string_lossy();
     report.note(format!(
-        "{} segments, active segment {}",
-        segments.len(),
-        segments[last_idx]
-            .1
-            .file_name()
-            .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
+        "{} segments, active segment {name}",
+        segments.len()
     ));
-    report.merge(lint_records(&records, opts));
     Ok(report)
 }
 

@@ -40,8 +40,9 @@ fn workspace_is_protocol_clean() {
 }
 
 /// R1 teeth: deleting the `// protocol: no-wal` audit above recovery's
-/// `redo_one` must resurface it as an unlogged mutation path, with the
-/// offending call chain in the diagnostic.
+/// `redo_one` must resurface it as an unlogged mutation path, entered
+/// through the one replay loop, with the offending call chain in the
+/// diagnostic.
 #[test]
 fn sabotage_dropping_no_wal_audit_is_caught() {
     let mut files = sources();
@@ -69,22 +70,24 @@ fn sabotage_dropping_no_wal_audit_is_caught() {
         .iter()
         .find(|f| f.code == "wal-unlogged-path" && f.detail.contains("redo_one"))
         .unwrap_or_else(|| panic!("stripped audit must be flagged at redo_one:\n{report}"));
-    // The finding is reported at the entry point (replica ingest), with
-    // the chain running down through redo_one to the leaf primitive.
+    // The finding is reported at an entry point (replica ingest), with
+    // the chain running through the replay loop and redo_one down to the
+    // leaf primitive.
     assert!(
-        f.detail.contains(".rs:") && f.detail.contains("redo_one -> "),
-        "diagnostic carries file and call chain through redo_one: {f:?}"
+        f.detail.contains(".rs:") && f.detail.contains("Replay::feed -> redo_one -> "),
+        "diagnostic carries file and call chain through the replay loop: {f:?}"
     );
 }
 
-/// R2 teeth: removing the replica-progress edges from the manifest must
-/// flag the replica's hold-progress-across-redo nesting as undeclared.
+/// R2 teeth: removing the replica replay-state edges from the manifest
+/// must flag the replica's hold-replay-state-across-redo nesting as
+/// undeclared.
 #[test]
 fn sabotage_unvetting_manifest_edge_is_caught() {
     let files = sources();
     let stripped: String = manifest_text()
         .lines()
-        .filter(|l| !l.trim_start().starts_with("\"replica.progress\" = ["))
+        .filter(|l| !l.trim_start().starts_with("\"replica.replay\" = ["))
         .collect::<Vec<_>>()
         .join("\n");
     let m = parse_manifest(&stripped).expect("stripped manifest still parses");
@@ -93,11 +96,11 @@ fn sabotage_unvetting_manifest_edge_is_caught() {
     let f = report
         .findings
         .iter()
-        .find(|f| f.code == "latch-undeclared-edge" && f.detail.contains("replica.progress"))
+        .find(|f| f.code == "latch-undeclared-edge" && f.detail.contains("replica.replay"))
         .unwrap_or_else(|| panic!("un-vetted replica edge must be flagged:\n{report}"));
     assert!(
-        f.detail.contains("replica.rs"),
-        "diagnostic names the file the edge is created in: {f:?}"
+        f.detail.contains("replica.rs") && f.detail.contains("via Replay::feed"),
+        "diagnostic names the file the edge is created in and the replay loop: {f:?}"
     );
 }
 

@@ -89,39 +89,79 @@ fn skip_side_restore() -> bool {
     std::env::var_os("OBR_BUG_SKIP_SIDE_RESTORE").is_some_and(|v| v == "1")
 }
 
-/// Run full recovery over a freshly [`Database::reopen`]ed engine.
-pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
-    let mut report = RecoveryReport::default();
-    db.core_metrics().recovery_runs.inc();
-    db.tracer()
-        .emit(obr_obs::TraceKind::RecoveryBegin, 0, 0, 0, 0, 0);
-    let log = Arc::clone(db.log());
-    // --- Redo start: the last durable (sharp) checkpoint. ---
-    let ckpt = log.last_checkpoint()?;
-    let mut losers: HashMap<TxnId, Lsn> = HashMap::new();
-    let redo_start = match &ckpt {
-        Some((lsn, LogRecord::Checkpoint { data })) => {
-            db.reorg_table().restore(data.reorg);
-            for (t, l) in &data.active_txns {
-                losers.insert(*t, *l);
-            }
-            *lsn
+/// The one replay loop, shared by restart recovery and [`crate::Replica`]:
+/// applies records in LSN order through [`redo_one`], refuses a gap, and
+/// keeps the analysis recovery's finish steps need.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// Highest LSN applied or declared materialized; the next record must
+    /// be `applied + 1`.
+    pub(crate) applied: Lsn,
+    /// Records whose redo changed a page.
+    pub(crate) redone: usize,
+    /// Checkpoint records met.
+    pub(crate) checkpoints: u64,
+    /// Pass-3 tree switches met.
+    pub(crate) switches: u64,
+    /// Transactions with an update and no end, with their newest LSN.
+    losers: HashMap<TxnId, Lsn>,
+    /// Reorganization units begun and not ended.
+    open_units: HashMap<UnitId, UnitInfo>,
+    /// The newest pass-3 stable state since the last switch.
+    latest_stable: Option<Pass3State>,
+}
+
+impl Replay {
+    /// The gap rule: the next record a source offers may not be past
+    /// `applied + 1`.
+    fn check_next(&self, next: Lsn) -> CoreResult<()> {
+        if next.0 <= self.applied.0 + 1 {
+            return Ok(());
         }
-        _ => Lsn(1),
-    };
-    // --- Redo scan. ---
-    let mut open_units: HashMap<UnitId, UnitInfo> = HashMap::new();
-    let mut latest_stable: Option<Pass3State> = None;
-    let mut switch_seen = false;
-    for (lsn, rec) in log.records_from(redo_start)? {
-        report.redo_scanned += 1;
-        match &rec {
+        Err(CoreError::Recovery(format!(
+            "replication gap: the next record available is LSN {next} but only \
+             LSNs through {} are applied, so the history between was recycled \
+             or lost; re-seed from a snapshot of the primary and declare its \
+             LSN with set_applied_floor before shipping again",
+            self.applied
+        )))
+    }
+
+    /// Apply `records`, in LSN order, from a source whose first record is
+    /// `start`, skipping any at or below the applied LSN. Returns how many
+    /// were applied.
+    pub(crate) fn feed(
+        &mut self,
+        db: &Arc<Database>,
+        start: Lsn,
+        records: impl IntoIterator<Item = (Lsn, LogRecord)>,
+    ) -> CoreResult<usize> {
+        self.check_next(start)?;
+        let mut fed = 0;
+        for (lsn, rec) in records {
+            if lsn <= self.applied {
+                continue;
+            }
+            self.check_next(lsn)?;
+            self.analyse(db, lsn, &rec);
+            if redo_one(db, lsn, &rec)? {
+                self.redone += 1;
+            }
+            self.applied = lsn;
+            fed += 1;
+        }
+        Ok(fed)
+    }
+
+    /// Fold one record into the analysis state.
+    fn analyse(&mut self, db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) {
+        match rec {
             // Old logs only: a begun transaction with nothing to undo yet.
             LogRecord::TxnBegin { txn } => {
-                losers.insert(*txn, Lsn::ZERO);
+                self.losers.insert(*txn, Lsn::ZERO);
             }
             LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
-                losers.remove(txn);
+                self.losers.remove(txn);
             }
             // Side-file records (page == SIDE_FILE_PAGE) are not replayed:
             // a crash can separate an SMO record from the side entry logged
@@ -131,10 +171,10 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
             LogRecord::TxnInsert { txn, page, .. } | LogRecord::TxnDelete { txn, page, .. }
                 if *page != SIDE_FILE_PAGE =>
             {
-                losers.insert(*txn, lsn);
+                self.losers.insert(*txn, lsn);
             }
             LogRecord::TxnUpdate { txn, .. } | LogRecord::Clr { txn, .. } => {
-                losers.insert(*txn, lsn);
+                self.losers.insert(*txn, lsn);
             }
             LogRecord::ReorgBegin {
                 unit,
@@ -146,7 +186,7 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
                 // records forward recovery appends continue the unit's
                 // prev-LSN chain instead of restarting it at zero.
                 db.reorg_table().begin_unit(lsn);
-                open_units.insert(
+                self.open_units.insert(
                     *unit,
                     UnitInfo {
                         unit: *unit,
@@ -164,49 +204,68 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
             }
             LogRecord::ReorgSwap { unit, .. } => {
                 db.reorg_table().advance(lsn);
-                if let Some(u) = open_units.get_mut(unit) {
+                if let Some(u) = self.open_units.get_mut(unit) {
                     u.swap_logged = true;
                 }
             }
             LogRecord::ReorgEnd { unit, largest_key } => {
-                open_units.remove(unit);
-                db.reorg_table().restore(obr_wal::ReorgTableSnapshot {
-                    lk: Some(db.reorg_table().lk().unwrap_or(0).max(*largest_key)),
-                    begin_lsn: None,
-                    recent_lsn: None,
-                });
+                self.open_units.remove(unit);
+                db.reorg_table().finish_unit(*largest_key);
             }
             LogRecord::Pass3Stable { state } => {
-                latest_stable = Some(*state);
+                self.latest_stable = Some(*state);
             }
             LogRecord::Pass3Switch { .. } => {
-                switch_seen = true;
-                latest_stable = None;
+                self.switches += 1;
+                self.latest_stable = None;
             }
             LogRecord::Checkpoint { data } => {
+                self.checkpoints += 1;
                 db.reorg_table().restore(data.reorg);
             }
             _ => {}
         }
-        if redo_one(db, lsn, &rec)? {
-            report.redo_applied += 1;
-        }
     }
+}
+
+/// Run full recovery over a freshly [`Database::reopen`]ed engine.
+pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
+    let mut report = RecoveryReport::default();
+    db.core_metrics().recovery_runs.inc();
+    db.tracer()
+        .emit(obr_obs::TraceKind::RecoveryBegin, 0, 0, 0, 0, 0);
+    let log = Arc::clone(db.log());
+    // --- Redo start: the last durable (sharp) checkpoint, which is the
+    // first record replayed. Everything below it is materialized. ---
+    let ckpt = log.last_checkpoint()?;
+    let start = ckpt
+        .as_ref()
+        .map_or(Lsn(1), |(lsn, _)| *lsn)
+        .max(log.first_lsn());
+    let mut replay = Replay {
+        applied: Lsn(start.0 - 1),
+        ..Replay::default()
+    };
+    if let Some((_, LogRecord::Checkpoint { data })) = &ckpt {
+        replay.losers.extend(data.active_txns.iter().copied());
+    }
+    report.redo_scanned = replay.feed(db, start, log.records_from(start)?)?;
+    report.redo_applied = replay.redone;
     // --- Undo losers (logical, with CLRs). ---
-    let mut loser_list: Vec<(TxnId, Lsn)> = losers.into_iter().collect();
+    let mut loser_list: Vec<(TxnId, Lsn)> = replay.losers.into_iter().collect();
     loser_list.sort();
     for (txn, last) in loser_list {
         undo_txn(db, txn, last, &mut report)?;
     }
     // --- Forward recovery (§5.1). ---
-    let mut units: Vec<UnitInfo> = open_units.into_values().collect();
+    let mut units: Vec<UnitInfo> = replay.open_units.into_values().collect();
     units.sort_by_key(|u| u.unit);
     for info in units {
         complete_unit(db, &info, &mut report)?;
     }
     // --- Pass-3 restart state (§7.3). ---
-    if !switch_seen {
-        if let Some(state) = latest_stable {
+    if replay.switches == 0 {
+        if let Some(state) = replay.latest_stable {
             rebuild_side_file(db, &state, &mut report)?;
             // Keep capturing base-mapping changes between recovery and the
             // resume call, exactly as a running pass 3 would.
@@ -362,11 +421,10 @@ fn collect_new_tree_pages(
 
 /// Apply one log record's redo action. Returns true when something changed.
 ///
-/// Shared with [`crate::replica::Replica`]: log shipping is exactly
-/// continuous redo, so the replica applies records with the same
-/// page-LSN-gated function restart recovery uses.
+/// Page-LSN gated, so replaying a record twice is harmless. Its one caller
+/// is [`Replay::feed`], the loop restart recovery and a replica share.
 // protocol: no-wal redo replays mutations from already-durable log records; re-appending them would double-log
-pub(crate) fn redo_one(db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) -> CoreResult<bool> {
+fn redo_one(db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) -> CoreResult<bool> {
     let pool = db.pool();
     let behind = |p: PageId| -> CoreResult<bool> {
         let g = pool.fetch(p)?;

@@ -1,31 +1,28 @@
 //! A log-shipping read replica.
 //!
-//! Segmenting the WAL (see `obr-wal`) makes sealed segments immutable
-//! files, which is exactly the unit of log shipping: a replica ingests
-//! sealed segments as they appear, then tail-streams the active segment,
-//! and applies every record through the same page-LSN-gated redo function
-//! restart recovery uses ([`crate::recovery`]). Replication is therefore
-//! *continuous recovery*: the replica's pages are byte-identical to what
-//! the primary's crash recovery would reconstruct at the same LSN, so it
-//! follows the reorganizer's checkpoint, pass-3 stable, and tree-switch
-//! records without any replica-specific logic — after a
-//! [`obr_wal::LogRecord::Pass3Switch`] is applied, reads run against the
-//! new tree, just as on the primary.
+//! Replication is recovery, literally. Every source of shipped log — a
+//! segment directory, segment bytes off the wire (PROTOCOL.md §7), a live
+//! [`LogManager`] — is read by the [`SegmentReader`] `open_dir` uses and
+//! applied by the replay loop restart recovery runs ([`crate::recovery`]),
+//! kept across calls and never finished with undo. Checkpoint, pass-3 and
+//! tree-switch records are applied like any other: after a
+//! [`obr_wal::LogRecord::Pass3Switch`], reads run against the new tree.
 //!
-//! # Consistency
+//! At [`Replica::applied_lsn`] the replica holds the primary's *physical*
+//! state at that LSN: a transaction in flight at the shipping horizon
+//! appears as it would to the primary's recovery before undo. Quiesced, a
+//! replica and the primary's restart recovery reach the same reachable
+//! pages with the same page LSNs, byte for byte but for one header field:
+//! redo of a MOVE into a reused leaf keeps the leaf's earlier low mark
+//! where the primary set a fresh one (the record does not carry it; both
+//! are valid lower bounds). `tests/replica.rs` checks this for every feed.
 //!
-//! The replica's state at [`Replica::applied_lsn`] equals the primary's
-//! *physical* state at that LSN: committed work is present, and a
-//! transaction in flight at the shipping horizon appears exactly as it
-//! would to the primary's own recovery before undo. Quiesce writers (or
-//! compare after commit) for a record-for-record match with the primary.
-//!
-//! # Falling behind
-//!
-//! The primary recycles sealed segments below its log low-water mark. A
-//! replica that has not ingested a segment before it is recycled cannot
-//! catch up from the log alone and reports
-//! [`CoreError::Recovery`]; re-seed it from a fresh snapshot.
+//! A torn active tail is the primary's in-flight write: its intact prefix
+//! is applied. Every other [`SegmentFault`](obr_wal::SegmentFault), and a
+//! source that starts past `applied + 1`, is refused with
+//! [`CoreError::Recovery`]. The last is a replica that fell behind the
+//! primary's recycling; re-seed it from a snapshot (see
+//! [`Replica::set_applied_floor`]).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -34,25 +31,11 @@ use obr_btree::SidePointerMode;
 use obr_obs::{Counter, Gauge};
 use obr_storage::{DiskManager, InMemoryDisk, Lsn};
 use obr_sync::Mutex;
-use obr_wal::{segment, LogManager, LogReader, LogRecord};
+use obr_wal::{segment, LogManager, LogRecord, SegmentReader};
 
 use crate::db::Database;
 use crate::error::{CoreError, CoreResult};
-use crate::recovery::redo_one;
-
-/// Apply-side progress, guarded by one mutex so segment ingest and tail
-/// sync serialize (records must apply in LSN order).
-#[derive(Debug, Default)]
-struct Progress {
-    /// Highest LSN applied; `Lsn::ZERO` before the first record.
-    applied: Lsn,
-    /// Sealed segments ingested.
-    segments: u64,
-    /// Checkpoint records seen (the replica's reorg-horizon markers).
-    checkpoints: u64,
-    /// Tree switches followed (pass-3 completions on the primary).
-    switches: u64,
-}
+use crate::recovery::Replay;
 
 /// Live handles registered into the replica database's own registry.
 #[derive(Debug, Default)]
@@ -66,7 +49,9 @@ struct ReplicaMetrics {
 /// A read-only database following a primary by applying its WAL.
 pub struct Replica {
     db: Arc<Database>,
-    progress: Mutex<Progress>,
+    /// The replay state, kept across calls; its mutex serializes appliers
+    /// (records must apply in LSN order).
+    replay: Mutex<Replay>,
     metrics: ReplicaMetrics,
 }
 
@@ -94,7 +79,7 @@ impl Replica {
         reg.register_gauge("replica_lag", &metrics.lag);
         Replica {
             db,
-            progress: Mutex::named(Progress::default(), "replica.progress"),
+            replay: Mutex::named(Replay::default(), "replica.replay"),
             metrics,
         }
     }
@@ -107,98 +92,80 @@ impl Replica {
 
     /// Highest LSN applied so far.
     pub fn applied_lsn(&self) -> Lsn {
-        self.progress.lock().applied
+        self.replay.lock().applied
     }
 
     /// Checkpoint records the replica has applied past.
     pub fn checkpoints_seen(&self) -> u64 {
-        self.progress.lock().checkpoints
+        self.replay.lock().checkpoints
     }
 
     /// Tree-switch records followed (each one moved reads to a new tree).
     pub fn switches_seen(&self) -> u64 {
-        self.progress.lock().switches
+        self.replay.lock().switches
     }
 
     /// Declare that state up to `lsn` is already materialized (snapshot
     /// bootstrap): records at or below it are skipped, not re-applied.
     pub fn set_applied_floor(&self, lsn: Lsn) {
-        let mut p = self.progress.lock();
-        if lsn > p.applied {
-            p.applied = lsn;
+        let mut replay = self.replay.lock();
+        if lsn > replay.applied {
+            replay.applied = lsn;
             self.metrics.applied_lsn.set(lsn.0);
         }
     }
 
-    /// Apply records in order, skipping anything at or below the applied
-    /// LSN and erroring on a gap.
-    fn apply_batch(&self, records: &[(Lsn, LogRecord)]) -> CoreResult<u64> {
-        let mut p = self.progress.lock();
-        let mut applied = 0u64;
-        for (lsn, rec) in records {
-            if *lsn <= p.applied {
-                continue;
-            }
-            if lsn.0 != p.applied.0 + 1 {
-                // applied == ZERO with a first record past LSN 1 is still a
-                // gap: the history below it was recycled unseen, and
-                // applying from mid-history would silently diverge. A
-                // snapshot bootstrap must declare its floor first.
-                if p.applied == Lsn::ZERO {
-                    return Err(CoreError::Recovery(format!(
-                        "replication gap: first shipped record is LSN {lsn} but \
-                         this replica has no applied floor; re-seed from a \
-                         snapshot (set_applied_floor) before ingesting a \
-                         recycled log"
-                    )));
-                }
-                return Err(CoreError::Recovery(format!(
-                    "replication gap: next record is LSN {lsn}, applied through {}",
-                    p.applied
-                )));
-            }
-            redo_one(&self.db, *lsn, rec)?;
-            match rec {
-                LogRecord::Checkpoint { .. } => p.checkpoints += 1,
-                LogRecord::Pass3Switch { .. } => p.switches += 1,
-                _ => {}
-            }
-            p.applied = *lsn;
-            applied += 1;
-        }
-        self.metrics.applied_lsn.set(p.applied.0);
-        self.metrics.records_applied.add(applied);
-        Ok(applied)
+    /// Feed `records`, from a source whose first available record is
+    /// `start`, to the replay loop.
+    fn feed(
+        &self,
+        start: Lsn,
+        records: impl IntoIterator<Item = (Lsn, LogRecord)>,
+    ) -> CoreResult<u64> {
+        let mut replay = self.replay.lock();
+        let fed = replay.feed(&self.db, start, records)? as u64;
+        self.metrics.applied_lsn.set(replay.applied.0);
+        self.metrics.records_applied.add(fed);
+        Ok(fed)
     }
 
-    /// Ingest one **sealed** segment file shipped from the primary.
-    ///
-    /// The file name carries its first LSN; a torn record in a sealed
-    /// segment is corruption (the primary only seals at record
-    /// boundaries), and a first LSN beyond `applied + 1` is a shipping gap
-    /// — the segment between was lost or recycled unseen. Returns the
-    /// number of records applied (0 when the whole segment was already
-    /// applied).
-    pub fn ingest_segment(&self, path: &Path) -> CoreResult<u64> {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        let first_lsn = segment::parse_segment_name(name).ok_or_else(|| {
-            CoreError::Recovery(format!("{name:?} is not a WAL segment file name"))
-        })?;
-        let bytes = std::fs::read(path).map_err(obr_storage::StorageError::Io)?;
-        self.ingest_segment_bytes(first_lsn, &bytes, true, None)
+    /// Read one segment through `reader`, refuse it on corruption, and
+    /// feed its intact records up to `upto`.
+    fn ingest(
+        &self,
+        reader: &mut SegmentReader,
+        first_lsn: Lsn,
+        sealed: bool,
+        bytes: &[u8],
+        upto: Lsn,
+    ) -> CoreResult<u64> {
+        if first_lsn > upto {
+            // Starts past the durable LSN the primary reported (it sealed
+            // in between): nothing in it may be applied yet, so it says
+            // nothing about a gap.
+            return Ok(0);
+        }
+        let seg = reader.read(first_lsn, sealed, bytes);
+        if let Some(fault) = seg.corruption() {
+            return Err(CoreError::Recovery(format!("refusing to apply: {fault}")));
+        }
+        let fed = self.feed(
+            first_lsn,
+            seg.into_records().take_while(|(lsn, _)| *lsn <= upto),
+        )?;
+        if sealed && fed > 0 {
+            self.metrics.segments_ingested.inc();
+        }
+        Ok(fed)
     }
 
     /// Ingest a segment shipped as raw bytes — the network transport path
     /// (the wire carries `(first_lsn, sealed, bytes)` frames; see
-    /// PROTOCOL.md §7).
+    /// PROTOCOL.md §7). Returns the number of records applied (0 when the
+    /// whole segment was already applied).
     ///
-    /// For a **sealed** segment a torn record is corruption, exactly as in
-    /// [`Self::ingest_segment`]. For the **active** segment (`sealed =
-    /// false`) a torn tail is simply the primary's in-flight write: the
-    /// intact prefix is applied and the tail ignored. `apply_upto` caps
+    /// A torn **active** segment (`sealed = false`) is the primary's
+    /// in-flight write: its intact prefix is applied. `apply_upto` caps
     /// application at the primary's durable LSN so records that were
     /// written but not yet fsynced on the primary are not replayed ahead
     /// of durability.
@@ -209,86 +176,44 @@ impl Replica {
         sealed: bool,
         apply_upto: Option<Lsn>,
     ) -> CoreResult<u64> {
-        let scan = LogReader::scan(bytes);
-        if sealed {
-            if let Some(tail) = scan.torn {
-                return Err(CoreError::Recovery(format!(
-                    "sealed segment at LSN {first_lsn} is torn at byte {}: \
-                     refusing to ship a partial segment",
-                    tail.offset
-                )));
-            }
-        }
         let upto = apply_upto.unwrap_or(Lsn(u64::MAX));
-        let records: Vec<(Lsn, LogRecord)> = scan
-            .records
-            .into_iter()
-            .enumerate()
-            .map(|(i, rec)| (Lsn(first_lsn.0 + i as u64), rec))
-            .filter(|(lsn, _)| *lsn <= upto)
-            .collect();
-        let n = self.apply_batch(&records)?;
-        if sealed && n > 0 {
-            let mut p = self.progress.lock();
-            p.segments += 1;
-            self.metrics.segments_ingested.inc();
-        }
-        Ok(n)
+        self.ingest(
+            &mut SegmentReader::default(),
+            first_lsn,
+            sealed,
+            bytes,
+            upto,
+        )
     }
 
     /// Ingest every segment under the primary's WAL directory: sealed
-    /// segments whole, then the active segment's intact prefix (its torn
-    /// tail, if any, is the primary's in-flight write and is simply not
-    /// shipped yet). This is the out-of-process catch-up path; a live
-    /// in-process replica uses [`Self::sync_from`] for the tail instead.
+    /// segments whole, then the active segment's intact prefix. This is
+    /// the out-of-process catch-up path; a live in-process replica uses
+    /// [`Self::sync_from`] for the tail instead.
     pub fn ingest_dir(&self, wal_dir: &Path) -> CoreResult<u64> {
         let segments = segment::list_segments(wal_dir).map_err(obr_storage::StorageError::Io)?;
-        let Some(last) = segments.len().checked_sub(1) else {
-            return Ok(0);
-        };
-        let mut total = 0u64;
+        let last = segments.len().saturating_sub(1);
+        let mut reader = SegmentReader::default();
+        let mut total = 0;
         for (i, (first_lsn, path)) in segments.iter().enumerate() {
-            if i != last {
-                total += self.ingest_segment(path)?;
-                continue;
-            }
-            // Active segment: apply the intact prefix only.
             let bytes = std::fs::read(path).map_err(obr_storage::StorageError::Io)?;
-            let scan = LogReader::scan(&bytes);
-            let records: Vec<(Lsn, LogRecord)> = scan
-                .records
-                .into_iter()
-                .enumerate()
-                .map(|(j, rec)| (Lsn(first_lsn.0 + j as u64), rec))
-                .collect();
-            total += self.apply_batch(&records)?;
+            total += self.ingest(&mut reader, *first_lsn, i != last, &bytes, Lsn(u64::MAX))?;
         }
         Ok(total)
     }
 
     /// Tail-stream from a live primary's log: apply every durable record
-    /// past the applied LSN. Errors with [`CoreError::Recovery`] when the
-    /// primary has already recycled records the replica never saw.
+    /// past the applied LSN.
     pub fn sync_from(&self, log: &LogManager) -> CoreResult<u64> {
-        let next = Lsn(self.applied_lsn().0 + 1);
-        if next < log.first_lsn() {
-            return Err(CoreError::Recovery(format!(
-                "replica fell behind: needs LSN {next} but the primary's log \
-                 now starts at {} (segments recycled); re-seed from a snapshot",
-                log.first_lsn()
-            )));
-        }
         let durable = log.durable_lsn();
-        let records: Vec<(Lsn, LogRecord)> = log
-            .records_from(next)?
-            .into_iter()
-            .filter(|(lsn, _)| *lsn <= durable)
-            .collect();
-        let n = self.apply_batch(&records)?;
-        self.metrics
-            .lag
-            .set(durable.0.saturating_sub(self.applied_lsn().0));
-        Ok(n)
+        let start = log.first_lsn();
+        let records = log.records_from(self.applied_lsn().next())?;
+        let fed = self.feed(
+            start,
+            records.into_iter().take_while(|(lsn, _)| *lsn <= durable),
+        )?;
+        self.lag(log);
+        Ok(fed)
     }
 
     /// How many durable records the replica is behind `log`.

@@ -311,21 +311,13 @@ impl NetReplica {
     }
 
     /// Catch up: ship-and-apply until the primary reports no more
-    /// segments. Returns records applied. Unsealed (active-segment) bytes
-    /// are applied only up to the primary's shipped durable LSN.
+    /// segments. Returns records applied. Records are applied only up to
+    /// the primary's shipped durable LSN; a replica that fell behind the
+    /// primary's recycling gets the replay's gap error.
     pub fn sync(&self, client: &mut Client) -> ClientResult<u64> {
         let mut total = 0u64;
         loop {
             let batch = client.ship(self.replica.applied_lsn(), 0)?;
-            let applied = self.replica.applied_lsn();
-            if applied != obr_storage::Lsn::ZERO && Lsn(applied.0 + 1) < batch.first_available_lsn {
-                return Err(ClientError::Replica(format!(
-                    "fell behind: need LSN {} but the primary's log now starts \
-                     at {}; re-seed from a snapshot",
-                    applied.0 + 1,
-                    batch.first_available_lsn
-                )));
-            }
             for seg in &batch.segments {
                 total += self
                     .replica

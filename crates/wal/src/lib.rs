@@ -27,4 +27,4 @@ pub use record::{
     UnitId,
 };
 pub use reorg_table::ReorgStateTable;
-pub use segment::SegmentMeta;
+pub use segment::{SegmentFault, SegmentMeta, SegmentRead, SegmentReader};

@@ -47,7 +47,7 @@
 use obr_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use obr_obs::{Counter, Gauge, Histogram, Registry};
@@ -55,8 +55,9 @@ use obr_sync::{Condvar, Mutex};
 
 use obr_storage::{Lsn, StorageError, StorageResult, WalFlush};
 
-use crate::record::LogRecord;
-use crate::segment::{self, SegmentMeta};
+use crate::reader::LogReader;
+use crate::record::{LogRecord, TAG_CHECKPOINT};
+use crate::segment::{self, SegmentMeta, SegmentReader};
 
 /// Byte/record accounting, split by record kind.
 #[derive(Debug, Clone, Default)]
@@ -305,12 +306,11 @@ impl LogManager {
     /// on [`Self::flush_to`]. Each segment file is a sequence of
     /// `[len: u32 LE][frame bytes]` records.
     ///
-    /// Reopen semantics enforce the segment invariants (see
-    /// [`crate::segment`]): segments must form a contiguous LSN run (a gap
-    /// is [`StorageError::Corrupt`]); every sealed segment — all but the
-    /// last — must parse clean to its end (a torn record there is
-    /// corruption, because seals only happen after a full fsync); the
-    /// active (last) segment gets the usual torn-tail truncation.
+    /// Reopen reads the directory through [`SegmentReader`]: every
+    /// [`SegmentFault`](crate::SegmentFault) but one is
+    /// [`StorageError::Corrupt`] — a gap in the LSN run, a torn or empty
+    /// sealed segment — and the one crash artifact, a torn tail on the
+    /// active (last) segment, is truncated away.
     pub fn open_dir(dir: &Path, seg_bytes: u64) -> StorageResult<LogManager> {
         std::fs::create_dir_all(dir)?;
         let seg_bytes = seg_bytes.max(1);
@@ -330,62 +330,38 @@ impl LogManager {
         let mut stats = LogStats::default();
         let mut sealed = Vec::new();
         let first_lsn = listed[0].0;
-        let mut expect = first_lsn;
-        let last_idx = listed.len() - 1;
-        let mut active: Option<(File, Lsn, u64)> = None;
+        let last = listed.len() - 1;
+        let mut reader = SegmentReader::default();
         for (i, (seg_first, path)) in listed.into_iter().enumerate() {
-            if seg_first != expect {
+            let seg = reader.read(seg_first, i != last, &std::fs::read(&path)?);
+            if let Some(fault) = seg.corruption() {
                 return Err(StorageError::Corrupt(format!(
-                    "WAL segment gap: expected first LSN {expect:?}, found {seg_first:?} ({})",
+                    "{fault} ({})",
                     path.display()
                 )));
             }
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .truncate(false)
-                .open(&path)?;
-            let mut buf = Vec::new();
-            file.read_to_end(&mut buf)?;
-            let scan = crate::reader::LogReader::scan(&buf);
-            if i < last_idx {
-                if let Some(t) = scan.torn {
-                    return Err(StorageError::Corrupt(format!(
-                        "torn record at byte {} of sealed WAL segment {} ({:?}): \
-                         seals require a completed fsync, so this is corruption, \
-                         not a crash artifact",
-                        t.offset,
-                        path.display(),
-                        t.reason
-                    )));
-                }
-                let end = Lsn(seg_first.0 + scan.frames.len() as u64 - 1);
-                if scan.frames.is_empty() {
-                    return Err(StorageError::Corrupt(format!(
-                        "empty sealed WAL segment {}",
-                        path.display()
-                    )));
-                }
-                sealed.push(SealedSegment {
-                    first_lsn: seg_first,
-                    end_lsn: end,
-                    path,
-                    bytes: scan.good_end,
-                });
-            } else {
-                // Active segment: truncate the torn tail a crash left.
-                file.set_len(scan.good_end)?;
-                file.seek(SeekFrom::End(0))?;
-                active = Some((file, seg_first, scan.good_end));
-            }
-            expect = Lsn(expect.0 + scan.frames.len() as u64);
-            for (frame, rec) in scan.frames.iter().zip(scan.records.iter()) {
+            for (frame, rec) in seg.scan.frames.iter().zip(&seg.scan.records) {
                 stats.absorb(frame, rec);
             }
-            frames.extend(scan.frames);
+            sealed.push(SealedSegment {
+                first_lsn: seg_first,
+                end_lsn: LogReader::last_lsn(&seg.scan, seg_first),
+                path,
+                bytes: seg.scan.good_end,
+            });
+            frames.extend(seg.scan.frames);
         }
-        let (file, active_first, active_bytes) = active.expect("at least one segment exists");
-        let durable = Lsn(first_lsn.0 + frames.len() as u64 - 1);
+        // The last segment is the active one: truncate the torn tail a
+        // crash left on it.
+        let active = sealed.pop().expect("at least one segment exists");
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .truncate(false)
+            .open(&active.path)?;
+        file.set_len(active.bytes)?;
+        file.seek(SeekFrom::End(0))?;
+        let durable = active.end_lsn;
         Ok(Self::assemble_io(
             LogMem {
                 next_lsn: Lsn(durable.0 + 1),
@@ -398,8 +374,8 @@ impl LogManager {
                 file_next: Lsn(durable.0 + 1),
                 dir: Some(dir.to_path_buf()),
                 seg_bytes,
-                active_first,
-                active_bytes,
+                active_first: active.first_lsn,
+                active_bytes: active.bytes,
                 sealed,
             },
             durable,
@@ -698,17 +674,12 @@ impl LogManager {
     pub fn records_from(&self, from: Lsn) -> StorageResult<Vec<(Lsn, LogRecord)>> {
         let g = self.mem.lock();
         let start = from.max(g.first_lsn);
-        let mut out = Vec::new();
-        if start >= g.next_lsn {
-            return Ok(out);
-        }
-        for (i, frame) in g.frames.iter().enumerate() {
-            let lsn = Lsn(g.first_lsn.0 + i as u64);
-            if lsn >= start {
-                out.push((lsn, LogRecord::decode(frame)?));
-            }
-        }
-        Ok(out)
+        let skip = ((start.0 - g.first_lsn.0) as usize).min(g.frames.len());
+        g.frames[skip..]
+            .iter()
+            .zip(start.0..)
+            .map(|(frame, lsn)| Ok((Lsn(lsn), LogRecord::decode(frame)?)))
+            .collect()
     }
 
     /// A snapshot of the retained encoded frames: `(first_lsn, frames)`,
@@ -754,17 +725,18 @@ impl LogManager {
     pub fn last_checkpoint(&self) -> StorageResult<Option<(Lsn, LogRecord)>> {
         let durable = self.durable_lsn();
         let g = self.mem.lock();
-        for (i, frame) in g.frames.iter().enumerate().rev() {
-            let lsn = Lsn(g.first_lsn.0 + i as u64);
-            if lsn > durable {
-                continue;
-            }
-            // Cheap tag peek before full decode.
-            if frame.first() == Some(&17u8) {
-                return Ok(Some((lsn, LogRecord::decode(frame)?)));
-            }
-        }
-        Ok(None)
+        let durable_len =
+            ((durable.0 + 1).saturating_sub(g.first_lsn.0) as usize).min(g.frames.len());
+        let Some(i) = g.frames[..durable_len]
+            .iter()
+            .rposition(|frame| frame.first() == Some(&TAG_CHECKPOINT))
+        else {
+            return Ok(None);
+        };
+        Ok(Some((
+            Lsn(g.first_lsn.0 + i as u64),
+            LogRecord::decode(&g.frames[i])?,
+        )))
     }
 
     /// Drop all records strictly below `lsn` (the low-water mark, §5).
@@ -1085,6 +1057,116 @@ mod tests {
         let (lsn, rec) = log.last_checkpoint().unwrap().unwrap();
         assert_eq!(lsn, cl);
         assert_eq!(rec, ckpt);
+    }
+
+    #[test]
+    fn last_checkpoint_finds_checkpoints_and_no_other_kind() {
+        use crate::record::{MovePayload, Pass3State, ReorgKind, UnitId};
+        use obr_storage::{PageId, PAGE_SIZE};
+        let (t, p, u) = (TxnId(3), PageId(4), UnitId(5));
+        let image = || Box::new([17u8; PAGE_SIZE]);
+        let others = vec![
+            begin(1),
+            LogRecord::TxnCommit { txn: t },
+            LogRecord::TxnAbort { txn: t },
+            LogRecord::TxnInsert {
+                txn: t,
+                page: p,
+                key: 17,
+                value: vec![17],
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::TxnDelete {
+                txn: t,
+                page: p,
+                key: 17,
+                old_value: vec![17],
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::TxnUpdate {
+                txn: t,
+                page: p,
+                key: 17,
+                old_value: vec![17],
+                new_value: vec![17],
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::Clr {
+                txn: t,
+                page: p,
+                reinsert: true,
+                key: 17,
+                value: vec![17],
+                undo_next: Lsn(17),
+            },
+            LogRecord::Smo {
+                images: vec![(p, image())],
+                new_anchor: Some((p, 17)),
+            },
+            LogRecord::ReorgBegin {
+                unit: u,
+                kind: ReorgKind::Compact,
+                base_pages: vec![p],
+                leaf_pages: vec![p],
+            },
+            LogRecord::ReorgMove {
+                unit: u,
+                org: p,
+                dest: p,
+                payload: MovePayload::Keys(vec![17]),
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::ReorgSwap {
+                unit: u,
+                page_a: p,
+                page_b: p,
+                image_a_old: image(),
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::ReorgModify {
+                unit: u,
+                base_page: p,
+                old_entries: vec![(17, p)],
+                new_entries: vec![(17, p)],
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::ReorgSidePtr {
+                unit: u,
+                page: p,
+                old_left: p,
+                old_right: p,
+                new_left: p,
+                new_right: p,
+                prev_lsn: Lsn(17),
+            },
+            LogRecord::ReorgEnd {
+                unit: u,
+                largest_key: 17,
+            },
+            LogRecord::Pass3Stable {
+                state: Pass3State {
+                    stable_key: 17,
+                    new_root: p,
+                },
+            },
+            LogRecord::Pass3Switch {
+                old_root: p,
+                new_root: p,
+                new_height: 17,
+            },
+        ];
+        let log = LogManager::new();
+        for rec in &others {
+            log.append(rec);
+        }
+        log.flush_all().unwrap();
+        assert!(log.last_checkpoint().unwrap().is_none(), "no other kind");
+        let ckpt = LogRecord::Checkpoint {
+            data: CheckpointData::default(),
+        };
+        let cl = log.append_force(&ckpt).unwrap();
+        log.append_force(&others[0]).unwrap();
+        assert_eq!(log.last_checkpoint().unwrap(), Some((cl, ckpt)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Byte-level WAL reader: one parser for the `[len: u32 LE][frame]` on-disk
-//! format, shared by [`crate::LogManager::open_dir`] and the WAL linter so
-//! every consumer truncates a torn tail identically.
+//! format. [`crate::segment::SegmentReader`] is its caller, so every
+//! consumer of segment bytes finds a torn tail identically.
 //!
 //! A *torn tail* is whatever trails the last intact record: a partial length
 //! prefix, a frame cut short by the crash, or a frame whose bytes no longer

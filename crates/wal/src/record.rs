@@ -323,7 +323,7 @@ const TAG_REORG_SIDEPTR: u8 = 13;
 const TAG_REORG_END: u8 = 14;
 const TAG_PASS3_STABLE: u8 = 15;
 const TAG_PASS3_SWITCH: u8 = 16;
-const TAG_CHECKPOINT: u8 = 17;
+pub(crate) const TAG_CHECKPOINT: u8 = 17;
 
 fn put_page_vec(w: &mut Writer, v: &[PageId]) {
     w.put_u32(v.len() as u32);

@@ -7,8 +7,7 @@
 //! the highest first-LSN — is *active* (still being appended to); every
 //! other segment is *sealed* and immutable.
 //!
-//! Invariants the layout maintains (and [`crate::LogManager::open_dir`]
-//! verifies on reopen):
+//! Invariants the layout maintains:
 //!
 //! * **Contiguity** — segment `k+1`'s first LSN equals segment `k`'s first
 //!   LSN plus the number of records segment `k` holds. A gap means a
@@ -22,10 +21,18 @@
 //! * **Recycling is a suffix operation on the directory** — segments are
 //!   deleted oldest-first, so a crash mid-recycle leaves a contiguous run
 //!   of survivors.
+//!
+//! [`SegmentReader`] checks them for every reader of segment bytes — the
+//! log's reopen, the WAL linter, a replica — each deciding what to do with
+//! a [`SegmentFault`].
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use obr_storage::Lsn;
+
+use crate::reader::{LogReader, ScanOutcome, TornTail};
+use crate::record::LogRecord;
 
 /// File-name prefix of every segment file.
 pub const SEGMENT_PREFIX: &str = "wal-";
@@ -97,6 +104,121 @@ pub struct SegmentMeta {
     pub sealed: bool,
 }
 
+/// A segment that breaks one of the layout invariants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentFault {
+    /// The segment starts at `found`, not at `expected` (one past the
+    /// previous segment's last record): a segment was lost or misnamed.
+    Gap {
+        /// Where the segment should start.
+        expected: Lsn,
+        /// Where it does.
+        found: Lsn,
+    },
+    /// The segment ends mid-frame after the record at `last_intact`. On a
+    /// sealed segment this is corruption (seals follow a completed fsync);
+    /// on the active one it is the write a crash interrupted.
+    Torn {
+        /// Whether the segment is sealed.
+        sealed: bool,
+        /// LSN of the last intact record.
+        last_intact: Lsn,
+        /// Where and how the segment tears.
+        tail: TornTail,
+    },
+    /// The sealed segment starting at this LSN holds no complete record.
+    EmptySealed(Lsn),
+}
+
+impl fmt::Display for SegmentFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SegmentFault::Gap { expected, found } => write!(
+                f,
+                "WAL segment gap: a segment starts at LSN {found}, not at LSN {expected}"
+            ),
+            SegmentFault::Torn {
+                sealed,
+                last_intact,
+                tail,
+            } => write!(
+                f,
+                "{} WAL segment is torn ({:?}) at byte {} after LSN {last_intact}",
+                if *sealed { "sealed" } else { "active" },
+                tail.reason,
+                tail.offset
+            ),
+            SegmentFault::EmptySealed(first) => write!(f, "sealed segment at LSN {first} is empty"),
+        }
+    }
+}
+
+/// Reads a run of segments in LSN order: parses each with
+/// [`LogReader::scan`], numbers its records, and reports every layout
+/// invariant it breaks as a [`SegmentFault`], carrying on from where each
+/// segment actually ends. What to do about a fault is the caller's business.
+#[derive(Debug, Default)]
+pub struct SegmentReader {
+    /// First LSN the next segment must carry; `None` before the first.
+    next: Option<Lsn>,
+}
+
+impl SegmentReader {
+    /// Read the next segment: it starts at `first_lsn`, holds `bytes`, and
+    /// is `sealed` unless it is the active segment.
+    pub fn read(&mut self, first_lsn: Lsn, sealed: bool, bytes: &[u8]) -> SegmentRead {
+        let scan = LogReader::scan(bytes);
+        let last_intact = LogReader::last_lsn(&scan, first_lsn);
+        let mut faults = Vec::new();
+        if let Some(expected) = self.next.filter(|&e| e != first_lsn) {
+            let found = first_lsn;
+            faults.push(SegmentFault::Gap { expected, found });
+        }
+        if let Some(tail) = scan.torn {
+            faults.push(SegmentFault::Torn {
+                sealed,
+                last_intact,
+                tail,
+            });
+        }
+        if sealed && scan.records.is_empty() {
+            faults.push(SegmentFault::EmptySealed(first_lsn));
+        }
+        self.next = Some(last_intact.next());
+        SegmentRead {
+            first_lsn,
+            scan,
+            faults,
+        }
+    }
+}
+
+/// One segment as [`SegmentReader::read`] saw it.
+#[derive(Debug)]
+pub struct SegmentRead {
+    /// LSN of the segment's first record.
+    pub first_lsn: Lsn,
+    /// The intact prefix.
+    pub scan: ScanOutcome,
+    /// Every invariant the segment breaks, in the order checked.
+    pub faults: Vec<SegmentFault>,
+}
+
+impl SegmentRead {
+    /// The first fault that is corruption: anything but a torn active tail.
+    pub fn corruption(&self) -> Option<&SegmentFault> {
+        self.faults
+            .iter()
+            .find(|f| !matches!(f, SegmentFault::Torn { sealed: false, .. }))
+    }
+
+    /// The intact records, each paired with its LSN.
+    pub fn into_records(self) -> impl Iterator<Item = (Lsn, LogRecord)> {
+        let lsns = (self.first_lsn.0..).map(Lsn);
+        lsns.zip(self.scan.records)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +263,59 @@ mod tests {
     fn list_of_missing_dir_is_empty() {
         let dir = std::env::temp_dir().join("obr-seg-definitely-missing");
         assert!(list_segments(&dir).unwrap().is_empty());
+    }
+
+    fn bytes(lsns: std::ops::Range<u64>) -> Vec<u8> {
+        let frames: Vec<Vec<u8>> = lsns
+            .map(|t| {
+                LogRecord::TxnCommit {
+                    txn: crate::TxnId(t),
+                }
+                .encode()
+            })
+            .collect();
+        LogReader::encode_frames(frames.iter().map(Vec::as_slice))
+    }
+
+    #[test]
+    fn reader_numbers_records_and_types_every_fault() {
+        let mut reader = SegmentReader::default();
+        let seg = reader.read(Lsn(1), true, &bytes(1..4));
+        assert!(seg.faults.is_empty());
+        let lsns: Vec<u64> = seg.into_records().map(|(l, _)| l.0).collect();
+        assert_eq!(lsns, vec![1, 2, 3]);
+
+        // Starts past LSN 4: a gap; torn and sealed: corruption.
+        let mut torn = bytes(6..9);
+        torn.truncate(torn.len() - 2);
+        let seg = reader.read(Lsn(6), true, &torn);
+        assert_eq!(
+            seg.faults[0],
+            SegmentFault::Gap {
+                expected: Lsn(4),
+                found: Lsn(6)
+            }
+        );
+        assert!(matches!(
+            seg.faults[1],
+            SegmentFault::Torn {
+                sealed: true,
+                last_intact: Lsn(7),
+                ..
+            }
+        ));
+        assert_eq!(seg.corruption(), Some(&seg.faults[0]));
+
+        // Resynchronized on LSN 8; an empty sealed segment there.
+        let seg = reader.read(Lsn(8), true, &[]);
+        assert_eq!(seg.faults, vec![SegmentFault::EmptySealed(Lsn(8))]);
+
+        // A torn active tail is the only fault that is not corruption.
+        let mut tail = bytes(8..10);
+        tail.truncate(tail.len() - 2);
+        let seg = reader.read(Lsn(8), false, &tail);
+        assert_eq!(seg.faults.len(), 1);
+        assert_eq!(seg.corruption(), None);
+        assert_eq!(seg.into_records().count(), 1);
     }
 }

@@ -1,13 +1,18 @@
 //! Log-shipping replica: sealed-segment ingest, tail streaming, and
 //! following the primary through checkpoints and a live pass-3 tree
 //! switch. The acceptance shape: after shipping, the replica's scan is
-//! byte-identical to the primary's committed snapshot.
+//! byte-identical to the primary's committed snapshot, and every way of
+//! feeding a replica agrees with the primary's own recovery.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use obr_btree::SidePointerMode;
-use obr_core::{Database, EngineConfig, ReorgConfig, Reorganizer, Replica};
+use obr_core::{recover, Database, EngineConfig, ReorgConfig, Reorganizer, Replica};
+use obr_server::client::{Client, NetReplica};
+use obr_server::server::{Server, ServerConfig};
+use obr_storage::{DiskManager, FileDisk, Lsn, PageId, PAGE_SIZE};
 use obr_txn::Session;
 
 /// A scratch directory removed on drop.
@@ -51,6 +56,140 @@ fn primary_and_replica(tag: &str) -> (Scratch, Arc<Database>, Replica) {
     .unwrap();
     let replica = Replica::new(PAGES, FRAMES, SidePointerMode::TwoWay).unwrap();
     (scratch, db, replica)
+}
+
+/// Every page reachable from `db`'s tree, with its LSN and its bytes less
+/// the low mark. Redo of a MOVE into a reused leaf keeps the low mark the
+/// page had before, where the primary set a fresh one (the record does not
+/// carry it), so that header field alone may differ.
+fn reachable_pages(db: &Database) -> BTreeMap<PageId, (Lsn, Box<[u8; PAGE_SIZE]>)> {
+    let mut out = BTreeMap::new();
+    for p in db.tree().reachable_pages().unwrap() {
+        let g = db.pool().fetch(p).unwrap();
+        let mut page = g.read().clone();
+        page.set_low_mark(u64::MAX);
+        out.insert(p, (page.lsn(), Box::new(*page.bytes())));
+    }
+    out
+}
+
+/// The divergence oracle: one history — churn with a rollback, a full
+/// reorganization ending in a tree switch, a checkpoint that recycles the
+/// log below it, more churn — fed to a replica three ways (the live log,
+/// SHIP over loopback, a page-file snapshot plus the segment files), and
+/// replayed by the primary's own restart from a copy of its files. All four
+/// must land on the same LSN, the same records, and the same reachable
+/// pages, LSN for LSN and byte for byte but for the low mark.
+#[test]
+fn every_feed_and_restart_recovery_replay_to_the_same_pages() {
+    let (scratch, db, via_sync) = primary_and_replica("oracle");
+    let cfg = EngineConfig {
+        wal_segment_bytes: 2048,
+        ..EngineConfig::default()
+    };
+    let server = Server::start(
+        Arc::clone(&db),
+        ServerConfig::from_engine("127.0.0.1:0", &cfg),
+    )
+    .unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let via_net = NetReplica::bootstrap(&mut client, FRAMES).unwrap();
+    let follow = |client: &mut Client| {
+        db.log().flush_all().unwrap();
+        via_sync.sync_from(db.log()).unwrap();
+        via_net.sync(client).unwrap();
+    };
+
+    let session = Session::new(Arc::clone(&db));
+    for k in 0..1200u64 {
+        session.insert(k, &[k as u8; 40]).unwrap();
+    }
+    for k in (0..1200u64).filter(|k| k % 4 != 0) {
+        session.delete(k).unwrap();
+    }
+    let mut t = session.begin();
+    for k in (0..1200u64).step_by(8) {
+        t.update(k, &[0xEE; 40]).unwrap();
+    }
+    t.commit().unwrap();
+    let mut t = session.begin();
+    t.insert(5000, b"rolled back").unwrap();
+    t.update(4, b"rolled back").unwrap();
+    t.abort().unwrap();
+    follow(&mut client);
+
+    Reorganizer::new(Arc::clone(&db), ReorgConfig::default())
+        .run()
+        .unwrap();
+    follow(&mut client);
+    assert!(via_sync.switches_seen() >= 1, "pass 3 must switch trees");
+
+    // The checkpoint flushes every page, so the page file is a snapshot as
+    // of it; the segments below the low-water mark are recycled.
+    db.truncate_log().unwrap();
+    let first = db.log().first_lsn();
+    assert!(first > Lsn(1), "truncation must recycle a segment");
+    let snapshot = scratch.path().join("snapshot.db");
+    std::fs::copy(scratch.path().join("pages.db"), &snapshot).unwrap();
+    for k in 2000..2300u64 {
+        session.insert(k, &[0x5A; 40]).unwrap();
+    }
+    follow(&mut client);
+    client.bye().unwrap();
+    server.stop_abrupt();
+
+    // From the files alone: the snapshot, its floor, the surviving segments.
+    let wal = scratch.path().join("wal");
+    let disk = Arc::new(FileDisk::open(&snapshot, 1).unwrap());
+    let via_dir = Replica::over(
+        Database::reopen(
+            disk as Arc<dyn DiskManager>,
+            Arc::new(obr_wal::LogManager::new()),
+            FRAMES,
+            SidePointerMode::TwoWay,
+        )
+        .unwrap(),
+    );
+    via_dir.set_applied_floor(Lsn(first.0 - 1));
+    via_dir.ingest_dir(&wal).unwrap();
+
+    // The primary's own restart, from a copy of its files.
+    let copy = scratch.path().join("copy");
+    std::fs::create_dir_all(copy.join("wal")).unwrap();
+    std::fs::copy(scratch.path().join("pages.db"), copy.join("pages.db")).unwrap();
+    for (_, seg) in obr_wal::segment::list_segments(&wal).unwrap() {
+        std::fs::copy(&seg, copy.join("wal").join(seg.file_name().unwrap())).unwrap();
+    }
+    let recovered = Database::open_durable(&copy, FRAMES, SidePointerMode::TwoWay).unwrap();
+    let report = recover(&recovered).unwrap();
+    assert_eq!(
+        (report.losers_undone, report.forward_units_completed),
+        (0, 0),
+        "a quiesced primary leaves nothing to finish"
+    );
+
+    let records = db.tree().collect_all().unwrap();
+    assert_eq!(recovered.tree().collect_all().unwrap(), records);
+    let pages = reachable_pages(&recovered);
+    for (name, replica) in [
+        ("sync_from", &via_sync),
+        ("NetReplica", via_net.replica()),
+        ("ingest_dir", &via_dir),
+    ] {
+        assert_eq!(replica.applied_lsn(), db.log().durable_lsn(), "{name}");
+        assert_eq!(replica.scan_all().unwrap(), records, "{name}");
+        let got = reachable_pages(replica.database());
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            pages.keys().collect::<Vec<_>>(),
+            "{name}: reachable page set"
+        );
+        for (p, (lsn, bytes)) in &got {
+            let (want_lsn, want_bytes) = &pages[p];
+            assert_eq!(lsn, want_lsn, "{name}: LSN of page {p}");
+            assert!(bytes == want_bytes, "{name}: bytes of page {p}");
+        }
+    }
 }
 
 #[test]
@@ -205,6 +344,6 @@ fn sealed_segment_ingest_rejects_torn_files() {
     let (_, sealed) = &segments[0];
     let bytes = std::fs::read(sealed).unwrap();
     std::fs::write(sealed, &bytes[..bytes.len() - 3]).unwrap();
-    let err = replica.ingest_segment(sealed).unwrap_err();
+    let err = replica.ingest_dir(&scratch.path().join("wal")).unwrap_err();
     assert!(err.to_string().contains("torn"), "unexpected error: {err}");
 }
