@@ -203,7 +203,7 @@ pub fn e4_concurrency(scale: Scale) -> String {
                 ..WorkloadConfig::default()
             };
             let stop = AtomicBool::new(false);
-            let lock_before = db.locks().stats();
+            let before = db.metrics().snapshot();
             let (report, reorg_elapsed) = std::thread::scope(|s| {
                 let dbr = Arc::clone(&db);
                 let reorg_handle = match system {
@@ -233,16 +233,19 @@ pub fn e4_concurrency(scale: Scale) -> String {
                 (report, reorg_elapsed)
             });
             db.tree().validate().unwrap();
-            let lw = db.locks().stats().since(&lock_before);
+            let after = db.metrics().snapshot();
+            let delta = |name: &str| after.counter(name) - before.counter(name);
             rows.push(vec![
                 threads.to_string(),
                 system.to_string(),
                 format!("{:.0}", report.throughput()),
                 format!("{:?}", report.read_latency.percentile(0.99)),
                 format!("{:?}", report.update_latency.max()),
-                report.rs_fallbacks.to_string(),
-                lw.waited_grants.to_string(),
-                format!("{:.1}ms", lw.wait_nanos as f64 / 1e6),
+                // Every §4.1.2 RS fallback starts with exactly one forgone
+                // request: RX is only ever held on leaves.
+                delta("lock_forgone_rx").to_string(),
+                delta("lock_grants_waited").to_string(),
+                format!("{:.1}ms", delta("lock_wait_ns_total") as f64 / 1e6),
                 if reorg_elapsed == Duration::default() {
                     "-".into()
                 } else {
@@ -259,7 +262,7 @@ pub fn e4_concurrency(scale: Scale) -> String {
             "ops/s",
             "p99_read",
             "max_upd",
-            "rs_fallbacks",
+            "forgone_rx",
             "lock_waits",
             "blocked",
             "reorg_time",
@@ -420,7 +423,7 @@ pub fn e6_log_volume(scale: Scale) -> String {
         ("page-image [Smi90]", None),
     ] {
         let (_disk, db) = sparse_database(32_768, n, 0.25, 64);
-        let before = db.log().stats();
+        let bytes_before = db.metrics().snapshot().counter("wal_append_bytes");
         let (moved, swaps) = match strategy {
             Some(ls) => {
                 let cfg = ReorgConfig {
@@ -439,13 +442,8 @@ pub fn e6_log_volume(scale: Scale) -> String {
                 (t.stats().records_moved, t.stats().swaps)
             }
         };
-        let d = db.log().stats().since(&before);
+        let bytes = db.metrics().snapshot().counter("wal_append_bytes") - bytes_before;
         db.tree().validate().unwrap();
-        let bytes = if strategy.is_some() {
-            d.reorg_bytes
-        } else {
-            d.bytes // the baseline logs via plain Smo image records
-        };
         rows.push(vec![
             name.to_string(),
             moved.to_string(),

@@ -186,16 +186,16 @@ pub fn check_conflict_actions() -> Report {
     }
     // Metric-value assertions are meaningless when the observability layer
     // is compiled to no-ops; the behavioural check above still ran.
-    if !obr_obs::is_noop() && m.stats().forgone != 1 {
+    let reg = obr_obs::Registry::new();
+    m.register_metrics(&reg);
+    let forgone = reg.snapshot().counter("lock_forgone_rx");
+    if !obr_obs::is_noop() && forgone != 1 {
         report.error(
             CHECKER,
             "forgone-uncounted",
             None,
             None,
-            format!(
-                "expected 1 forgone request, stats say {}",
-                m.stats().forgone
-            ),
+            format!("expected 1 forgone request, lock_forgone_rx says {forgone}"),
         );
     }
     if m.holders(leaf).iter().any(|&(o, _)| o == user) {

@@ -4,10 +4,8 @@
 use std::fmt;
 
 use obr_btree::TreeStats;
-use obr_lock::LockStats;
 use obr_obs::Snapshot;
 use obr_storage::DiskStats;
-use obr_wal::LogStats;
 
 use crate::db::Database;
 use crate::error::CoreResult;
@@ -17,10 +15,9 @@ use crate::error::CoreResult;
 pub struct DatabaseStats {
     /// Tree shape.
     pub tree: TreeStats,
-    /// Lock manager counters.
-    pub locks: LockStats,
-    /// Log volume counters.
-    pub log: LogStats,
+    /// Log records retained in memory (appended since open, or read back by
+    /// it, and not yet truncated).
+    pub log_retained: usize,
     /// Disk I/O counters.
     pub disk: DiskStats,
     /// Buffer pool residency.
@@ -29,8 +26,9 @@ pub struct DatabaseStats {
     pub pool_capacity: usize,
     /// Buffer pool shard count (frame-table concurrency).
     pub pool_shards: usize,
-    /// The metrics registry at collection time (the `log:` line's
-    /// durability counters are read from here).
+    /// The metrics registry at collection time, with the `tree_*` gauges
+    /// refreshed from [`Self::tree`]. The `log:` and `locks:` lines read
+    /// their counters from here.
     pub metrics: Snapshot,
     /// Free pages available.
     pub free_pages: usize,
@@ -76,10 +74,10 @@ impl fmt::Display for DatabaseStats {
         )?;
         writeln!(
             f,
-            "log:    {} records, {} bytes ({} reorg bytes) | {} flushes -> {} batches, {} fsyncs",
-            self.log.records,
-            self.log.bytes,
-            self.log.reorg_bytes,
+            "log:    {} appended ({} bytes), {} retained | {} flushes -> {} batches, {} fsyncs",
+            self.metrics.counter("wal_appends"),
+            self.metrics.counter("wal_append_bytes"),
+            self.log_retained,
             self.metrics.counter("wal_flush_calls"),
             self.metrics.counter("wal_batches"),
             self.metrics.counter("wal_syncs")
@@ -92,10 +90,10 @@ impl fmt::Display for DatabaseStats {
         write!(
             f,
             "locks:  {} grants, {} waited, {} forgone (RX), {} deadlocks{}",
-            self.locks.immediate_grants,
-            self.locks.waited_grants,
-            self.locks.forgone,
-            self.locks.deadlocks,
+            self.metrics.counter("lock_grants_immediate"),
+            self.metrics.counter("lock_grants_waited"),
+            self.metrics.counter("lock_forgone_rx"),
+            self.metrics.counter("lock_deadlocks"),
             if self.reorg_bit {
                 format!(" | PASS 3 RUNNING, side file: {}", self.side_file_len)
             } else {
@@ -106,12 +104,14 @@ impl fmt::Display for DatabaseStats {
 }
 
 impl Database {
-    /// Collect a [`DatabaseStats`] snapshot.
+    /// Collect a [`DatabaseStats`] snapshot: one tree walk, published to
+    /// the `tree_*` gauges before the registry is read.
     pub fn stats(&self) -> CoreResult<DatabaseStats> {
+        let tree = self.tree().stats()?;
+        self.core_metrics().publish_tree(&tree);
         Ok(DatabaseStats {
-            tree: self.tree().stats()?,
-            locks: self.locks().stats(),
-            log: self.log().stats(),
+            tree,
+            log_retained: self.log().len(),
             disk: self.disk().stats(),
             pool_resident: self.pool().resident(),
             pool_capacity: self.pool().capacity(),
@@ -140,6 +140,7 @@ mod tests {
         db.tree().bulk_load(&records, 0.5, 0.9).unwrap();
         let s = db.stats().unwrap();
         assert_eq!(s.tree.records, 500);
+        assert_eq!(s.metrics.gauge("tree_records"), s.tree.records);
         assert!(s.free_pages > 0);
         let text = s.to_string();
         for needle in ["tree:", "layout:", "space:", "log:", "disk:", "locks:"] {

@@ -189,20 +189,21 @@ fn recovery_with_nothing_flushed_replays_all_work() {
 
 #[test]
 fn keys_only_logging_is_much_smaller_than_full_records() {
-    let (_d1, db1) = sparse_db(4096, 2000, 0.25);
-    let (_d2, db2) = sparse_db(4096, 2000, 0.25);
-    let mut c1 = cfg(false, false);
-    c1.log_strategy = LogStrategy::KeysOnly;
-    let mut c2 = cfg(false, false);
-    c2.log_strategy = LogStrategy::FullRecords;
-    Reorganizer::new(Arc::clone(&db1), c1)
-        .pass1_compact()
-        .unwrap();
-    Reorganizer::new(Arc::clone(&db2), c2)
-        .pass1_compact()
-        .unwrap();
-    let b1 = db1.log().stats().reorg_bytes;
-    let b2 = db2.log().stats().reorg_bytes;
+    // Log bytes pass 1 appends under `strategy`: the `wal_append_bytes`
+    // delta across the pass.
+    let pass1_log_bytes = |strategy: LogStrategy| {
+        let (_d, db) = sparse_db(4096, 2000, 0.25);
+        let appended = || db.metrics().snapshot().counter("wal_append_bytes");
+        let before = appended();
+        let mut c = cfg(false, false);
+        c.log_strategy = strategy;
+        Reorganizer::new(Arc::clone(&db), c)
+            .pass1_compact()
+            .unwrap();
+        appended() - before
+    };
+    let b1 = pass1_log_bytes(LogStrategy::KeysOnly);
+    let b2 = pass1_log_bytes(LogStrategy::FullRecords);
     assert!(
         b2 > b1 * 3,
         "full-record logging ({b2} B) should dwarf keys-only ({b1} B)"

@@ -20,5 +20,5 @@
 pub mod manager;
 pub mod mode;
 
-pub use manager::{LockError, LockManager, LockStats, OwnerId, ResourceId};
+pub use manager::{LockError, LockManager, OwnerId, ResourceId};
 pub use mode::LockMode;

@@ -73,37 +73,6 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-/// Counters for experiment E4 and diagnostics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Requests granted immediately.
-    pub immediate_grants: u64,
-    /// Requests that had to wait before being granted.
-    pub waited_grants: u64,
-    /// Requests forgone because they conflicted with a held RX.
-    pub forgone: u64,
-    /// Deadlock victims.
-    pub deadlocks: u64,
-    /// Instant-duration requests satisfied.
-    pub instant_grants: u64,
-    /// Total nanoseconds spent blocked across all waiters.
-    pub wait_nanos: u64,
-}
-
-impl LockStats {
-    /// Difference against an earlier snapshot.
-    pub fn since(&self, earlier: &LockStats) -> LockStats {
-        LockStats {
-            immediate_grants: self.immediate_grants - earlier.immediate_grants,
-            waited_grants: self.waited_grants - earlier.waited_grants,
-            forgone: self.forgone - earlier.forgone,
-            deadlocks: self.deadlocks - earlier.deadlocks,
-            instant_grants: self.instant_grants - earlier.instant_grants,
-            wait_nanos: self.wait_nanos - earlier.wait_nanos,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Waiter {
     owner: OwnerId,
@@ -127,10 +96,9 @@ struct State {
     reorg_owners: HashSet<OwnerId>,
 }
 
-/// Per-manager metric handles. These atomics are the single source of
-/// truth: [`LockManager::stats`] reads them, and
-/// [`LockManager::register_metrics`] publishes the same handles into a
-/// database's [`Registry`] so snapshots see identical numbers.
+/// Per-manager metric handles. Nothing reads them here:
+/// [`LockManager::register_metrics`] publishes them into a [`Registry`],
+/// and its snapshots are the only read path (experiment E4 included).
 #[derive(Debug, Default)]
 struct LockMetrics {
     immediate_grants: Counter,
@@ -193,8 +161,8 @@ impl LockManager {
 
     /// Publish this manager's counters into `reg` under the canonical
     /// `lock_*` names (see DESIGN.md "Observability"). The registry adopts
-    /// the live handles, so later snapshots read the same atomics
-    /// [`LockManager::stats`] reads.
+    /// the live handles, so later snapshots read the atomics the lock paths
+    /// update.
     pub fn register_metrics(&self, reg: &Registry) {
         reg.register_counter("lock_grants_immediate", &self.metrics.immediate_grants);
         reg.register_counter("lock_grants_waited", &self.metrics.waited_grants);
@@ -214,19 +182,6 @@ impl LockManager {
     /// Remove the reorganizer registration.
     pub fn unregister_reorganizer(&self, owner: OwnerId) {
         self.state.lock().reorg_owners.remove(&owner);
-    }
-
-    /// Counters snapshot (a view over the same atomics the metrics
-    /// registry reads).
-    pub fn stats(&self) -> LockStats {
-        LockStats {
-            immediate_grants: self.metrics.immediate_grants.get(),
-            waited_grants: self.metrics.waited_grants.get(),
-            forgone: self.metrics.forgone.get(),
-            deadlocks: self.metrics.deadlocks.get(),
-            instant_grants: self.metrics.instant_grants.get(),
-            wait_nanos: self.metrics.wait_nanos.get(),
-        }
     }
 
     /// Blocking lock acquisition (with conversion support).
@@ -700,6 +655,13 @@ mod tests {
         Arc::new(LockManager::with_timeout(Duration::from_secs(5)))
     }
 
+    /// Counter `name` as a registry holding `m`'s metrics reports it.
+    fn counter(m: &LockManager, name: &str) -> u64 {
+        let reg = Registry::new();
+        m.register_metrics(&reg);
+        reg.snapshot().counter(name)
+    }
+
     #[test]
     fn shared_locks_coexist() {
         let m = mgr();
@@ -730,7 +692,7 @@ mod tests {
         let err = m.lock(OwnerId(1), PAGE, S).unwrap_err();
         assert_eq!(err, LockError::ConflictsWithReorg);
         assert!(start.elapsed() < Duration::from_millis(100));
-        assert_eq!(m.stats().forgone, 1);
+        assert_eq!(counter(&m, "lock_forgone_rx"), 1);
         // An updater's X and IX requests too.
         assert_eq!(
             m.lock(OwnerId(2), PAGE, X).unwrap_err(),
@@ -765,7 +727,7 @@ mod tests {
         h.join().unwrap().unwrap();
         // Instant duration: nothing is actually held afterwards.
         assert_eq!(m.held_mode(OwnerId(1), BASE), None);
-        assert_eq!(m.stats().instant_grants, 1);
+        assert_eq!(counter(&m, "lock_rs_instant_grants"), 1);
     }
 
     #[test]
@@ -872,7 +834,7 @@ mod tests {
         // up its locks.
         m.release_all(OwnerId(9));
         h1.join().unwrap().unwrap();
-        assert_eq!(m.stats().deadlocks, 1);
+        assert_eq!(counter(&m, "lock_deadlocks"), 1);
     }
 
     #[test]
@@ -891,7 +853,7 @@ mod tests {
         // Aborting the victim releases its locks; the survivor proceeds.
         m.release_all(OwnerId(2));
         h.join().unwrap().unwrap();
-        assert_eq!(m.stats().deadlocks, 1);
+        assert_eq!(counter(&m, "lock_deadlocks"), 1);
     }
 
     #[test]

@@ -121,26 +121,6 @@ struct Shard {
     frames: Mutex<HashMap<PageId, Arc<Frame>>>,
     /// dependent -> prerequisite pages that must be durable first.
     deps: Mutex<HashMap<PageId, HashSet<PageId>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Per-shard counters, as returned by [`BufferPool::shard_stats`]. The
-/// pool-level aggregates live in the metrics registry (`pool_*`); these
-/// expose the skew across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Frames resident in this shard right now.
-    pub resident: usize,
-    /// Lookups satisfied from this shard's frame table.
-    pub hits: u64,
-    /// Lookups that had to admit a new frame.
-    pub misses: u64,
-    /// Frames retired from this shard by eviction.
-    pub evictions: u64,
 }
 
 /// Pool-level metric handles; published into a database's registry by
@@ -239,8 +219,9 @@ impl BufferPool {
     }
 
     /// Create a pool with an explicit shard count (rounded up to a power of
-    /// two, clamped to [`MAX_POOL_SHARDS`]). `with_shards(disk, cap, 1)` is
-    /// the single-mutex layout, kept reachable as a benchmark baseline.
+    /// two, clamped to [`MAX_POOL_SHARDS`]). Interleaving scenarios and
+    /// stress tests pick small counts so that unrelated pages share a shard
+    /// lock.
     pub fn with_shards(disk: Arc<dyn DiskManager>, capacity: usize, shards: usize) -> BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         assert!(shards > 0, "buffer pool needs at least one shard");
@@ -249,9 +230,6 @@ impl BufferPool {
             .map(|_| Shard {
                 frames: Mutex::named(HashMap::new(), "pool.shard.frames"),
                 deps: Mutex::named(HashMap::new(), "pool.shard.deps"),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
             })
             .collect();
         BufferPool {
@@ -266,33 +244,15 @@ impl BufferPool {
         }
     }
 
-    /// Publish this pool's aggregate counters into `reg` under the
-    /// canonical `pool_*` names (see DESIGN.md "Observability"). Per-shard
-    /// skew stays out of the registry — read it via
-    /// [`BufferPool::shard_stats`].
+    /// Publish this pool's counters into `reg` under the canonical `pool_*`
+    /// names (see DESIGN.md "Observability"). They are pool-wide: no count
+    /// is kept per shard.
     pub fn register_metrics(&self, reg: &Registry) {
         reg.register_counter("pool_hits", &self.metrics.hits);
         reg.register_counter("pool_misses", &self.metrics.misses);
         reg.register_counter("pool_evictions", &self.metrics.evictions);
         reg.register_counter("pool_flushes", &self.metrics.flushes);
         reg.register_gauge("pool_resident", &self.metrics.resident);
-    }
-
-    /// Per-shard hit/miss/eviction counts and residency, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardStats {
-                shard: i,
-                resident: s.frames.lock().len(),
-                // relaxed: statistics snapshot; values are monotonic
-                // counters and readers tolerate slight staleness.
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Shard owning `id`. Low bits: consecutive page ids round-robin across
@@ -360,8 +320,6 @@ impl BufferPool {
                 if let Some(frame) = frames.get(&id) {
                     frame.pin.fetch_add(1, Ordering::AcqRel);
                     self.touch(frame);
-                    // relaxed: hit counter is observability-only.
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
                     self.metrics.hits.inc();
                     return Ok(FrameGuard {
                         frame: Arc::clone(frame),
@@ -400,8 +358,6 @@ impl BufferPool {
             self.resident.fetch_sub(1, Ordering::AcqRel);
             frame.pin.fetch_add(1, Ordering::AcqRel);
             self.touch(frame);
-            // relaxed: hit counter is observability-only.
-            shard.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.hits.inc();
             return Ok(FrameGuard {
                 frame: Arc::clone(frame),
@@ -418,8 +374,6 @@ impl BufferPool {
         });
         self.touch(&frame);
         frames.insert(id, Arc::clone(&frame));
-        // relaxed: miss counter is observability-only.
-        shard.misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.misses.inc();
         self.metrics.resident.set(self.resident() as u64);
         Ok(FrameGuard { frame })
@@ -452,8 +406,6 @@ impl BufferPool {
         };
         self.flush_page(victim)?;
         if self.drop_clean_frame(victim) {
-            // relaxed: eviction counter is observability-only.
-            self.shard(victim).evictions.fetch_add(1, Ordering::Relaxed);
             self.metrics.evictions.inc();
             self.metrics.resident.set(self.resident() as u64);
         }

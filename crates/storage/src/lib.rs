@@ -17,7 +17,7 @@ pub mod faultdisk;
 pub mod fsm;
 pub mod page;
 
-pub use buffer::{BufferPool, FrameGuard, ShardStats, WalFlush, MAX_POOL_SHARDS};
+pub use buffer::{BufferPool, FrameGuard, WalFlush, MAX_POOL_SHARDS};
 pub use disk::{DiskManager, DiskStats, FileDisk, InMemoryDisk};
 pub use error::{StorageError, StorageResult};
 pub use faultdisk::{DurabilityWitness, JournalDisk, JournalEventInfo};

@@ -81,13 +81,6 @@ pub struct Session {
     db: Arc<Database>,
 }
 
-/// Counters for protocol events (E4 reports these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProtocolStats {
-    /// Times a leaf lock was forgone against RX and the RS fallback ran.
-    pub rs_fallbacks: u64,
-}
-
 impl Session {
     /// Create a session over `db`.
     pub fn new(db: Arc<Database>) -> Session {
@@ -110,7 +103,6 @@ impl Session {
             owner,
             prev_lsn: Lsn::ZERO,
             finished: false,
-            rs_fallbacks: 0,
         }
     }
 
@@ -155,18 +147,12 @@ pub struct Txn {
     owner: OwnerId,
     prev_lsn: Lsn,
     finished: bool,
-    rs_fallbacks: u64,
 }
 
 impl Txn {
     /// This transaction's id.
     pub fn id(&self) -> TxnId {
         self.id
-    }
-
-    /// Times this transaction fell back to an instant RS wait (§4.1.2).
-    pub fn rs_fallbacks(&self) -> u64 {
-        self.rs_fallbacks
     }
 
     fn note(&mut self, lsn: Lsn) {
@@ -233,8 +219,8 @@ impl Txn {
                     // §4.1.2: forgo, and block on an unconditional
                     // instant-duration RS request on the base page until
                     // the reorganizer finishes; then re-descend, since the
-                    // unit may have changed the path.
-                    self.rs_fallbacks += 1;
+                    // unit may have changed the path. The registry counts
+                    // each fallback once, as `lock_forgone_rx`.
                     match base {
                         Some(b) => {
                             locks.lock_instant(self.owner, ResourceId::Page(b.0), LockMode::RS)?

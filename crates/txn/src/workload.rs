@@ -3,7 +3,7 @@
 //! multi-threaded open-loop driver measuring throughput and blocked time
 //! while reorganization runs (E4).
 
-use obr_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obr_sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,8 +164,6 @@ pub struct WorkloadReport {
     pub deletes: u64,
     /// Transactions restarted after deadlock/timeout.
     pub restarts: u64,
-    /// §4.1.2 RS fallbacks taken (blocked by the reorganizer).
-    pub rs_fallbacks: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Latency of read operations.
@@ -191,22 +189,19 @@ impl WorkloadReport {
 pub fn run_workload(db: &Arc<Database>, cfg: &WorkloadConfig, stop: &AtomicBool) -> WorkloadReport {
     let start = Instant::now();
     let deadline = start + cfg.duration;
-    let rs_fallbacks = AtomicU64::new(0);
     let mut report = WorkloadReport::default();
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..cfg.readers {
             let db = Arc::clone(db);
             let cfg = cfg.clone();
-            let rs = &rs_fallbacks;
             handles.push(s.spawn(move || {
-                reader_thread(db, &cfg, cfg.seed ^ (t as u64) << 8, deadline, stop, rs)
+                reader_thread(db, &cfg, cfg.seed ^ (t as u64) << 8, deadline, stop)
             }));
         }
         for t in 0..cfg.updaters {
             let db = Arc::clone(db);
             let cfg = cfg.clone();
-            let rs = &rs_fallbacks;
             handles.push(s.spawn(move || {
                 updater_thread(
                     db,
@@ -214,7 +209,6 @@ pub fn run_workload(db: &Arc<Database>, cfg: &WorkloadConfig, stop: &AtomicBool)
                     cfg.seed ^ 0xDEAD ^ ((t as u64) << 8),
                     deadline,
                     stop,
-                    rs,
                 )
             }));
         }
@@ -229,7 +223,6 @@ pub fn run_workload(db: &Arc<Database>, cfg: &WorkloadConfig, stop: &AtomicBool)
             report.update_latency.merge(&partial.update_latency);
         }
     });
-    report.rs_fallbacks = rs_fallbacks.load(Ordering::Relaxed);
     report.elapsed = start.elapsed();
     report
 }
@@ -240,7 +233,6 @@ fn reader_thread(
     seed: u64,
     deadline: Instant,
     stop: &AtomicBool,
-    rs_fallbacks: &AtomicU64,
 ) -> WorkloadReport {
     let session = Session::new(db);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -256,7 +248,6 @@ fn reader_thread(
         };
         match outcome {
             Ok(was_scan) => {
-                rs_fallbacks.fetch_add(txn.rs_fallbacks(), Ordering::Relaxed);
                 let _ = txn.commit();
                 rep.read_latency.record(t0.elapsed());
                 if was_scan {
@@ -266,7 +257,6 @@ fn reader_thread(
                 }
             }
             Err(TxnError::Deadlock) | Err(TxnError::Timeout) => {
-                rs_fallbacks.fetch_add(txn.rs_fallbacks(), Ordering::Relaxed);
                 let _ = txn.abort();
                 rep.restarts += 1;
             }
@@ -282,7 +272,6 @@ fn updater_thread(
     seed: u64,
     deadline: Instant,
     stop: &AtomicBool,
-    rs_fallbacks: &AtomicU64,
 ) -> WorkloadReport {
     let session = Session::new(db);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -308,7 +297,6 @@ fn updater_thread(
         };
         match outcome {
             Ok(was_insert) => {
-                rs_fallbacks.fetch_add(txn.rs_fallbacks(), Ordering::Relaxed);
                 let _ = txn.commit();
                 rep.update_latency.record(t0.elapsed());
                 if was_insert {
@@ -318,7 +306,6 @@ fn updater_thread(
                 }
             }
             Err(TxnError::Deadlock) | Err(TxnError::Timeout) => {
-                rs_fallbacks.fetch_add(txn.rs_fallbacks(), Ordering::Relaxed);
                 let _ = txn.abort();
                 rep.restarts += 1;
             }

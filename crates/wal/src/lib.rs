@@ -20,7 +20,7 @@ pub mod record;
 pub mod reorg_table;
 pub mod segment;
 
-pub use log::{LogManager, LogStats};
+pub use log::LogManager;
 pub use reader::{LogReader, ScanOutcome, TornReason, TornTail};
 pub use record::{
     CheckpointData, LogRecord, MovePayload, Pass3State, ReorgKind, ReorgTableSnapshot, TxnId,

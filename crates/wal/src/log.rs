@@ -13,8 +13,9 @@
 //! waits on the other's I/O:
 //!
 //! * **append** takes the short `mem` critical section (assign an LSN, push
-//!   the encoded frame, bump counters) and returns — it never blocks on a
-//!   concurrent fsync.
+//!   the encoded frame) and returns — it never blocks on a concurrent
+//!   fsync. Its counters (`wal_appends`, `wal_append_bytes`) are atomics
+//!   bumped outside that section.
 //! * **flush_to** registers its target LSN and elects one caller the
 //!   *flusher* (a flag guarded by the `dur` mutex). The flusher writes and
 //!   fsyncs one batch covering *every* target registered so far, publishes
@@ -41,11 +42,11 @@
 //! Torn-tail truncation applies only to the active segment on reopen; a
 //! torn record inside a sealed segment is corruption.
 //!
-//! Per-kind byte accounting feeds experiment E6 (reorganization log volume
-//! under the three logging strategies).
+//! Every count the log keeps lives in [`LogManager::register_metrics`]'s
+//! `wal_*` handles; experiment E6 reads its log volume as the
+//! `wal_append_bytes` delta.
 
 use obr_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -59,54 +60,8 @@ use crate::reader::LogReader;
 use crate::record::{LogRecord, TAG_CHECKPOINT};
 use crate::segment::{self, SegmentMeta, SegmentReader};
 
-/// Byte/record accounting, split by record kind.
-#[derive(Debug, Clone, Default)]
-pub struct LogStats {
-    /// Total records appended.
-    pub records: u64,
-    /// Total encoded bytes appended.
-    pub bytes: u64,
-    /// Records appended by the reorganizer.
-    pub reorg_records: u64,
-    /// Bytes appended by the reorganizer.
-    pub reorg_bytes: u64,
-    /// Per-kind (records, bytes).
-    pub by_kind: HashMap<&'static str, (u64, u64)>,
-}
-
-impl LogStats {
-    /// Account one encoded record.
-    fn absorb(&mut self, frame: &[u8], rec: &LogRecord) {
-        self.records += 1;
-        self.bytes += frame.len() as u64;
-        if rec.is_reorg() {
-            self.reorg_records += 1;
-            self.reorg_bytes += frame.len() as u64;
-        }
-        let e = self.by_kind.entry(rec.kind_name()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += frame.len() as u64;
-    }
-
-    /// Difference against an earlier snapshot (kinds present in `self`).
-    pub fn since(&self, earlier: &LogStats) -> LogStats {
-        let mut by_kind = HashMap::new();
-        for (k, &(r, b)) in &self.by_kind {
-            let (er, eb) = earlier.by_kind.get(k).copied().unwrap_or((0, 0));
-            by_kind.insert(*k, (r - er, b - eb));
-        }
-        LogStats {
-            records: self.records - earlier.records,
-            bytes: self.bytes - earlier.bytes,
-            reorg_records: self.reorg_records - earlier.reorg_records,
-            reorg_bytes: self.reorg_bytes - earlier.reorg_bytes,
-            by_kind,
-        }
-    }
-}
-
 /// The in-memory log: what `append` touches. Its critical sections are a
-/// few vector pushes — never I/O.
+/// vector push and an LSN bump — never I/O.
 struct LogMem {
     /// Encoded frames; frame `i` has LSN `first_lsn + i`.
     frames: Vec<Vec<u8>>,
@@ -114,7 +69,6 @@ struct LogMem {
     first_lsn: Lsn,
     /// Next LSN to assign.
     next_lsn: Lsn,
-    stats: LogStats,
 }
 
 /// Flusher election state. `flushing` is the baton: exactly one thread at a
@@ -294,7 +248,6 @@ impl LogManager {
                 frames: Vec::new(),
                 first_lsn: Lsn(1),
                 next_lsn: Lsn(1),
-                stats: LogStats::default(),
             },
             Lsn::ZERO,
         )
@@ -327,7 +280,6 @@ impl LogManager {
             listed.push((Lsn(1), path));
         }
         let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut stats = LogStats::default();
         let mut sealed = Vec::new();
         let first_lsn = listed[0].0;
         let last = listed.len() - 1;
@@ -339,9 +291,6 @@ impl LogManager {
                     "{fault} ({})",
                     path.display()
                 )));
-            }
-            for (frame, rec) in seg.scan.frames.iter().zip(&seg.scan.records) {
-                stats.absorb(frame, rec);
             }
             sealed.push(SealedSegment {
                 first_lsn: seg_first,
@@ -367,7 +316,6 @@ impl LogManager {
                 next_lsn: Lsn(durable.0 + 1),
                 frames,
                 first_lsn,
-                stats,
             },
             IoState {
                 file: Some(file),
@@ -418,7 +366,6 @@ impl LogManager {
         let mut g = self.mem.lock();
         let lsn = g.next_lsn;
         g.next_lsn = lsn.next();
-        g.stats.absorb(&bytes, rec);
         g.frames.push(bytes);
         drop(g);
         // Un-flushed tail behind the durable watermark; the peak is the
@@ -702,19 +649,12 @@ impl LogManager {
         let frames: Vec<Vec<u8>> = g.frames.iter().take(keep).cloned().collect();
         let first_lsn = g.first_lsn;
         drop(g);
-        let mut stats = LogStats::default();
-        for frame in &frames {
-            if let Ok(rec) = LogRecord::decode(frame) {
-                stats.absorb(frame, &rec);
-            }
-        }
         let durable = Lsn(first_lsn.0 + frames.len() as u64 - 1);
         Self::assemble(
             LogMem {
                 next_lsn: Lsn(durable.0 + 1),
                 frames,
                 first_lsn,
-                stats,
             },
             durable,
         )
@@ -862,11 +802,6 @@ impl LogManager {
         }
         self.release_flusher();
         dropped
-    }
-
-    /// Accounting snapshot.
-    pub fn stats(&self) -> LogStats {
-        self.mem.lock().stats.clone()
     }
 
     /// Number of records currently retained (post-truncation).
@@ -1186,48 +1121,32 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_reorg_bytes_separately() {
+    fn sync_stats_count_batches_and_elided_flushes() {
         use crate::record::{MovePayload, UnitId};
         use obr_storage::PageId;
         let log = LogManager::new();
-        log.append(&begin(1));
-        log.append(&LogRecord::ReorgMove {
+        let l1 = log.append(&begin(1));
+        log.flush_to(l1).unwrap();
+        log.flush_to(l1).unwrap(); // already durable: no new batch
+        let mv = LogRecord::ReorgMove {
             unit: UnitId(1),
             org: PageId(1),
             dest: PageId(2),
             payload: MovePayload::Keys(vec![1, 2, 3]),
             prev_lsn: Lsn::ZERO,
-        });
-        let s = log.stats();
-        assert_eq!(s.records, 2);
-        assert_eq!(s.reorg_records, 1);
-        assert!(s.reorg_bytes > 0 && s.reorg_bytes < s.bytes);
-        assert_eq!(s.by_kind.get("reorg_move").unwrap().0, 1);
-    }
-
-    #[test]
-    fn stats_since_subtracts_per_kind() {
-        let log = LogManager::new();
-        log.append(&begin(1));
-        let before = log.stats();
-        log.append(&begin(2));
-        let d = log.stats().since(&before);
-        assert_eq!(d.records, 1);
-        assert_eq!(d.by_kind.get("txn_begin").unwrap().0, 1);
-    }
-
-    #[test]
-    fn sync_stats_count_batches_and_elided_flushes() {
-        let log = LogManager::new();
-        let l1 = log.append(&begin(1));
-        log.flush_to(l1).unwrap();
-        log.flush_to(l1).unwrap(); // already durable: no new batch
+        };
+        log.append(&mv); // appended, never forced
         let reg = Registry::new();
         log.register_metrics(&reg);
         let s = reg.snapshot();
         assert_eq!(s.counter("wal_flush_calls"), 1);
         assert_eq!(s.counter("wal_batches"), 1);
         assert_eq!(s.counter("wal_syncs"), 0, "memory-only log never fsyncs");
+        assert_eq!(s.counter("wal_appends"), 2);
+        assert_eq!(
+            s.counter("wal_append_bytes"),
+            (begin(1).encode().len() + mv.encode().len()) as u64
+        );
     }
 
     static SEG_TEST_DIRS: obr_sync::atomic::AtomicU64 = obr_sync::atomic::AtomicU64::new(0);

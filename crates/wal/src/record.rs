@@ -390,44 +390,6 @@ fn get_opt_u64(r: &mut Reader<'_>) -> StorageResult<Option<u64>> {
 }
 
 impl LogRecord {
-    /// A short, stable name for the record kind (log-size accounting).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            LogRecord::TxnBegin { .. } => "txn_begin",
-            LogRecord::TxnCommit { .. } => "txn_commit",
-            LogRecord::TxnAbort { .. } => "txn_abort",
-            LogRecord::TxnInsert { .. } => "txn_insert",
-            LogRecord::TxnDelete { .. } => "txn_delete",
-            LogRecord::TxnUpdate { .. } => "txn_update",
-            LogRecord::Clr { .. } => "clr",
-            LogRecord::Smo { .. } => "smo",
-            LogRecord::ReorgBegin { .. } => "reorg_begin",
-            LogRecord::ReorgMove { .. } => "reorg_move",
-            LogRecord::ReorgSwap { .. } => "reorg_swap",
-            LogRecord::ReorgModify { .. } => "reorg_modify",
-            LogRecord::ReorgSidePtr { .. } => "reorg_sideptr",
-            LogRecord::ReorgEnd { .. } => "reorg_end",
-            LogRecord::Pass3Stable { .. } => "pass3_stable",
-            LogRecord::Pass3Switch { .. } => "pass3_switch",
-            LogRecord::Checkpoint { .. } => "checkpoint",
-        }
-    }
-
-    /// True for records written by the reorganizer (E6 accounting).
-    pub fn is_reorg(&self) -> bool {
-        matches!(
-            self,
-            LogRecord::ReorgBegin { .. }
-                | LogRecord::ReorgMove { .. }
-                | LogRecord::ReorgSwap { .. }
-                | LogRecord::ReorgModify { .. }
-                | LogRecord::ReorgSidePtr { .. }
-                | LogRecord::ReorgEnd { .. }
-                | LogRecord::Pass3Stable { .. }
-                | LogRecord::Pass3Switch { .. }
-        )
-    }
-
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(64);
@@ -1060,7 +1022,6 @@ mod tests {
         };
         assert_eq!(rec.unit(), Some(UnitId(9)));
         assert_eq!(rec.prev_lsn(), Some(Lsn(44)));
-        assert!(rec.is_reorg());
         assert_eq!(LogRecord::TxnBegin { txn: TxnId(1) }.unit(), None);
     }
 

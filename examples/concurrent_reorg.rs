@@ -38,6 +38,8 @@ fn main() {
         ..WorkloadConfig::default()
     };
     let stop = AtomicBool::new(false);
+    let forgone = || db.metrics().snapshot().counter("lock_forgone_rx");
+    let forgone_before = forgone();
     let (report, reorg_stats) = std::thread::scope(|s| {
         let dbr = Arc::clone(&db);
         let h = s.spawn(move || {
@@ -72,7 +74,7 @@ fn main() {
     println!(
         "protocol events: {} RS fallbacks (blocked by RX), {} restarts, \
          p99 read {:?}",
-        report.rs_fallbacks,
+        forgone() - forgone_before,
         report.restarts,
         report.read_latency.percentile(0.99)
     );

@@ -103,6 +103,61 @@ fn leaf_lock_granted_on_a_stale_path_is_taken_again_on_the_real_leaf() {
     });
 }
 
+/// The §4.1.2 fallback as the database registry counts it. A reader meets a
+/// unit's RX on its leaf: the leaf request is forgone, and the reader waits
+/// with an instant RS on the base page, where the unit holds R, until the
+/// unit lets go. That is one `lock_forgone_rx` and one
+/// `lock_rs_instant_grants`; E4 prints the first as its `forgone_rx` column.
+#[test]
+fn a_reader_forgone_by_rx_waits_on_rs_and_is_counted_once() {
+    let db = loaded(2_000, 0.9);
+    let locks = db.locks();
+    let key = 2_000;
+    let path = db.tree().path_for(key).expect("descent");
+    let (base, leaf) = (
+        ResourceId::Page(path[path.len() - 2].0),
+        ResourceId::Page(path[path.len() - 1].0),
+    );
+    let unit = db.new_owner();
+    locks.register_reorganizer(unit);
+    locks
+        .lock(unit, base, LockMode::R)
+        .expect("R on the base page");
+    locks
+        .lock(unit, leaf, LockMode::RX)
+        .expect("RX on the leaf");
+    let counts = || {
+        let m = db.metrics().snapshot();
+        (
+            m.counter("lock_forgone_rx"),
+            m.counter("lock_rs_instant_grants"),
+        )
+    };
+    let before = counts();
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| Session::new(Arc::clone(&db)).read(key));
+        let waiting = loop {
+            let waiting = locks.waiting(base);
+            if !waiting.is_empty() {
+                break waiting;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(waiting.len(), 1);
+        assert_eq!(waiting[0].1, LockMode::RS, "the reader waits on RS");
+        locks.release_all(unit);
+        locks.unregister_reorganizer(unit);
+        let value = reader.join().expect("reader panicked").expect("read");
+        assert_eq!(value, Some(val(key, 0)));
+    });
+    let after = counts();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (1, 1),
+        "(lock_forgone_rx, lock_rs_instant_grants) deltas"
+    );
+}
+
 /// Stops the reorganizer loop when the foreground leaves its block, also by
 /// a failed assertion: the scope would otherwise wait for it for ever.
 struct StopOnDrop<'a>(&'a AtomicBool);
