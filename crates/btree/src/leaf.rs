@@ -213,15 +213,31 @@ impl<'a> LeafView<'a> {
         self.get(key).is_some()
     }
 
-    /// Would a record of `value_len` bytes fit?
-    pub fn fits(&self, value_len: usize) -> bool {
-        REC_OVERHEAD + value_len <= self.free_bytes()
+    /// Where `key`'s record is or would go: its byte offset (the first
+    /// larger key's, or the free pointer) and the value already there.
+    pub(crate) fn locate(&self, key: u64) -> (usize, Option<Vec<u8>>) {
+        for (off, k, v) in self.walk() {
+            if k == key {
+                return (off, Some(v.to_vec()));
+            }
+            if k > key {
+                return (off, None);
+            }
+        }
+        (self.page.free_ptr() as usize, None)
     }
 
-    /// Insert a record, keeping key order. Fails on duplicates and on
-    /// overflow (callers split on [`StorageError::PageFull`]).
+    /// Write `key`'s record at `at` over the `old` value there (if any),
+    /// moving the tail once. Leaves the page untouched when the record is
+    /// too large or does not fit.
     // protocol: page-mutation
-    pub fn insert(&mut self, key: u64, value: &[u8]) -> StorageResult<()> {
+    pub(crate) fn write_at(
+        &mut self,
+        at: usize,
+        old: Option<&[u8]>,
+        key: u64,
+        value: &[u8],
+    ) -> StorageResult<()> {
         if value.len() > MAX_VALUE {
             return Err(StorageError::Corrupt(format!(
                 "value of {} bytes exceeds MAX_VALUE {MAX_VALUE}",
@@ -229,33 +245,24 @@ impl<'a> LeafView<'a> {
             )));
         }
         let need = REC_OVERHEAD + value.len();
-        if need > self.free_bytes() {
+        let freed = old.map_or(0, |v| REC_OVERHEAD + v.len());
+        if need > self.free_bytes() + freed {
             return Err(StorageError::PageFull {
                 page: obr_storage::PageId::INVALID,
-                needed: need,
+                needed: need - freed,
                 free: self.free_bytes(),
             });
         }
-        // Find the insertion offset.
-        let mut ins = self.page.free_ptr() as usize;
-        for (off, k, _) in self.walk() {
-            if k == key {
-                return Err(StorageError::Corrupt(format!("duplicate key {key}")));
-            }
-            if k > key {
-                ins = off;
-                break;
-            }
-        }
         let end = self.page.free_ptr() as usize;
         let bytes = self.page.bytes_mut();
-        // Shift the tail right.
-        bytes.copy_within(ins..end, ins + need);
-        bytes[ins..ins + 8].copy_from_slice(&key.to_le_bytes());
-        bytes[ins + 8..ins + 10].copy_from_slice(&(value.len() as u16).to_le_bytes());
-        bytes[ins + 10..ins + 10 + value.len()].copy_from_slice(value);
-        self.page.set_free_ptr((end + need) as u16);
-        self.page.set_slot_count(self.page.slot_count() + 1);
+        bytes.copy_within(at + freed..end, at + need);
+        bytes[at..at + 8].copy_from_slice(&key.to_le_bytes());
+        bytes[at + 8..at + 10].copy_from_slice(&(value.len() as u16).to_le_bytes());
+        bytes[at + 10..at + 10 + value.len()].copy_from_slice(value);
+        self.page.set_free_ptr((end + need - freed) as u16);
+        if old.is_none() {
+            self.page.set_slot_count(self.page.slot_count() + 1);
+        }
         if self.page.low_mark() == u64::MAX || key < self.page.low_mark() {
             // The low mark is "the smallest key on this page when the page
             // was first created"; for pages filled incrementally we keep it
@@ -266,11 +273,22 @@ impl<'a> LeafView<'a> {
         Ok(())
     }
 
-    /// Insert, replacing any existing value. Returns the old value.
+    /// Insert a record, keeping key order. Fails on duplicates and on
+    /// overflow (callers split on [`StorageError::PageFull`]).
+    // protocol: page-mutation
+    pub fn insert(&mut self, key: u64, value: &[u8]) -> StorageResult<()> {
+        match self.locate(key) {
+            (_, Some(_)) => Err(StorageError::Corrupt(format!("duplicate key {key}"))),
+            (at, None) => self.write_at(at, None, key, value),
+        }
+    }
+
+    /// Insert, or replace an existing value in place. Returns the old
+    /// value. On [`StorageError::PageFull`] the page is unchanged.
     // protocol: page-mutation
     pub fn upsert(&mut self, key: u64, value: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let old = self.remove(key);
-        self.insert(key, value)?;
+        let (at, old) = self.locate(key);
+        self.write_at(at, old.as_deref(), key, value)?;
         Ok(old)
     }
 

@@ -12,8 +12,8 @@
 //! protocols of §4.1 (lock-coupling, RX fallback, safe-node restarts) are
 //! implemented by `obr-txn` on top. Structure modifications (splits,
 //! free-at-empty deallocations, root growth) are logged as atomic [`Smo`]
-//! records carrying full page images; record inserts/deletes are logged
-//! logically with per-transaction prev-LSN chains.
+//! records carrying full page images; record inserts, deletes and in-place
+//! updates are logged logically with per-transaction prev-LSN chains.
 //!
 //! [`Smo`]: obr_wal::LogRecord::Smo
 

@@ -442,45 +442,83 @@ impl BTree {
         self.with_leaf_read(key, |_, page| LeafRef::new(page).get(key))
     }
 
-    /// Insert a record. Returns the LSN of the insert log record; `prev` is
-    /// the owning transaction's previous LSN (its undo chain).
-    pub fn insert(&self, txn: TxnId, prev: Lsn, key: u64, value: &[u8]) -> BTreeResult<Lsn> {
+    /// The one leaf write. Latches the leaf for `key` and hands the key's
+    /// current value, if any, to `record`, which refuses with an error or
+    /// names the one log record the write appends. Then `value` goes in
+    /// place of the old value, splitting and retrying while it does not
+    /// fit, and the record is appended under the latch. Returns the
+    /// record's LSN and the value `value` replaced.
+    fn write_leaf(
+        &self,
+        key: u64,
+        value: &[u8],
+        record: impl Fn(PageId, Option<&[u8]>) -> BTreeResult<LogRecord>,
+    ) -> BTreeResult<(Lsn, Option<Vec<u8>>)> {
         if value.len() > crate::leaf::MAX_VALUE {
             return Err(BTreeError::RecordTooLarge(value.len()));
         }
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > 64 {
-                return Err(BTreeError::Inconsistent(
-                    "insert did not converge after 64 split rounds".into(),
-                ));
-            }
-            let r = self.with_leaf_write(key, |leaf_id, page| {
+        for _ in 0..64 {
+            let written = self.with_leaf_write(key, |leaf_id, page| {
                 let mut leaf = LeafView::new(page);
-                if leaf.contains(key) {
-                    return Ok(Err(InsertBlock::Duplicate));
+                let (at, old) = leaf.locate(key);
+                let rec = record(leaf_id, old.as_deref())?;
+                match leaf.write_at(at, old.as_deref(), key, value) {
+                    Err(StorageError::PageFull { .. }) => return Ok(None),
+                    r => r?,
                 }
-                if !leaf.fits(value.len()) {
-                    return Ok(Err(InsertBlock::Full));
-                }
-                leaf.insert(key, value)?;
-                let lsn = self.log.append(&LogRecord::TxnInsert {
-                    txn,
-                    page: leaf_id,
-                    key,
-                    value: value.to_vec(),
-                    prev_lsn: prev,
-                });
+                let lsn = self.log.append(&rec);
                 page.set_lsn(lsn);
-                Ok(Ok(lsn))
+                Ok(Some((lsn, old)))
             })?;
-            match r {
-                Ok(lsn) => return Ok(lsn),
-                Err(InsertBlock::Duplicate) => return Err(BTreeError::KeyExists(key)),
-                Err(InsertBlock::Full) => self.split_one(key, value.len())?,
+            match written {
+                Some(done) => return Ok(done),
+                None => self.split_one(key, value.len())?,
             }
         }
+        Err(BTreeError::Inconsistent(format!(
+            "write of key {key} did not converge after 64 split rounds"
+        )))
+    }
+
+    /// Insert a record. Returns the LSN of the insert log record; `prev` is
+    /// the owning transaction's previous LSN (its undo chain).
+    pub fn insert(&self, txn: TxnId, prev: Lsn, key: u64, value: &[u8]) -> BTreeResult<Lsn> {
+        let (lsn, _) = self.write_leaf(key, value, |page, old| match old {
+            None => Ok(txn_record(txn, prev, page, key, old, value)),
+            Some(_) => Err(BTreeError::KeyExists(key)),
+        })?;
+        Ok(lsn)
+    }
+
+    /// Replace a present record's value in place (§4.1.3: the record
+    /// changes in its leaf). Returns the `TxnUpdate` record's LSN and the
+    /// old value.
+    pub fn update(
+        &self,
+        txn: TxnId,
+        prev: Lsn,
+        key: u64,
+        value: &[u8],
+    ) -> BTreeResult<(Lsn, Vec<u8>)> {
+        let (lsn, old) = self.write_leaf(key, value, |page, old| match old {
+            Some(_) => Ok(txn_record(txn, prev, page, key, old, value)),
+            None => Err(BTreeError::KeyNotFound(key)),
+        })?;
+        Ok((lsn, old.expect("an update replaces a present value")))
+    }
+
+    /// Insert or update, whichever applies, logging the matching record.
+    /// Returns its LSN and the value it replaced, if any.
+    pub fn put(
+        &self,
+        txn: TxnId,
+        prev: Lsn,
+        key: u64,
+        value: &[u8],
+    ) -> BTreeResult<(Lsn, Option<Vec<u8>>)> {
+        self.write_leaf(key, value, |page, old| {
+            Ok(txn_record(txn, prev, page, key, old, value))
+        })
     }
 
     /// Delete a record (free-at-empty: an emptied leaf is deallocated, never
@@ -540,39 +578,21 @@ impl BTree {
         old_value: &[u8],
         undo_next: Lsn,
     ) -> BTreeResult<Lsn> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > 64 {
-                return Err(BTreeError::Inconsistent(
-                    "undo_delete did not converge".into(),
-                ));
-            }
-            let done = self.with_leaf_write(key, |leaf_id, page| {
-                let mut leaf = LeafView::new(page);
-                if !leaf.contains(key) && !leaf.fits(old_value.len()) {
-                    return Ok(None); // needs a split round
-                }
-                leaf.upsert(key, old_value)?;
-                let lsn = self.log.append(&LogRecord::Clr {
-                    txn,
-                    page: leaf_id,
-                    reinsert: true,
-                    key,
-                    value: old_value.to_vec(),
-                    undo_next,
-                });
-                page.set_lsn(lsn);
-                Ok(Some(lsn))
-            })?;
-            match done {
-                Some(lsn) => return Ok(lsn),
-                None => self.split_one(key, old_value.len())?,
-            }
-        }
+        let (lsn, _) = self.write_leaf(key, old_value, |page, _| {
+            Ok(LogRecord::Clr {
+                txn,
+                page,
+                reinsert: true,
+                key,
+                value: old_value.to_vec(),
+                undo_next,
+            })
+        })?;
+        Ok(lsn)
     }
 
-    /// Undo of an update: restore the old value with a compensation record.
+    /// Undo of an update: put the old value back in place with the same
+    /// compensation record a delete's undo writes.
     pub fn undo_update(
         &self,
         txn: TxnId,
@@ -1389,9 +1409,33 @@ impl BTree {
     }
 }
 
-enum InsertBlock {
-    Duplicate,
-    Full,
+/// What a transaction's write of `value` over `old` logs: an insert when
+/// the key was absent, an in-place update when it was present.
+fn txn_record(
+    txn: TxnId,
+    prev_lsn: Lsn,
+    page: PageId,
+    key: u64,
+    old: Option<&[u8]>,
+    value: &[u8],
+) -> LogRecord {
+    match old {
+        None => LogRecord::TxnInsert {
+            txn,
+            page,
+            key,
+            value: value.to_vec(),
+            prev_lsn,
+        },
+        Some(old) => LogRecord::TxnUpdate {
+            txn,
+            page,
+            key,
+            old_value: old.to_vec(),
+            new_value: value.to_vec(),
+            prev_lsn,
+        },
+    }
 }
 
 #[cfg(test)]

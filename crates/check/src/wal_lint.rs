@@ -832,6 +832,40 @@ mod tests {
     }
 
     #[test]
+    fn in_place_update_with_a_cut_chain_breaks_the_undo_chain() {
+        let upd = |prev: u64| LogRecord::TxnUpdate {
+            txn: TxnId(1),
+            page: PageId(10),
+            key: 5,
+            old_value: vec![1],
+            new_value: vec![2],
+            prev_lsn: Lsn(prev),
+        };
+        // Chained and rolled back by a re-inserting CLR: clean.
+        let r = lint_records(
+            &seq(vec![
+                ins(1, 6, 0),
+                upd(1),
+                LogRecord::Clr {
+                    txn: TxnId(1),
+                    page: PageId(10),
+                    reinsert: true,
+                    key: 5,
+                    value: vec![1],
+                    undo_next: Lsn(1),
+                },
+                clr(1, 6, 0),
+                LogRecord::TxnAbort { txn: TxnId(1) },
+            ]),
+            &WalLintOptions::default(),
+        );
+        assert!(r.is_clean(), "{r}");
+        // Its `prev_lsn` cut to zero: undo would never reach the insert.
+        let r = lint_records(&seq(vec![ins(1, 6, 0), upd(0)]), &WalLintOptions::default());
+        assert!(has(&r, "txn-broken-undo-chain", 2), "{r}");
+    }
+
+    #[test]
     fn clr_that_skips_an_update_breaks_the_undo_chain() {
         // The first CLR compensates LSN 2 but hands on to zero: the update
         // at LSN 1 would stay in place after the abort.

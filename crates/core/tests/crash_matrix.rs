@@ -34,6 +34,17 @@ fn setup(side: SidePointerMode) -> Scenario {
     Scenario { disk, db, expected }
 }
 
+/// A fresh engine over the crashed scenario's disk and log.
+fn reopen(sc: &Scenario, side: SidePointerMode) -> Arc<Database> {
+    Database::reopen(
+        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
+        Arc::clone(sc.db.log()),
+        8192,
+        side,
+    )
+    .unwrap()
+}
+
 /// Crash with the given flush behaviour, recover on a fresh engine, check
 /// the data, and return the recovered database.
 fn crash_and_recover(
@@ -42,13 +53,7 @@ fn crash_and_recover(
     mut keep: impl FnMut(PageId) -> bool,
 ) -> Arc<Database> {
     sc.db.crash(&mut keep).unwrap();
-    let db2 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(sc.db.log()),
-        8192,
-        side,
-    )
-    .unwrap();
+    let db2 = reopen(sc, side);
     recover(&db2).unwrap();
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
@@ -473,6 +478,83 @@ fn loser_whose_first_record_is_an_update_is_undone() {
     assert_eq!(report.clrs_written, 6);
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
+}
+
+#[test]
+fn committed_update_whose_leaf_was_lost_is_redone() {
+    let side = SidePointerMode::TwoWay;
+    let sc = setup(side);
+    let txn = sc.db.begin_txn();
+    let (lsn, old) = sc
+        .db
+        .tree()
+        .update(txn, obr_storage::Lsn::ZERO, 10, b"updated")
+        .unwrap();
+    assert_eq!(old, val(10));
+    sc.db.note_txn_lsn(txn, lsn);
+    sc.db
+        .log()
+        .append_force(&obr_wal::LogRecord::TxnCommit { txn })
+        .unwrap();
+    sc.db.end_txn(txn);
+    // No dirty page reaches disk: only redo of the update brings it back.
+    sc.db.crash(|_| false).unwrap();
+    let db2 = reopen(&sc, side);
+    let report = recover(&db2).unwrap();
+    assert!(report.redo_applied >= 1);
+    assert_eq!(report.losers_undone, 0);
+    db2.tree().validate().unwrap();
+    let mut expected = sc.expected.clone();
+    expected[10].1 = b"updated".to_vec();
+    assert_eq!(db2.tree().collect_all().unwrap(), expected);
+}
+
+#[test]
+fn loser_update_that_reached_disk_is_undone() {
+    let side = SidePointerMode::TwoWay;
+    let sc = setup(side);
+    let loser = sc.db.begin_txn();
+    let (lsn, _) = sc
+        .db
+        .tree()
+        .update(loser, obr_storage::Lsn::ZERO, 10, b"uncommitted")
+        .unwrap();
+    sc.db.note_txn_lsn(loser, lsn);
+    sc.db.log().flush_all().unwrap();
+    sc.db.crash(|_| true).unwrap();
+    let db2 = reopen(&sc, side);
+    let report = recover(&db2).unwrap();
+    assert_eq!((report.losers_undone, report.clrs_written), (1, 1));
+    db2.tree().validate().unwrap();
+    assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
+}
+
+#[test]
+fn update_that_grows_into_a_split_aborts_to_the_old_value() {
+    let side = SidePointerMode::TwoWay;
+    let sc = setup(side);
+    let tree = sc.db.tree();
+    let leaves = tree.stats().unwrap().leaf_pages;
+    let txn = sc.db.begin_txn();
+    // A quarter-full leaf has no room for 3 500 bytes more.
+    let big = vec![0x99; 3500];
+    let (lsn, old) = tree.update(txn, obr_storage::Lsn::ZERO, 10, &big).unwrap();
+    sc.db.note_txn_lsn(txn, lsn);
+    assert!(
+        tree.stats().unwrap().leaf_pages > leaves,
+        "the update split"
+    );
+    assert_eq!(tree.search(10).unwrap(), Some(big));
+    // Abort as `Txn::rollback` does: compensate, then the abort record.
+    tree.undo_update(txn, 10, &old, obr_storage::Lsn::ZERO)
+        .unwrap();
+    sc.db.log().append(&obr_wal::LogRecord::TxnAbort { txn });
+    sc.db.end_txn(txn);
+    tree.validate().unwrap();
+    assert_eq!(tree.collect_all().unwrap(), sc.expected);
+    // Split, update, CLR and abort replay to the same records.
+    sc.db.log().flush_all().unwrap();
+    crash_and_recover(&sc, side, |_| false);
 }
 
 #[test]

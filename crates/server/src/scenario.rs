@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use obr_btree::SidePointerMode;
 use obr_core::{
@@ -478,14 +478,25 @@ fn reorg_under_load(
             wal_budget_bytes: None,
         },
     );
-    let (ops, errors) = fan_out(&rig.addr, opts, n, |c, i, client| {
-        let k = key_for(c, i % n);
-        match i % 3 {
-            0 => client.get(k).map(|_| ()),
-            1 => client.put(k, b"under-reorg"),
-            _ => client.scan(k, k + 16, 32).map(|_| ()),
+    // One round can end inside the daemon's first sleep on a fast machine,
+    // so rounds repeat until it has acted once, for at most about 10 s.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (mut ops, mut errors) = (0, 0);
+    loop {
+        let (o, e) = fan_out(&rig.addr, opts, n, |c, i, client| {
+            let k = key_for(c, i % n);
+            match i % 3 {
+                0 => client.get(k).map(|_| ()),
+                1 => client.put(k, b"under-reorg"),
+                _ => client.scan(k, k + 16, 32).map(|_| ()),
+            }
+        })?;
+        ops += o;
+        errors += e;
+        if !daemon.decisions().is_empty() || Instant::now() >= deadline {
+            break;
         }
-    })?;
+    }
     let decisions = daemon.stop().map_err(|e| format!("daemon: {e}"))?;
     if decisions.is_empty() {
         return Err("reorg-under-load: the daemon never found work on a sparsified tree".into());

@@ -459,11 +459,12 @@ fn handle_request(shared: &Shared, conn: &mut Conn, req: Request) -> Response {
         }
         Request::Put { key, value } => {
             let r = match conn.txn.as_mut() {
-                // Transactional PUT is a strict insert: upsert semantics
-                // would need the read-your-deletes bookkeeping the engine
-                // reserves for explicit update(), so duplicates are typed.
+                // Inside a transaction PUT is a strict insert, and a
+                // duplicate answers KEY_EXISTS with the transaction still
+                // open (PROTOCOL.md). Outside one it is an upsert: one
+                // auto-committed `put` that inserts or replaces in place.
                 Some(t) => t.insert(key, &value),
-                None => upsert(&conn.session, key, &value),
+                None => conn.session.put(key, &value).map(|_| ()),
             };
             match r {
                 Ok(()) => Response::Ok,
@@ -566,23 +567,6 @@ fn handle_request(shared: &Shared, conn: &mut Conn, req: Request) -> Response {
             err(ErrorCode::BadRequest, "unreachable control frame")
         }
     }
-}
-
-/// Outside-transaction PUT: insert, and on a duplicate fall back to
-/// update, all inside one auto-commit transaction.
-fn upsert(session: &Session, key: u64, value: &[u8]) -> Result<(), TxnError> {
-    let mut t = session.begin();
-    match t.insert(key, value) {
-        Ok(()) => {}
-        Err(TxnError::KeyExists(_)) => {
-            t.update(key, value)?;
-        }
-        Err(e) => {
-            let _ = t.abort();
-            return Err(e);
-        }
-    }
-    t.commit()
 }
 
 /// Map an engine error to its wire code. Deadlock and timeout abort the

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use obr_btree::BTreeError;
+use obr_btree::{BTree, BTreeError};
 use obr_core::{CoreError, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_storage::Lsn;
@@ -127,6 +127,15 @@ impl Session {
         let mut txn = self.begin();
         txn.insert(key, value)?;
         txn.commit()
+    }
+
+    /// One-shot upsert: insert, or replace the value in place. Returns the
+    /// value it replaced, if any.
+    pub fn put(&self, key: u64, value: &[u8]) -> TxnResult<Option<Vec<u8>>> {
+        let mut txn = self.begin();
+        let old = txn.put(key, value)?;
+        txn.commit()?;
+        Ok(old)
     }
 
     /// One-shot delete.
@@ -266,46 +275,47 @@ impl Txn {
         Ok(out)
     }
 
-    /// Insert a record (updater protocol).
-    pub fn insert(&mut self, key: u64, value: &[u8]) -> TxnResult<()> {
+    /// The §4.1.3 updater protocol around one tree write: IX on the tree,
+    /// IX lock-coupled onto the leaf, X on the key, then `op` with this
+    /// transaction's undo chain. The LSN it returns extends the chain.
+    fn write<T>(
+        &mut self,
+        key: u64,
+        op: impl FnOnce(&BTree, TxnId, Lsn) -> Result<(Lsn, T), BTreeError>,
+    ) -> TxnResult<T> {
         self.lock_tree(LockMode::IX)?;
-        let leaf = self.couple_to_leaf(key, LockMode::IX)?;
+        self.couple_to_leaf(key, LockMode::IX)?;
         self.db
             .locks()
             .lock(self.owner, ResourceId::Key(key), LockMode::X)?;
-        let _ = leaf;
-        match self.db.tree().insert(self.id, self.prev_lsn, key, value) {
-            Ok(lsn) => {
-                self.note(lsn);
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
+        let (lsn, out) = op(self.db.tree(), self.id, self.prev_lsn)?;
+        self.note(lsn);
+        Ok(out)
+    }
+
+    /// Insert a record (updater protocol).
+    pub fn insert(&mut self, key: u64, value: &[u8]) -> TxnResult<()> {
+        self.write(key, |tree, txn, prev| {
+            Ok((tree.insert(txn, prev, key, value)?, ()))
+        })
     }
 
     /// Delete a record (updater protocol; free-at-empty happens inside the
     /// tree).
     pub fn delete(&mut self, key: u64) -> TxnResult<Vec<u8>> {
-        self.lock_tree(LockMode::IX)?;
-        let leaf = self.couple_to_leaf(key, LockMode::IX)?;
-        self.db
-            .locks()
-            .lock(self.owner, ResourceId::Key(key), LockMode::X)?;
-        let _ = leaf;
-        match self.db.tree().delete(self.id, self.prev_lsn, key) {
-            Ok((lsn, old)) => {
-                self.note(lsn);
-                Ok(old)
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.write(key, |tree, txn, prev| tree.delete(txn, prev, key))
     }
 
-    /// Update a record in place.
+    /// Update a present record in place: one `TxnUpdate`, and the leaf is
+    /// never emptied. Returns the old value.
     pub fn update(&mut self, key: u64, value: &[u8]) -> TxnResult<Vec<u8>> {
-        let old = self.delete(key)?;
-        self.insert(key, value)?;
-        Ok(old)
+        self.write(key, |tree, txn, prev| tree.update(txn, prev, key, value))
+    }
+
+    /// Insert, or update in place when the key is present. Returns the
+    /// value it replaced, if any.
+    pub fn put(&mut self, key: u64, value: &[u8]) -> TxnResult<Option<Vec<u8>>> {
+        self.write(key, |tree, txn, prev| tree.put(txn, prev, key, value))
     }
 
     /// End a transaction that logged no record: it has nothing to make
@@ -526,14 +536,80 @@ mod tests {
         assert_eq!(s.read(2).unwrap(), None);
     }
 
+    /// The record a transaction's last write appended.
+    fn last_record(t: &Txn) -> LogRecord {
+        t.db.log().read(t.prev_lsn).unwrap().unwrap()
+    }
+
     #[test]
     fn update_replaces_value() {
         let s = session();
         s.insert(7, b"old").unwrap();
+        let db = Arc::clone(s.db());
+        let appends = || db.metrics().snapshot().counter("wal_appends");
+        let before = appends();
         let mut t = s.begin();
         assert_eq!(t.update(7, b"new").unwrap(), b"old");
+        assert!(matches!(
+            last_record(&t),
+            LogRecord::TxnUpdate { key: 7, ref old_value, ref new_value, .. }
+                if old_value == b"old" && new_value == b"new"
+        ));
         t.commit().unwrap();
+        assert_eq!(appends(), before + 2, "the update and the commit");
         assert_eq!(s.read(7).unwrap().unwrap(), b"new");
+        // A missing key is refused before anything is written.
+        let mut t = s.begin();
+        assert!(matches!(t.update(8, b"x"), Err(TxnError::KeyNotFound(8))));
+        t.commit().unwrap();
+        assert_eq!(appends(), before + 2);
+    }
+
+    #[test]
+    fn put_inserts_or_updates_in_place() {
+        let s = session();
+        let mut t = s.begin();
+        assert_eq!(t.put(3, b"first").unwrap(), None);
+        assert!(matches!(
+            last_record(&t),
+            LogRecord::TxnInsert { key: 3, .. }
+        ));
+        assert_eq!(
+            t.put(3, b"second").unwrap().as_deref(),
+            Some(b"first".as_slice())
+        );
+        assert!(matches!(
+            last_record(&t),
+            LogRecord::TxnUpdate { key: 3, .. }
+        ));
+        t.commit().unwrap();
+        assert_eq!(
+            s.put(3, b"third").unwrap().as_deref(),
+            Some(b"second".as_slice())
+        );
+        assert_eq!(s.read(3).unwrap().as_deref(), Some(b"third".as_slice()));
+    }
+
+    #[test]
+    fn overwriting_a_leafs_only_record_keeps_the_leaf() {
+        let s = session();
+        // Two 1 500-byte records fill a leaf, so the third splits it and
+        // key 1 is left alone in the left half.
+        for k in 1..=3u64 {
+            s.insert(k, &[k as u8; 1500]).unwrap();
+        }
+        let tree = s.db().tree();
+        let leaf = tree.leaf_for(1).unwrap();
+        let g = s.db().pool().fetch(leaf).unwrap();
+        assert_eq!(obr_btree::LeafRef::new(&g.read()).count(), 1);
+        drop(g);
+        let leaves = tree.stats().unwrap().leaf_pages;
+        let mut t = s.begin();
+        t.update(1, b"small").unwrap();
+        t.commit().unwrap();
+        assert_eq!(tree.stats().unwrap().leaf_pages, leaves, "no free-at-empty");
+        assert_eq!(tree.leaf_for(1).unwrap(), leaf, "updated where it was");
+        assert_eq!(s.read(1).unwrap().as_deref(), Some(b"small".as_slice()));
     }
 
     #[test]

@@ -976,18 +976,9 @@ fn main() {
                 );
             }
             ["put", k, v] => match k.parse::<u64>() {
-                Ok(key) => match session.insert(key, v.as_bytes()) {
-                    Ok(()) => println!("ok"),
-                    Err(TxnError::KeyExists(_)) => {
-                        let mut t = session.begin();
-                        match t.update(key, v.as_bytes()) {
-                            Ok(_) => {
-                                t.commit().ok();
-                                println!("updated");
-                            }
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
+                Ok(key) => match session.put(key, v.as_bytes()) {
+                    Ok(None) => println!("ok"),
+                    Ok(Some(_)) => println!("updated"),
                     Err(e) => println!("error: {e}"),
                 },
                 Err(_) => println!("bad key"),

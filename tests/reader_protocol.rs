@@ -234,7 +234,7 @@ fn reads_scans_and_updates_racing_the_reorganizer_match_the_model() {
                     assert_eq!(got, want, "op {ops}: scan({key}, {hi})");
                 }
                 6..=7 => match model.get(&key).copied() {
-                    // Overwrite: delete + insert in one transaction.
+                    // Overwrite: one in-place update in one transaction.
                     Some(v) => {
                         settled(|| {
                             let mut t = session.begin();

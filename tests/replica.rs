@@ -116,6 +116,25 @@ fn every_feed_and_restart_recovery_replay_to_the_same_pages() {
     t.insert(5000, b"rolled back").unwrap();
     t.update(4, b"rolled back").unwrap();
     t.abort().unwrap();
+    // The history holds in-place updates and a CLR that undoes one: the
+    // live and shipped feeds replay both kinds, and the file-only feeds
+    // start from pages that hold their effects.
+    let log = db.log().records_from(Lsn(1)).unwrap();
+    let undone = log.iter().find_map(|(_, r)| match r {
+        obr_wal::LogRecord::TxnUpdate {
+            txn,
+            key: 4,
+            prev_lsn,
+            ..
+        } => Some((*txn, *prev_lsn)),
+        _ => None,
+    });
+    let (txn, prev) = undone.expect("the rolled-back update is a TxnUpdate");
+    assert!(log.iter().any(|(_, r)| matches!(
+        r,
+        obr_wal::LogRecord::Clr { txn: t, reinsert: true, key: 4, undo_next, .. }
+            if *t == txn && *undo_next == prev
+    )));
     follow(&mut client);
 
     Reorganizer::new(Arc::clone(&db), ReorgConfig::default())
