@@ -45,6 +45,7 @@ use obr_wal::{LogRecord, MovePayload, Pass3State, ReorgKind, TxnId, UnitId};
 use crate::db::Database;
 use crate::error::{CoreError, CoreResult};
 use crate::pass3::Pass3Observer;
+use crate::reorg::{modify_base, set_siblings};
 use crate::sidefile::{SideEntry, SideOp, SIDE_FILE_PAGE};
 
 /// What recovery did — the E5 metrics.
@@ -819,15 +820,15 @@ fn complete_unit(
                 if records.is_empty() {
                     continue;
                 }
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgMove {
-                    unit: info.unit,
-                    org,
-                    dest,
-                    payload: MovePayload::Records(records.clone()),
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
+                let lsn =
+                    db.reorg_table()
+                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+                            unit: info.unit,
+                            org,
+                            dest,
+                            payload: MovePayload::Records(records.clone()),
+                            prev_lsn,
+                        });
                 {
                     let dg = pool.fetch(dest)?;
                     let mut dpage = dg.write();
@@ -857,50 +858,14 @@ fn complete_unit(
                     }
                 }
             }
-            // Finish the MODIFY on each base page.
+            // Finish the MODIFY on each base page. One whose entries name
+            // no source has it durable already, or is not the unit's base.
             for &base in &info.base_pages {
                 let bg = pool.fetch(base)?;
                 let mut bpage = bg.write();
-                if bpage.page_type() != Some(PageType::Internal) {
-                    continue;
+                if bpage.page_type() == Some(PageType::Internal) {
+                    modify_base(db, info.unit, base, &mut bpage, &sources, dest)?;
                 }
-                let entries = NodeRef::new(&bpage).entries();
-                let stale: Vec<(u64, PageId)> = entries
-                    .iter()
-                    .copied()
-                    .filter(|(_, c)| sources.contains(c))
-                    .collect();
-                let has_dest = entries.iter().any(|(_, c)| *c == dest);
-                if stale.is_empty() && has_dest {
-                    continue; // MODIFY already durable
-                }
-                let Some(entry_key) = stale.iter().map(|(k, _)| *k).min() else {
-                    continue; // nothing stale and no dest: not our base
-                };
-                let new_entries = if has_dest {
-                    Vec::new()
-                } else {
-                    vec![(entry_key, dest)]
-                };
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgModify {
-                    unit: info.unit,
-                    base_page: base,
-                    old_entries: stale.clone(),
-                    new_entries: new_entries.clone(),
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                let mut node = NodeView::new(&mut bpage);
-                for (k, _) in &stale {
-                    node.remove_entry(*k);
-                }
-                for (k, c) in &new_entries {
-                    if node.set_child(*k, *c).is_err() {
-                        node.insert_entry(*k, *c)?;
-                    }
-                }
-                bpage.set_lsn(lsn);
             }
         }
         ReorgKind::Swap => {
@@ -934,15 +899,15 @@ fn complete_unit(
                         let mut bpage = bg.write();
                         let entry = NodeRef::new(&bpage).entry_for(key);
                         if let Some((k, old_child)) = entry {
-                            let prev = db.reorg_table().recent_lsn();
-                            let lsn = db.log().append(&LogRecord::ReorgModify {
-                                unit: info.unit,
-                                base_page: base,
-                                old_entries: vec![(k, old_child)],
-                                new_entries: vec![(k, leaf)],
-                                prev_lsn: prev,
+                            let lsn = db.reorg_table().append_to_unit(db.log(), |prev_lsn| {
+                                LogRecord::ReorgModify {
+                                    unit: info.unit,
+                                    base_page: base,
+                                    old_entries: vec![(k, old_child)],
+                                    new_entries: vec![(k, leaf)],
+                                    prev_lsn,
+                                }
                             });
-                            db.reorg_table().advance(lsn);
                             NodeView::new(&mut bpage)
                                 .set_child(k, leaf)
                                 .map_err(CoreError::Storage)?;
@@ -976,42 +941,17 @@ fn repair_side_chain(db: &Arc<Database>, unit: UnitId) -> CoreResult<()> {
     }
     let two_way = tree.side_mode() == obr_btree::SidePointerMode::TwoWay;
     let leaves = tree.leaves_in_key_order()?;
-    let pool = db.pool();
     for (i, &leaf) in leaves.iter().enumerate() {
-        let want_right = if i + 1 == leaves.len() {
-            PageId::INVALID
-        } else {
-            leaves[i + 1]
-        };
-        let g = pool.fetch(leaf)?;
-        let mut page = g.write();
-        if page.page_type() != Some(PageType::Leaf) {
-            continue;
-        }
-        let old = (page.left_sibling(), page.right_sibling());
-        let want_left = if !two_way {
-            old.0
-        } else if i == 0 {
+        let want_left = if i == 0 {
             PageId::INVALID
         } else {
             leaves[i - 1]
         };
-        if old != (want_left, want_right) {
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgSidePtr {
-                unit,
-                page: leaf,
-                old_left: old.0,
-                old_right: old.1,
-                new_left: want_left,
-                new_right: want_right,
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
-            page.set_left_sibling(want_left);
-            page.set_right_sibling(want_right);
-            page.set_lsn(lsn);
-        }
+        let want_right = leaves.get(i + 1).copied().unwrap_or(PageId::INVALID);
+        // One-way chains keep whatever their left links hold.
+        set_siblings(db, unit, leaf, |left, _| {
+            (if two_way { want_left } else { left }, want_right)
+        })?;
     }
     Ok(())
 }

@@ -4,9 +4,12 @@
 //! leaves under one base page into one destination filled to the target fill
 //! factor `f2` — `Copying-Switching` into a well-placed empty page when
 //! `Find-Free-Space` finds one, `In-Place-Reorg` otherwise. Pass 2
-//! (`Swapping-Moving`, optional) swaps/moves the compacted leaves into
-//! physically contiguous key order. Pass 3 (§7) rebuilds the upper levels
-//! new-place behind a side file and switches trees.
+//! (`Swapping-Moving`, optional) puts the compacted leaves into physically
+//! contiguous key order: a leaf whose target page is free moves there in a
+//! one-leaf Move unit — the very unit pass 1 runs for copy-and-switch — and
+//! a leaf whose target holds another leaf swaps with it. Pass 3 (§7)
+//! rebuilds the upper levels new-place behind a side file and switches
+//! trees.
 //!
 //! Each unit follows the §4.1.1 reorganizer protocol: IX on the tree lock,
 //! S then R on the base page(s), RX on the unit's leaves (and X on
@@ -14,7 +17,11 @@
 //! records so deadlock-induced undo is rare), move records, upgrade the base
 //! locks to X for the short MODIFY, release. Units log
 //! BEGIN/MOVE/MODIFY/END per §5; at a deadlock the reorganizer is the
-//! victim and the unit is undone via compensating moves (§5.2).
+//! victim and the unit is undone via compensating moves (§5.2), then
+//! retried. Each step is written once: every unit record is chained by
+//! [`obr_wal::ReorgStateTable::append_to_unit`], every side-pointer change
+//! goes through `set_siblings`, and the Compact/Move MODIFY is
+//! `modify_base`, which Forward Recovery shares.
 
 use obr_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +32,7 @@ use obr_btree::leaf::LEAF_BODY;
 use obr_btree::{LeafRef, LeafView, NodeRef, NodeView, SmoGuard};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
-use obr_storage::{Lsn, Page, PageId, PageType, PAGE_SIZE};
+use obr_storage::{Page, PageId, PageType, PAGE_SIZE};
 use obr_wal::{LogRecord, MovePayload, ReorgKind, UnitId};
 
 use crate::db::Database;
@@ -221,8 +228,19 @@ struct MoveJournal {
 }
 
 /// One planned pass-1 unit: the base page, the `(entry key, leaf)` group,
-/// the group's total record bytes, and the largest record key covered.
-type PlannedGroup = (PageId, Vec<(u64, PageId)>, usize, Option<u64>);
+/// and the largest record key covered.
+type PlannedGroup = (PageId, Vec<(u64, PageId)>, Option<u64>);
+
+/// What one Compact or Move unit did.
+struct UnitDone {
+    /// The largest key the unit covered: pass 1 resumes after it.
+    largest_key: u64,
+    /// Source leaves emptied and freed; 0 when the re-measure under the
+    /// unit's locks left nothing to do, and the unit logged nothing.
+    freed: u64,
+    /// The destination was one of the group's own leaves.
+    in_place: bool,
+}
 
 /// The reorganizer. One instance runs the whole three-pass algorithm as a
 /// single background process (the paper's design: less overhead than one
@@ -409,8 +427,7 @@ impl Reorganizer {
                 return Ok(()); // a root leaf has nothing to compact
             }
             // Snapshot the base page and its candidate entries.
-            let Some((base, group, group_bytes, last_key)) = self.plan_group(cur_key, budget)?
-            else {
+            let Some((base, group, last_key)) = self.plan_group(cur_key, budget)? else {
                 return Ok(()); // past the last key: pass 1 done
             };
             if group.len() < 2 {
@@ -427,12 +444,14 @@ impl Reorganizer {
                 continue;
             }
             let first_leaf = group[0].1;
-            let dest = match self.find_free_space(largest_done, first_leaf, group_bytes) {
-                Some(empty) => empty,
-                None => first_leaf,
-            };
-            let largest_key = match self.run_unit_with_retries(base, &group, dest) {
-                Ok(k) => k,
+            let dest = self
+                .find_free_space(largest_done, first_leaf)
+                .unwrap_or(first_leaf);
+            let unit = self.with_retries(format_args!("unit on base {base}"), || {
+                self.move_unit(1, base, &group, dest)
+            });
+            let done = match unit {
+                Ok(done) => done,
                 Err(e) => {
                     // Return the reserved empty page on give-up; skip for
                     // injected crashes (which model power loss, where the
@@ -443,11 +462,21 @@ impl Reorganizer {
                     return Err(e);
                 }
             };
+            if done.freed > 0 {
+                let cm = self.db.core_metrics();
+                if done.in_place {
+                    self.stats.lock().inplace_units += 1;
+                    cm.units_inplace.inc();
+                } else {
+                    self.stats.lock().copy_switch_units += 1;
+                    cm.units_copy_switch.inc();
+                }
+            }
             largest_done = Some(match largest_done {
                 Some(l) => l.max(dest),
                 None => dest,
             });
-            let next = largest_key.saturating_add(1);
+            let next = done.largest_key.saturating_add(1);
             if next <= cur_key {
                 return Ok(()); // frontier cannot advance: done
             }
@@ -457,12 +486,7 @@ impl Reorganizer {
 
     /// `Find-Free-Space` (§6.1 / Figure 2) under the configured policy.
     /// Returns a *reserved* empty page, or `None` for in-place compaction.
-    fn find_free_space(
-        &self,
-        largest_done: Option<PageId>,
-        current: PageId,
-        _bytes: usize,
-    ) -> Option<PageId> {
+    fn find_free_space(&self, largest_done: Option<PageId>, current: PageId) -> Option<PageId> {
         let fsm = self.db.fsm();
         match self.cfg.placement {
             PlacementPolicy::InPlaceOnly => None,
@@ -554,7 +578,7 @@ impl Reorganizer {
                 }
                 if group.is_empty() && used >= budget {
                     // Already at/above target fill: nothing to gain.
-                    return Ok(Some((base, vec![(k, leaf)], used, r.last_key())));
+                    return Ok(Some((base, vec![(k, leaf)], r.last_key())));
                 }
                 bytes += used;
                 if let Some(lk) = r.last_key() {
@@ -575,7 +599,7 @@ impl Reorganizer {
                 probe = last_key.max(probe).saturating_add(1);
                 continue;
             }
-            return Ok(Some((base, group, bytes, last_rec_key)));
+            return Ok(Some((base, group, last_rec_key)));
         }
         Err(CoreError::TooManyRetries("plan_group probing".into()))
     }
@@ -601,32 +625,32 @@ impl Reorganizer {
         Ok((lo, hi))
     }
 
-    fn run_unit_with_retries(
+    /// Run `unit` until it gets through without losing a deadlock. The
+    /// reorganizer is always the victim (§4.1): after each deadlock or lock
+    /// timeout it drops every lock, backs off so user transactions can
+    /// drain, and tries again; after `max_unit_retries` retries it gives up
+    /// with `TooManyRetries`, naming the unit as `what`.
+    fn with_retries<T>(
         &self,
-        base: PageId,
-        group: &[(u64, PageId)],
-        dest: PageId,
-    ) -> CoreResult<u64> {
+        what: std::fmt::Arguments<'_>,
+        mut unit: impl FnMut() -> CoreResult<T>,
+    ) -> CoreResult<T> {
         let mut attempt = 0;
         loop {
-            match self.compaction_unit(base, group, dest) {
-                Ok(k) => return Ok(k),
-                Err(CoreError::Lock(LockError::Deadlock))
-                | Err(CoreError::Lock(LockError::Timeout)) => {
+            match unit() {
+                Err(CoreError::Lock(LockError::Deadlock | LockError::Timeout)) => {
                     attempt += 1;
                     self.stats.lock().deadlock_retries += 1;
                     self.db.core_metrics().deadlock_retries.inc();
                     self.db.locks().release_all(self.owner);
                     if attempt > self.cfg.max_unit_retries {
                         return Err(CoreError::TooManyRetries(format!(
-                            "unit on base {base} after {attempt} deadlocks"
+                            "{what} after {attempt} deadlocks"
                         )));
                     }
-                    // The reorganizer is always the victim (§4.1); back off
-                    // so user transactions can drain before the retry.
                     std::thread::sleep(std::time::Duration::from_millis(2 * attempt as u64));
                 }
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
     }
@@ -685,18 +709,21 @@ impl Reorganizer {
         Ok((left, right))
     }
 
-    /// One pass-1 reorganization unit: compact `group` (children of `base`,
-    /// in key order) into `dest`. `dest` is either `group[0].1` (in-place)
-    /// or a reserved empty page (copy-and-switch). Returns the largest key
-    /// processed.
-    fn compaction_unit(
+    /// One Compact or Move unit (§5): move the records of `group` (children
+    /// of `base`, in key order) into `dest` and repoint `base`. `dest` is
+    /// `group[0].1` for pass 1's in-place compaction, or a reserved empty
+    /// page for pass 1's copy-and-switch and for pass 2's move of a
+    /// one-leaf group. `pass` labels the trace events.
+    fn move_unit(
         &self,
+        pass: u8,
         base: PageId,
         group: &[(u64, PageId)],
         dest: PageId,
-    ) -> CoreResult<u64> {
+    ) -> CoreResult<UnitDone> {
         let db = &self.db;
         let tree = db.tree();
+        let pool = db.pool();
         let locks = db.locks();
         let owner = self.owner;
         let in_place = group.iter().any(|&(_, l)| l == dest);
@@ -717,57 +744,63 @@ impl Reorganizer {
             locks.lock(owner, ResourceId::Page(dest.0), LockMode::RX)?;
         }
         // Re-measure under RX (updaters are now blocked from these leaves):
-        // concurrent inserts since planning may have grown the group past
-        // one page, in which case the tail of the group is dropped (those
-        // leaves are simply re-planned by the next unit).
-        let mut trimmed: Vec<(u64, PageId)> = Vec::new();
-        {
-            let pool = db.pool();
-            let mut bytes = 0usize;
-            for &(k, leaf) in group {
-                let usable = {
-                    let g = pool.fetch(leaf)?;
-                    let page = g.read();
-                    if page.page_type() == Some(PageType::Leaf) {
-                        Some(LeafRef::new(&page).used_bytes())
-                    } else {
-                        None // deallocated since planning
-                    }
-                };
-                match usable {
-                    Some(used) if trimmed.is_empty() || bytes + used <= LEAF_BODY => {
-                        bytes += used;
-                        trimmed.push((k, leaf));
-                    }
-                    _ => {
-                        locks.unlock(owner, ResourceId::Page(leaf.0));
-                    }
-                }
+        // keep the prefix of the group whose leaves are still leaves, still
+        // named by the locked base, and still fit one page together. The
+        // rest is left to a later unit.
+        let named = {
+            let g = pool.fetch(base)?;
+            let page = g.read();
+            if page.page_type() == Some(PageType::Internal) {
+                NodeRef::new(&page).entries()
+            } else {
+                Vec::new()
             }
+        };
+        let mut kept = 0;
+        let mut bytes = 0usize;
+        for &(_, leaf) in group {
+            if !named.iter().any(|&(_, c)| c == leaf) {
+                break;
+            }
+            let g = pool.fetch(leaf)?;
+            let page = g.read();
+            if page.page_type() != Some(PageType::Leaf) {
+                break;
+            }
+            let used = LeafRef::new(&page).used_bytes();
+            if kept > 0 && bytes + used > LEAF_BODY {
+                break;
+            }
+            bytes += used;
+            kept += 1;
         }
-        if trimmed.len() < 2 {
-            // Nothing left worth compacting under this parent right now.
-            let last = trimmed.first().map(|&(_, l)| l);
-            let largest = match last {
-                Some(l) => {
-                    let g = db.pool().fetch(l)?;
-                    let page = g.read();
-                    if page.page_type() == Some(PageType::Leaf) {
-                        LeafRef::new(&page).last_key().unwrap_or(0)
-                    } else {
-                        0
-                    }
-                }
-                None => 0,
-            };
+        for &(_, leaf) in &group[kept..] {
+            locks.unlock(owner, ResourceId::Page(leaf.0));
+        }
+        if kept < group.len().min(2) {
+            // Nothing left worth moving under this base right now.
+            let mut largest_key = group.iter().map(|&(k, _)| k).max().unwrap_or(0);
+            if kept > 0 {
+                let g = pool.fetch(group[0].1)?;
+                let last = LeafRef::new(&g.read()).last_key();
+                largest_key = largest_key.max(last.unwrap_or(0));
+            }
             locks.release_all(owner);
             if !in_place {
                 db.fsm().free(dest); // return the reserved empty page
             }
-            return Ok(largest.max(group.iter().map(|&(k, _)| k).max().unwrap_or(0)));
+            return Ok(UnitDone {
+                largest_key,
+                freed: 0,
+                in_place,
+            });
         }
-        let group: &[(u64, PageId)] = &trimmed;
-        let in_place = group.iter().any(|&(_, l)| l == dest);
+        let group = &group[..kept];
+        let sources: Vec<PageId> = group
+            .iter()
+            .map(|&(_, l)| l)
+            .filter(|&l| l != dest)
+            .collect();
         // Side-pointer neighbours (§4.3): may be children of other base
         // pages, so X rather than RX; locked and re-verified so no split
         // slips a leaf in between.
@@ -797,7 +830,7 @@ impl Reorganizer {
         db.tracer().emit(
             TraceKind::UnitBegin,
             unit.0,
-            1,
+            pass,
             u64::from(base.0),
             if in_place { 0 } else { u64::from(dest.0) },
             group.len() as u64,
@@ -808,7 +841,6 @@ impl Reorganizer {
         let mut largest_key = 0u64;
         let move_result: CoreResult<()> = (|| {
             let _g = tree.smo_guard();
-            let pool = db.pool();
             if !in_place {
                 // Initialize the destination as a fresh leaf.
                 let dg = pool.fetch_new(dest)?;
@@ -816,7 +848,6 @@ impl Reorganizer {
                 LeafView::init(&mut dpage);
                 dpage.set_low_mark(group[0].0);
             }
-            let mut first_move = true;
             for &(_, org) in group {
                 if org == dest {
                     let g = pool.fetch(org)?;
@@ -840,23 +871,17 @@ impl Reorganizer {
                     }
                     LogStrategy::FullRecords => MovePayload::Records(records.clone()),
                 };
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgMove {
-                    unit,
-                    org,
-                    dest,
-                    payload,
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                {
-                    let mut dleaf = LeafView::new(&mut dpage);
-                    dleaf.extend(&records)?;
-                }
-                {
-                    let mut oleaf = LeafView::new(&mut opage);
-                    oleaf.take_all();
-                }
+                let lsn =
+                    db.reorg_table()
+                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+                            unit,
+                            org,
+                            dest,
+                            payload,
+                            prev_lsn,
+                        });
+                LeafView::new(&mut dpage).extend(&records)?;
+                LeafView::new(&mut opage).take_all();
                 opage.set_lsn(lsn);
                 dpage.set_lsn(lsn);
                 if self.cfg.log_strategy == LogStrategy::KeysOnly {
@@ -868,27 +893,29 @@ impl Reorganizer {
                 db.tracer().emit(
                     TraceKind::UnitMove,
                     unit.0,
-                    1,
+                    pass,
                     u64::from(org.0),
                     u64::from(dest.0),
                     records.len() as u64,
                 );
+                let first_move = journal.is_empty();
                 journal.push(MoveJournal { org, dest, records });
                 if first_move {
-                    first_move = false;
                     self.check_fail(FailSite::AfterFirstMove)?;
                 }
             }
-            // Side pointers around the new chain position of dest.
-            self.fix_chain_after_compact(unit, group, dest, left_n, right_n)?;
-            Ok(())
+            // Side pointers around the new chain position of dest:
+            // `left_n <-> dest <-> right_n`.
+            set_siblings(db, unit, dest, |_, _| (left_n, right_n))?;
+            set_siblings(db, unit, left_n, |l, _| (l, dest))?;
+            set_siblings(db, unit, right_n, |_, r| (dest, r))
         })();
         if let Err(e) = move_result {
             if matches!(e, CoreError::InjectedCrash(_)) {
                 return Err(e); // the "crash" leaves everything in place
             }
             self.undo_moves(&tree.smo_guard(), unit, &journal)?;
-            self.close_undone_unit(unit);
+            self.close_undone_unit(unit, pass);
             return Err(e);
         }
         self.check_fail(FailSite::BeforeModify)?;
@@ -902,85 +929,45 @@ impl Reorganizer {
             {
                 let smo = tree.smo_guard();
                 self.undo_moves(&smo, unit, &journal)?;
-                let mut prev = left_n;
-                for &(_, leaf) in group {
-                    self.stitch(unit, prev, leaf)?;
-                    prev = leaf;
+                let chain: Vec<PageId> = std::iter::once(left_n)
+                    .chain(group.iter().map(|&(_, l)| l))
+                    .chain(std::iter::once(right_n))
+                    .collect();
+                for pair in chain.windows(2) {
+                    let (left, right) = (pair[0], pair[1]);
+                    set_siblings(db, unit, left, |l, _| (l, right))?;
+                    set_siblings(db, unit, right, |_, r| (left, r))?;
                 }
-                self.stitch(unit, prev, right_n)?;
             }
-            self.close_undone_unit(unit);
+            self.close_undone_unit(unit, pass);
             return Err(e.into());
         }
         {
             let _g = tree.smo_guard();
-            let pool = db.pool();
             let bg = pool.fetch(base)?;
             let mut bpage = bg.write();
-            // Derive the MODIFY from the live base contents: remove every
-            // entry still pointing at an emptied source, register dest under
-            // the smallest of those keys unless it is already present.
-            let entries = NodeRef::new(&bpage).entries();
-            let sources: Vec<PageId> = group
-                .iter()
-                .map(|&(_, l)| l)
-                .filter(|&l| l != dest)
-                .collect();
-            let old_entries: Vec<(u64, PageId)> = entries
-                .iter()
-                .copied()
-                .filter(|(_, c)| sources.contains(c))
-                .collect();
-            let has_dest = entries.iter().any(|(_, c)| *c == dest);
-            let entry_key = old_entries
-                .iter()
-                .map(|(k, _)| *k)
-                .min()
-                .unwrap_or(group[0].0);
-            let new_entries = if has_dest {
-                Vec::new()
-            } else {
-                vec![(entry_key, dest)]
-            };
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgModify {
-                unit,
-                base_page: base,
-                old_entries: old_entries.clone(),
-                new_entries: new_entries.clone(),
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
-            let mut node = NodeView::new(&mut bpage);
-            for (k, _) in &old_entries {
-                node.remove_entry(*k);
-            }
-            for (k, c) in &new_entries {
-                node.insert_entry(*k, *c)
-                    .map_err(|e| CoreError::Recovery(format!("MODIFY insert failed: {e}")))?;
-            }
-            bpage.set_lsn(lsn);
+            // The re-measure saw every source named by the locked base.
+            let (dropped, added) = modify_base(db, unit, base, &mut bpage, &sources, dest)?
+                .ok_or_else(|| {
+                    CoreError::Recovery(format!("base {base} names no source of {unit:?}"))
+                })?;
             db.tracer().emit(
                 TraceKind::UnitModify,
                 unit.0,
-                1,
+                pass,
                 u64::from(base.0),
-                old_entries.len() as u64,
-                new_entries.len() as u64,
+                dropped as u64,
+                added as u64,
             );
         }
         self.check_fail(FailSite::BeforeEnd)?;
         // --- Deallocate emptied sources (careful writing: dest first). ---
-        let pool = db.pool();
         pool.flush_page(dest)?;
-        let mut freed = 0;
-        for &(_, org) in group {
-            if org != dest {
-                pool.discard(org);
-                db.fsm().free(org);
-                freed += 1;
-            }
+        for &org in &sources {
+            pool.discard(org);
+            db.fsm().free(org);
         }
+        let freed = sources.len() as u64;
         // --- END. ---
         #[cfg(debug_assertions)]
         self.debug_assert_unit_outcome(&[base], &[dest]);
@@ -991,29 +978,23 @@ impl Reorganizer {
             let mut st = self.stats.lock();
             st.units += 1;
             st.pages_freed += freed;
-            if in_place {
-                st.inplace_units += 1;
-            } else {
-                st.copy_switch_units += 1;
-            }
         }
         let cm = db.core_metrics();
         cm.units_completed.inc();
         cm.pages_freed.add(freed);
-        if in_place {
-            cm.units_inplace.inc();
-        } else {
-            cm.units_copy_switch.inc();
-        }
         db.tracer().emit(
             TraceKind::UnitEnd,
             unit.0,
-            1,
+            pass,
             u64::from(base.0),
             largest_key,
             freed,
         );
-        Ok(largest_key)
+        Ok(UnitDone {
+            largest_key,
+            freed,
+            in_place,
+        })
     }
 
     /// Debug-build invariant hook, called at a unit boundary: END is about
@@ -1041,117 +1022,6 @@ impl Reorganizer {
         }
     }
 
-    /// Stitch the side-pointer chain after compaction: `left_n <-> dest <->
-    /// right_n`, logging one SIDEPTR record per changed page.
-    fn fix_chain_after_compact(
-        &self,
-        unit: UnitId,
-        group: &[(u64, PageId)],
-        dest: PageId,
-        left_n: PageId,
-        right_n: PageId,
-    ) -> CoreResult<()> {
-        let db = &self.db;
-        let pool = db.pool();
-        let log_side =
-            |page: PageId, old: (PageId, PageId), new: (PageId, PageId)| -> CoreResult<Lsn> {
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgSidePtr {
-                    unit,
-                    page,
-                    old_left: old.0,
-                    old_right: old.1,
-                    new_left: new.0,
-                    new_right: new.1,
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                Ok(lsn)
-            };
-        {
-            let dg = pool.fetch(dest)?;
-            let mut dpage = dg.write();
-            let old = (dpage.left_sibling(), dpage.right_sibling());
-            let new = (left_n, right_n);
-            if old != new {
-                let lsn = log_side(dest, old, new)?;
-                dpage.set_left_sibling(left_n);
-                dpage.set_right_sibling(right_n);
-                dpage.set_lsn(lsn);
-            }
-        }
-        if left_n.is_valid() {
-            let g = pool.fetch(left_n)?;
-            let mut page = g.write();
-            let old = (page.left_sibling(), page.right_sibling());
-            if old.1 != dest {
-                let lsn = log_side(left_n, old, (old.0, dest))?;
-                page.set_right_sibling(dest);
-                page.set_lsn(lsn);
-            }
-        }
-        if right_n.is_valid() {
-            let g = pool.fetch(right_n)?;
-            let mut page = g.write();
-            let old = (page.left_sibling(), page.right_sibling());
-            if old.0 != dest {
-                let lsn = log_side(right_n, old, (dest, old.1))?;
-                page.set_left_sibling(dest);
-                page.set_lsn(lsn);
-            }
-        }
-        let _ = group;
-        Ok(())
-    }
-
-    /// Point `left.right = right` and `right.left = left` (when valid),
-    /// logging SIDEPTR records — chain restoration after an undo.
-    fn stitch(&self, unit: UnitId, left: PageId, right: PageId) -> CoreResult<()> {
-        let db = &self.db;
-        let pool = db.pool();
-        if left.is_valid() {
-            let g = pool.fetch(left)?;
-            let mut page = g.write();
-            let old = (page.left_sibling(), page.right_sibling());
-            if old.1 != right {
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgSidePtr {
-                    unit,
-                    page: left,
-                    old_left: old.0,
-                    old_right: old.1,
-                    new_left: old.0,
-                    new_right: right,
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                page.set_right_sibling(right);
-                page.set_lsn(lsn);
-            }
-        }
-        if right.is_valid() {
-            let g = pool.fetch(right)?;
-            let mut page = g.write();
-            let old = (page.left_sibling(), page.right_sibling());
-            if old.0 != left {
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgSidePtr {
-                    unit,
-                    page: right,
-                    old_left: old.0,
-                    old_right: old.1,
-                    new_left: left,
-                    new_right: old.1,
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                page.set_left_sibling(left);
-                page.set_lsn(lsn);
-            }
-        }
-        Ok(())
-    }
-
     /// §5.2: undo a unit's moves via compensating MOVE records. The unit
     /// stays open so callers can log chain repairs (SIDEPTR) inside it;
     /// follow with [`Self::close_undone_unit`]. The caller passes its SMO
@@ -1170,15 +1040,15 @@ impl Reorganizer {
             let dg = pool.fetch(m.dest)?;
             let mut opage = og.write();
             let mut dpage = dg.write();
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgMove {
-                unit,
-                org: m.dest,
-                dest: m.org,
-                payload: MovePayload::Records(m.records.clone()),
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
+            let lsn = db
+                .reorg_table()
+                .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+                    unit,
+                    org: m.dest,
+                    dest: m.org,
+                    payload: MovePayload::Records(m.records.clone()),
+                    prev_lsn,
+                });
             {
                 let mut dleaf = LeafView::new(&mut dpage);
                 for (k, _) in &m.records {
@@ -1199,7 +1069,7 @@ impl Reorganizer {
 
     /// END an undone unit: it completed with net-zero effect; largest_key 0
     /// cannot regress LK (finish keeps the max).
-    fn close_undone_unit(&self, unit: UnitId) {
+    fn close_undone_unit(&self, unit: UnitId, pass: u8) {
         self.db.log().append(&LogRecord::ReorgEnd {
             unit,
             largest_key: 0,
@@ -1209,7 +1079,7 @@ impl Reorganizer {
         self.db.core_metrics().units_undone.inc();
         self.db
             .tracer()
-            .emit(TraceKind::UnitUndo, unit.0, 0, 0, 0, 0);
+            .emit(TraceKind::UnitUndo, unit.0, pass, 0, 0, 0);
     }
 
     // ------------------------------------------------------------------
@@ -1251,14 +1121,25 @@ impl Reorganizer {
                 continue;
             }
             if fsm.allocate_specific(target) {
-                match self.move_unit_with_retries(leaf, target) {
-                    Ok(()) => leaves[i] = target,
+                // A one-leaf Move unit into the reserved free page.
+                let moved = self.with_retries(format_args!("move {leaf}->{target}"), || {
+                    let (base, entry_key) = self.base_of_leaf(leaf)?;
+                    self.move_unit(2, base, &[(entry_key, leaf)], target)
+                });
+                match moved {
+                    Ok(done) if done.freed > 0 => {
+                        leaves[i] = target;
+                        self.stats.lock().moves += 1;
+                        self.db.core_metrics().pass2_moves.inc();
+                    }
+                    // The leaf was not under the base its key led to; the
+                    // unit logged nothing and returned `target`.
+                    Ok(_) => {}
                     Err(CoreError::TooManyRetries(_)) => {
                         // Leave this leaf where it is; §3 allows "not
                         // necessarily a perfectly ordered" result.
                         fsm.free(target);
                         self.stats.lock().skipped_placements += 1;
-                        continue;
                     }
                     Err(e) => return Err(e),
                 }
@@ -1271,21 +1152,25 @@ impl Reorganizer {
                 };
                 let occupied_by_ours = leaves.iter().position(|&l| l == target);
                 match (occupant_is_leaf, occupied_by_ours) {
-                    (true, Some(j)) if j > i => match self.swap_unit_with_retries(leaf, target) {
-                        Ok(()) => {
-                            leaves[j] = leaf;
-                            leaves[i] = target;
+                    (true, Some(j)) if j > i => {
+                        let swapped = self
+                            .with_retries(format_args!("swap {leaf}<->{target}"), || {
+                                self.swap_leaf_unit(leaf, target)
+                            });
+                        match swapped {
+                            Ok(()) => {
+                                leaves[j] = leaf;
+                                leaves[i] = target;
+                            }
+                            Err(CoreError::TooManyRetries(_)) => {
+                                self.stats.lock().skipped_placements += 1;
+                            }
+                            Err(e) => return Err(e),
                         }
-                        Err(CoreError::TooManyRetries(_)) => {
-                            self.stats.lock().skipped_placements += 1;
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    },
+                    }
                     _ => {
                         // An internal/meta page sits in the leaf region (or
                         // a foreign leaf): leave this leaf where it is.
-                        continue;
                     }
                 }
             }
@@ -1293,57 +1178,15 @@ impl Reorganizer {
         Ok(())
     }
 
-    fn move_unit_with_retries(&self, src: PageId, target: PageId) -> CoreResult<()> {
-        let mut attempt = 0;
-        loop {
-            match self.move_leaf_unit(src, target) {
-                Ok(()) => return Ok(()),
-                Err(CoreError::Lock(LockError::Deadlock))
-                | Err(CoreError::Lock(LockError::Timeout)) => {
-                    attempt += 1;
-                    self.stats.lock().deadlock_retries += 1;
-                    self.db.core_metrics().deadlock_retries.inc();
-                    self.db.locks().release_all(self.owner);
-                    if attempt > self.cfg.max_unit_retries {
-                        return Err(CoreError::TooManyRetries(format!(
-                            "move {src}->{target} after {attempt} deadlocks"
-                        )));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2 * attempt as u64));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn swap_unit_with_retries(&self, a: PageId, b: PageId) -> CoreResult<()> {
-        let mut attempt = 0;
-        loop {
-            match self.swap_leaf_unit(a, b) {
-                Ok(()) => return Ok(()),
-                Err(CoreError::Lock(LockError::Deadlock))
-                | Err(CoreError::Lock(LockError::Timeout)) => {
-                    attempt += 1;
-                    self.stats.lock().deadlock_retries += 1;
-                    self.db.core_metrics().deadlock_retries.inc();
-                    self.db.locks().release_all(self.owner);
-                    if attempt > self.cfg.max_unit_retries {
-                        return Err(CoreError::TooManyRetries(format!(
-                            "swap {a}<->{b} after {attempt} deadlocks"
-                        )));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2 * attempt as u64));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn base_of_leaf(&self, leaf: PageId) -> CoreResult<PageId> {
+    /// The base page a descent by `leaf`'s first key (its low mark when it
+    /// is empty) reaches, and the key of that base's entry for `leaf` (the
+    /// probe key when it has none). Neither is verified — the low mark is
+    /// historical, so the descent may land left of the leaf — and the unit
+    /// re-checks both under its locks.
+    fn base_of_leaf(&self, leaf: PageId) -> CoreResult<(PageId, u64)> {
         let tree = self.db.tree();
-        let pool = self.db.pool();
         let key = {
-            let g = pool.fetch(leaf)?;
+            let g = self.db.pool().fetch(leaf)?;
             let page = g.read();
             LeafRef::new(&page).first_key().unwrap_or(page.low_mark())
         };
@@ -1351,177 +1194,13 @@ impl Reorganizer {
         if path.len() < 2 {
             return Err(CoreError::Recovery(format!("leaf {leaf} has no base page")));
         }
-        // The descent is by key; verify it actually reached this leaf (the
-        // low mark is historical, so a probe may land left of it).
-        Ok(path[path.len() - 2])
-    }
-
-    /// Pass-2 move: copy one leaf to a reserved empty `target` and repoint
-    /// its parent (a `Move` unit, §5).
-    fn move_leaf_unit(&self, src: PageId, target: PageId) -> CoreResult<()> {
-        let db = &self.db;
-        let tree = db.tree();
-        let locks = db.locks();
-        let owner = self.owner;
-        let gen = tree.generation()?;
-        let base = self.base_of_leaf(src)?;
-        locks.lock(owner, ResourceId::Tree(gen), LockMode::IX)?;
-        locks.lock(owner, ResourceId::Page(base.0), LockMode::S)?;
-        locks.lock(owner, ResourceId::Page(base.0), LockMode::R)?;
-        locks.lock(owner, ResourceId::Page(src.0), LockMode::RX)?;
-        locks.lock(owner, ResourceId::Page(target.0), LockMode::RX)?;
-        let mut held_neighbours: Vec<PageId> = Vec::new();
-        let (left_n, right_n) =
-            self.lock_chain_neighbours(src, src, &[src, target], &mut held_neighbours)?;
-        let unit = self.next_unit_id();
-        let begin_lsn = db.log().append(&LogRecord::ReorgBegin {
-            unit,
-            kind: ReorgKind::Move,
-            base_pages: vec![base],
-            leaf_pages: vec![src, target],
-        });
-        db.reorg_table().begin_unit(begin_lsn);
-        db.core_metrics().units_started.inc();
-        db.tracer().emit(
-            TraceKind::UnitBegin,
-            unit.0,
-            2,
-            u64::from(base.0),
-            u64::from(src.0),
-            u64::from(target.0),
-        );
-        self.check_fail(FailSite::AfterUnitBegin)?;
-        let largest_key;
-        let mut journal: Vec<MoveJournal> = Vec::new();
-        {
-            let _g = tree.smo_guard();
-            let pool = db.pool();
-            let sg = pool.fetch(src)?;
-            let tg = pool.fetch_new(target)?;
-            let mut spage = sg.write();
-            let mut tpage = tg.write();
-            let records = LeafRef::new(&spage).records();
-            largest_key = records.last().map(|(k, _)| *k).unwrap_or(0);
-            let payload = match self.cfg.log_strategy {
-                LogStrategy::KeysOnly => {
-                    MovePayload::Keys(records.iter().map(|(k, _)| *k).collect())
-                }
-                LogStrategy::FullRecords => MovePayload::Records(records.clone()),
-            };
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgMove {
-                unit,
-                org: src,
-                dest: target,
-                payload,
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
-            let low_mark = spage.low_mark();
-            {
-                let mut tleaf = LeafView::init(&mut tpage);
-                tleaf.extend(&records)?;
-                tleaf.page_mut().set_low_mark(low_mark);
-            }
-            {
-                let mut sleaf = LeafView::new(&mut spage);
-                sleaf.take_all();
-            }
-            spage.set_lsn(lsn);
-            tpage.set_lsn(lsn);
-            if self.cfg.log_strategy == LogStrategy::KeysOnly {
-                pool.add_write_dependency(src, target);
-            }
-            self.stats.lock().records_moved += records.len() as u64;
-            db.core_metrics().records_moved.add(records.len() as u64);
-            db.tracer().emit(
-                TraceKind::Pass2Move,
-                unit.0,
-                2,
-                u64::from(src.0),
-                u64::from(target.0),
-                records.len() as u64,
-            );
-            journal.push(MoveJournal {
-                org: src,
-                dest: target,
-                records,
-            });
-            drop(spage);
-            drop(tpage);
-            self.fix_chain_after_compact(unit, &[], target, left_n, right_n)?;
-        }
-        // MODIFY: repoint the parent entry from src to target.
-        if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
-            // §5.2: deadlock after the records moved — undo the moves and
-            // repair the chain before END so the SIDEPTRs stay in-unit, in
-            // one SMO so no scan sees the chain skip the refilled source.
-            {
-                let smo = tree.smo_guard();
-                self.undo_moves(&smo, unit, &journal)?;
-                self.fix_chain_after_compact(unit, &[], src, left_n, right_n)?;
-            }
-            self.close_undone_unit(unit);
-            return Err(e.into());
-        }
-        {
-            let _g = tree.smo_guard();
-            let pool = db.pool();
-            let bg = pool.fetch(base)?;
-            let mut bpage = bg.write();
-            let entry_key = {
-                let node = NodeRef::new(&bpage);
-                node.entries()
-                    .iter()
-                    .find(|(_, c)| *c == src)
-                    .map(|(k, _)| *k)
-                    .ok_or_else(|| {
-                        CoreError::Recovery(format!("leaf {src} not under base {base}"))
-                    })?
-            };
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgModify {
-                unit,
-                base_page: base,
-                old_entries: vec![(entry_key, src)],
-                new_entries: vec![(entry_key, target)],
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
-            let mut node = NodeView::new(&mut bpage);
-            node.set_child(entry_key, target)
-                .map_err(CoreError::Storage)?;
-            bpage.set_lsn(lsn);
-        }
-        self.check_fail(FailSite::BeforeEnd)?;
-        let pool = db.pool();
-        pool.flush_page(target)?;
-        pool.discard(src);
-        db.fsm().free(src);
-        #[cfg(debug_assertions)]
-        self.debug_assert_unit_outcome(&[base], &[target]);
-        db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
-        db.reorg_table().finish_unit(largest_key);
-        locks.release_all(owner);
-        {
-            let mut st = self.stats.lock();
-            st.units += 1;
-            st.moves += 1;
-            st.pages_freed += 1;
-        }
-        let cm = db.core_metrics();
-        cm.units_completed.inc();
-        cm.pass2_moves.inc();
-        cm.pages_freed.inc();
-        db.tracer().emit(
-            TraceKind::UnitEnd,
-            unit.0,
-            2,
-            u64::from(base.0),
-            largest_key,
-            1,
-        );
-        Ok(())
+        let base = path[path.len() - 2];
+        let entry_key = tree
+            .base_entries(base)?
+            .into_iter()
+            .find(|&(_, c)| c == leaf)
+            .map_or(key, |(k, _)| k);
+        Ok((base, entry_key))
     }
 
     /// Exchange the contents of `a` and `b` under the SMO guard, logging
@@ -1554,15 +1233,15 @@ impl Reorganizer {
             let mut apage = ag.write();
             let mut bpage = bg.write();
             let image_a_old = image_of(&apage);
-            let prev = db.reorg_table().recent_lsn();
-            let lsn = db.log().append(&LogRecord::ReorgSwap {
-                unit,
-                page_a: a,
-                page_b: b,
-                image_a_old,
-                prev_lsn: prev,
-            });
-            db.reorg_table().advance(lsn);
+            let lsn = db
+                .reorg_table()
+                .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgSwap {
+                    unit,
+                    page_a: a,
+                    page_b: b,
+                    image_a_old,
+                    prev_lsn,
+                });
             // Exchange the full images (headers — low marks, side pointers —
             // travel with the content), then remap self-references.
             std::mem::swap(apage.bytes_mut(), bpage.bytes_mut());
@@ -1581,30 +1260,11 @@ impl Reorganizer {
         // visited once, even when it neighbours both swapped pages.
         let mut seen: Vec<PageId> = Vec::with_capacity(4);
         for n in neighbours {
-            if !n.is_valid() || n == a || n == b || seen.contains(&n) {
+            if n == a || n == b || seen.contains(&n) {
                 continue;
             }
             seen.push(n);
-            let g = pool.fetch(n)?;
-            let mut page = g.write();
-            let old = (page.left_sibling(), page.right_sibling());
-            let new = (remap(old.0), remap(old.1));
-            if old != new {
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgSidePtr {
-                    unit,
-                    page: n,
-                    old_left: old.0,
-                    old_right: old.1,
-                    new_left: new.0,
-                    new_right: new.1,
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
-                page.set_left_sibling(new.0);
-                page.set_right_sibling(new.1);
-                page.set_lsn(lsn);
-            }
+            set_siblings(db, unit, n, |l, r| (remap(l), remap(r)))?;
         }
         Ok(())
     }
@@ -1618,8 +1278,8 @@ impl Reorganizer {
         let locks = db.locks();
         let owner = self.owner;
         let gen = tree.generation()?;
-        let base_a = self.base_of_leaf(a)?;
-        let base_b = self.base_of_leaf(b)?;
+        let (base_a, _) = self.base_of_leaf(a)?;
+        let (base_b, _) = self.base_of_leaf(b)?;
         locks.lock(owner, ResourceId::Tree(gen), LockMode::IX)?;
         for base in [base_a, base_b] {
             locks.lock(owner, ResourceId::Page(base.0), LockMode::S)?;
@@ -1678,14 +1338,7 @@ impl Reorganizer {
             let (na_l, na_r) = self.chain_neighbours(a, a)?;
             let (nb_l, nb_r) = self.chain_neighbours(b, b)?;
             self.apply_swap(unit, a, b, [na_l, na_r, nb_l, nb_r])?;
-            db.log().append(&LogRecord::ReorgEnd {
-                unit,
-                largest_key: 0,
-            });
-            db.reorg_table().abandon_unit();
-            self.stats.lock().units_undone += 1;
-            db.core_metrics().units_undone.inc();
-            db.tracer().emit(TraceKind::UnitUndo, unit.0, 2, 0, 0, 0);
+            self.close_undone_unit(unit, 2);
             return Err(e.into());
         }
         {
@@ -1711,18 +1364,18 @@ impl Reorganizer {
                 if old_entries.is_empty() {
                     continue;
                 }
-                let prev = db.reorg_table().recent_lsn();
-                let lsn = db.log().append(&LogRecord::ReorgModify {
-                    unit,
-                    base_page: base,
-                    old_entries: old_entries.clone(),
-                    new_entries: new_entries.clone(),
-                    prev_lsn: prev,
-                });
-                db.reorg_table().advance(lsn);
+                let lsn =
+                    db.reorg_table()
+                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgModify {
+                            unit,
+                            base_page: base,
+                            old_entries,
+                            new_entries: new_entries.clone(),
+                            prev_lsn,
+                        });
                 let mut node = NodeView::new(&mut bpage);
-                for ((k, _), (_, c)) in old_entries.iter().zip(new_entries.iter()) {
-                    node.set_child(*k, *c).map_err(CoreError::Storage)?;
+                for &(k, c) in &new_entries {
+                    node.set_child(k, c).map_err(CoreError::Storage)?;
                 }
                 bpage.set_lsn(lsn);
             }
@@ -1759,4 +1412,92 @@ impl Reorganizer {
         );
         Ok(())
     }
+}
+
+/// Set `page`'s side pointers to `links(old_left, old_right)` inside
+/// `unit`, logging one SIDEPTR when they change — the one logged
+/// side-pointer write of the reorganizer and of Forward Recovery. Invalid
+/// ids and pages that are not leaves are left alone: only leaves carry the
+/// chain.
+pub(crate) fn set_siblings(
+    db: &Database,
+    unit: UnitId,
+    page: PageId,
+    links: impl FnOnce(PageId, PageId) -> (PageId, PageId),
+) -> CoreResult<()> {
+    if !page.is_valid() {
+        return Ok(());
+    }
+    let g = db.pool().fetch(page)?;
+    let mut p = g.write();
+    if p.page_type() != Some(PageType::Leaf) {
+        return Ok(());
+    }
+    let (old_left, old_right) = (p.left_sibling(), p.right_sibling());
+    let (new_left, new_right) = links(old_left, old_right);
+    if (old_left, old_right) != (new_left, new_right) {
+        let lsn = db
+            .reorg_table()
+            .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgSidePtr {
+                unit,
+                page,
+                old_left,
+                old_right,
+                new_left,
+                new_right,
+                prev_lsn,
+            });
+        p.set_left_sibling(new_left);
+        p.set_right_sibling(new_right);
+        p.set_lsn(lsn);
+    }
+    Ok(())
+}
+
+/// The MODIFY of a Compact or Move unit (§5), shared by the live unit and
+/// Forward Recovery: drop the entries of `base` (latched as `bpage`) that
+/// name one of `sources`, and register `dest` under the smallest dropped
+/// key unless `base` already names it. Logs and applies the change and
+/// returns the (dropped, added) entry counts; `None`, with nothing logged,
+/// when no entry names a source.
+pub(crate) fn modify_base(
+    db: &Database,
+    unit: UnitId,
+    base: PageId,
+    bpage: &mut Page,
+    sources: &[PageId],
+    dest: PageId,
+) -> CoreResult<Option<(usize, usize)>> {
+    let entries = NodeRef::new(bpage).entries();
+    let old_entries: Vec<(u64, PageId)> = entries
+        .iter()
+        .copied()
+        .filter(|(_, c)| sources.contains(c))
+        .collect();
+    let Some(entry_key) = old_entries.iter().map(|&(k, _)| k).min() else {
+        return Ok(None);
+    };
+    let new_entries = if entries.iter().any(|&(_, c)| c == dest) {
+        Vec::new()
+    } else {
+        vec![(entry_key, dest)]
+    };
+    let lsn = db
+        .reorg_table()
+        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgModify {
+            unit,
+            base_page: base,
+            old_entries: old_entries.clone(),
+            new_entries: new_entries.clone(),
+            prev_lsn,
+        });
+    let mut node = NodeView::new(bpage);
+    for &(k, _) in &old_entries {
+        node.remove_entry(k);
+    }
+    for &(k, c) in &new_entries {
+        node.insert_entry(k, c)?;
+    }
+    bpage.set_lsn(lsn);
+    Ok(Some((old_entries.len(), new_entries.len())))
 }

@@ -7,10 +7,11 @@ use std::sync::Arc;
 
 use obr_btree::SidePointerMode;
 use obr_core::{
-    recover, CoreError, Database, FailPoint, FailSite, LogStrategy, PlacementPolicy, ReorgConfig,
-    Reorganizer,
+    recover, CoreError, Database, FailPoint, FailSite, LogStrategy, PlacementPolicy,
+    RecoveryReport, ReorgConfig, Reorganizer,
 };
-use obr_storage::{DiskManager, InMemoryDisk, PageId};
+use obr_storage::{DiskManager, InMemoryDisk, Lsn, PageId};
+use obr_wal::{LogRecord, ReorgKind};
 
 fn val(k: u64) -> Vec<u8> {
     let mut v = k.to_le_bytes().to_vec();
@@ -46,18 +47,33 @@ fn reopen(sc: &Scenario, side: SidePointerMode) -> Arc<Database> {
 }
 
 /// Crash with the given flush behaviour, recover on a fresh engine, check
-/// the data, and return the recovered database.
+/// the data, and return the recovered database with recovery's report.
 fn crash_and_recover(
     sc: &Scenario,
     side: SidePointerMode,
     mut keep: impl FnMut(PageId) -> bool,
-) -> Arc<Database> {
+) -> (Arc<Database>, RecoveryReport) {
     sc.db.crash(&mut keep).unwrap();
     let db2 = reopen(sc, side);
-    recover(&db2).unwrap();
+    let report = recover(&db2).unwrap();
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
-    db2
+    (db2, report)
+}
+
+/// Kind and leaf-page count of the newest unit BEGIN on the log.
+fn last_unit_begun(db: &Database) -> (ReorgKind, usize) {
+    let records = db.log().records_from(Lsn(1)).unwrap();
+    records
+        .into_iter()
+        .rev()
+        .find_map(|(_, r)| match r {
+            LogRecord::ReorgBegin {
+                kind, leaf_pages, ..
+            } => Some((kind, leaf_pages.len())),
+            _ => None,
+        })
+        .expect("a unit began")
 }
 
 fn run_site(site: FailSite, nth: u64, strategy: LogStrategy, keep_mod: u64) {
@@ -76,7 +92,7 @@ fn run_site(site: FailSite, nth: u64, strategy: LogStrategy, keep_mod: u64) {
         other => panic!("expected injected crash at {site:?}, got {other:?}"),
     }
     let mut i = 0u64;
-    let db2 = crash_and_recover(&sc, side, |_| {
+    let (db2, _) = crash_and_recover(&sc, side, |_| {
         i += 1;
         keep_mod != 0 && i.is_multiple_of(keep_mod)
     });
@@ -124,37 +140,80 @@ fn crash_before_modify_full_records() {
     run_site(FailSite::BeforeModify, 1, LogStrategy::FullRecords, 5);
 }
 
-#[test]
-fn crash_during_pass2_swap_is_forward_completed() {
+/// Crash the first pass-2 unit at `site` with `cfg`, check that it was a
+/// unit of `kind`, recover forward, and let pass 2 finish.
+fn crash_first_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, kind: ReorgKind) {
     let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
-    // Random placement maximizes pass-2 work, guaranteeing swap units.
-    let cfg = ReorgConfig {
-        swap_pass: true,
-        shrink_pass: false,
-        placement: PlacementPolicy::Random(7),
-        ..ReorgConfig::default()
-    };
-    let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone());
-    reorg.pass1_compact().unwrap();
-    // Crash inside a pass-2 unit (the first BEGIN of pass 2).
-    let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
-        .with_fail_point(FailPoint::new(FailSite::BeforeEnd, 0));
+    let reorg =
+        Reorganizer::new(Arc::clone(&sc.db), cfg.clone()).with_fail_point(FailPoint::new(site, 0));
     match reorg.pass2_swap_move() {
         Err(CoreError::InjectedCrash(_)) => {}
-        Ok(()) => return, // no pass-2 work was needed; nothing to test
-        other => panic!("unexpected {other:?}"),
+        other => panic!("expected a crash inside pass 2 at {site:?}, got {other:?}"),
     }
+    // A Move unit lists its one source and the target; a swap its two leaves.
+    assert_eq!(last_unit_begun(&sc.db), (kind, 2));
     let mut i = 0u64;
-    let db2 = crash_and_recover(&sc, side, |_| {
+    let (db2, report) = crash_and_recover(sc, side, |_| {
         i += 1;
         i.is_multiple_of(2)
     });
-    // Pass 2 completes after recovery.
+    assert_eq!(report.forward_units_completed, 1, "{report:?}");
     let reorg2 = Reorganizer::new(Arc::clone(&db2), cfg);
     reorg2.pass2_swap_move().unwrap();
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
+}
+
+#[test]
+fn crash_during_pass2_move_is_forward_completed() {
+    // After a random-placement pass 1, every pass-2 unit is a one-leaf Move
+    // unit, which reaches the same fail sites as pass 1's copy-and-switch.
+    let cfg = ReorgConfig {
+        shrink_pass: false,
+        placement: PlacementPolicy::Random(7),
+        ..ReorgConfig::default()
+    };
+    for site in [FailSite::AfterFirstMove, FailSite::BeforeModify] {
+        let sc = setup(SidePointerMode::TwoWay);
+        Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
+            .pass1_compact()
+            .unwrap();
+        crash_first_pass2_unit(&sc, cfg.clone(), site, ReorgKind::Move);
+    }
+}
+
+#[test]
+fn crash_during_pass2_swap_is_forward_completed() {
+    // Interleaved inserts into a two-region tree scatter its leaves over
+    // pages that all hold leaves, so pass 2 has to swap.
+    let disk = Arc::new(InMemoryDisk::new(8192));
+    let db = Database::create_with_regions(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        8192,
+        SidePointerMode::TwoWay,
+        512,
+    )
+    .unwrap();
+    let records: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k * 2, val(k))).collect();
+    db.tree().bulk_load(&records, 0.85, 0.9).unwrap();
+    let txn = db.begin_txn();
+    let mut prev = Lsn::ZERO;
+    for k in 0..1000u64 {
+        prev = db.tree().insert(txn, prev, k * 2 + 1, &val(k)).unwrap();
+    }
+    db.note_txn_lsn(txn, prev);
+    db.log()
+        .append_force(&LogRecord::TxnCommit { txn })
+        .unwrap();
+    db.end_txn(txn);
+    db.checkpoint().unwrap();
+    let expected = db.tree().collect_all().unwrap();
+    let sc = Scenario { disk, db, expected };
+    let cfg = ReorgConfig {
+        shrink_pass: false,
+        ..ReorgConfig::default()
+    };
+    crash_first_pass2_unit(&sc, cfg, FailSite::BeforeEnd, ReorgKind::Swap);
 }
 
 #[test]
@@ -242,7 +301,7 @@ fn double_crash_within_one_unit() {
     let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
         .with_fail_point(FailPoint::new(FailSite::AfterFirstMove, 1));
     let _ = reorg.pass1_compact().unwrap_err();
-    let db2 = crash_and_recover(&sc, side, |p| p.0 % 2 == 0);
+    let (db2, _) = crash_and_recover(&sc, side, |p| p.0 % 2 == 0);
     let reorg2 = Reorganizer::new(Arc::clone(&db2), cfg.clone())
         .with_fail_point(FailPoint::new(FailSite::BeforeEnd, 2));
     let _ = reorg2.pass1_compact().unwrap_err();

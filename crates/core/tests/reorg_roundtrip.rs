@@ -212,7 +212,8 @@ fn keys_only_logging_is_much_smaller_than_full_records() {
 
 #[test]
 fn heuristic_placement_reduces_pass2_swaps() {
-    let run = |placement: PlacementPolicy| -> (u64, u64) {
+    // Pass-2 units (swaps + moves) each placement leaves for pass 2.
+    let run = |placement: PlacementPolicy| -> u64 {
         let (_d, db) = sparse_db(8192, 3000, 0.25);
         let mut c = cfg(true, false);
         c.placement = placement;
@@ -221,13 +222,14 @@ fn heuristic_placement_reduces_pass2_swaps() {
         reorg.pass2_swap_move().unwrap();
         db.tree().validate().unwrap();
         let s = reorg.stats();
-        (s.swaps, s.moves)
+        s.swaps + s.moves
     };
-    let (swaps_h, _) = run(PlacementPolicy::Heuristic);
-    let (swaps_r, _) = run(PlacementPolicy::Random(42));
+    let heuristic = run(PlacementPolicy::Heuristic);
+    let random = run(PlacementPolicy::Random(42));
+    assert!(random > 0, "random placement should leave pass 2 work");
     assert!(
-        swaps_h <= swaps_r,
-        "heuristic should not need more swaps ({swaps_h}) than random ({swaps_r})"
+        heuristic < random,
+        "heuristic should need fewer pass-2 units ({heuristic}) than random ({random})"
     );
 }
 

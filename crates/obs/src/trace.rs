@@ -52,8 +52,6 @@ pub enum TraceKind {
     UnitUndo,
     /// Pass 2 swapped the contents of two leaves: `page` and `a`.
     Pass2Swap,
-    /// Pass 2 moved a leaf's contents: `page` into free page `a`.
-    Pass2Move,
     /// Pass 3 logged a stable point (§7.3). `a` = stable key.
     Pass3Stable,
     /// An entry entered the side file (§7.2). `page` = leaf concerned,
@@ -104,7 +102,6 @@ impl TraceKind {
             TraceKind::UnitEnd => "unit_end",
             TraceKind::UnitUndo => "unit_undo",
             TraceKind::Pass2Swap => "pass2_swap",
-            TraceKind::Pass2Move => "pass2_move",
             TraceKind::Pass3Stable => "pass3_stable",
             TraceKind::SideEnqueue => "side_enqueue",
             TraceKind::SideDrain => "side_drain",

@@ -14,7 +14,8 @@ use obr_sync::Mutex;
 
 use obr_storage::Lsn;
 
-use crate::record::ReorgTableSnapshot;
+use crate::record::{LogRecord, ReorgTableSnapshot};
+use crate::LogManager;
 
 /// The (tiny) system table driving reorganization restart.
 #[derive(Debug, Default)]
@@ -51,6 +52,15 @@ impl ReorgStateTable {
     /// The `prev_lsn` the next unit record should carry.
     pub fn recent_lsn(&self) -> Lsn {
         self.inner.lock().recent_lsn.unwrap_or(Lsn::ZERO)
+    }
+
+    /// Append one record of the in-flight unit to `log`: `record` receives
+    /// the `prev_lsn` it must carry, and the unit's chain advances to the
+    /// new record, whose LSN is returned.
+    pub fn append_to_unit(&self, log: &LogManager, record: impl FnOnce(Lsn) -> LogRecord) -> Lsn {
+        let lsn = log.append(&record(self.recent_lsn()));
+        self.advance(lsn);
+        lsn
     }
 
     /// The unit finished; its entry is deleted and LK advances.
@@ -129,6 +139,34 @@ mod tests {
         assert!(!t.unit_in_flight());
         assert_eq!(t.lk(), Some(42));
         assert_eq!(t.recent_lsn(), Lsn::ZERO);
+    }
+
+    #[test]
+    fn append_to_unit_threads_the_prev_lsn_chain() {
+        use crate::record::{ReorgKind, UnitId};
+        let log = LogManager::new();
+        let t = ReorgStateTable::new();
+        let unit = UnitId(1);
+        let begin = log.append(&LogRecord::ReorgBegin {
+            unit,
+            kind: ReorgKind::Move,
+            base_pages: Vec::new(),
+            leaf_pages: Vec::new(),
+        });
+        t.begin_unit(begin);
+        let modify = |prev_lsn| LogRecord::ReorgModify {
+            unit,
+            base_page: obr_storage::PageId(1),
+            old_entries: Vec::new(),
+            new_entries: Vec::new(),
+            prev_lsn,
+        };
+        let first = t.append_to_unit(&log, modify);
+        let second = t.append_to_unit(&log, modify);
+        assert_eq!(t.recent_lsn(), second);
+        let prev = |lsn| log.read(lsn).unwrap().unwrap().prev_lsn();
+        assert_eq!(prev(first), Some(begin));
+        assert_eq!(prev(second), Some(first));
     }
 
     #[test]
