@@ -1,5 +1,6 @@
 //! Lock manager microbenchmarks: grant/release throughput for the classical
-//! and the paper's modes, including the instant-duration RS path.
+//! and the paper's modes, including the instant-duration RS path, the lock
+//! calls one `Txn::get` makes, and a commit's release among many holders.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -78,12 +79,58 @@ fn bench_upgrade(c: &mut Criterion) {
     });
 }
 
+/// The seven lock calls of one `Txn::get`: tree IS, base S, leaf S, unlock
+/// the base, key S, downgrade the leaf, and the commit's `release_all`. A
+/// fresh owner per iteration, as each transaction is.
+fn bench_get_sequence(c: &mut Criterion) {
+    let m = LockManager::new();
+    let mut n = 0u64;
+    c.bench_function("lock/get-sequence", |b| {
+        b.iter(|| {
+            n += 1;
+            let o = OwnerId(n);
+            let base = ResourceId::Page(1);
+            let leaf = ResourceId::Page(100 + (n % 64) as u32);
+            m.lock(o, ResourceId::Tree(0), LockMode::IS).unwrap();
+            m.lock(o, base, LockMode::S).unwrap();
+            m.lock(o, leaf, LockMode::S).unwrap();
+            m.unlock(o, base);
+            m.lock(o, ResourceId::Key(n), LockMode::S).unwrap();
+            m.downgrade(o, leaf, LockMode::IS);
+            black_box(m.release_all(o));
+        })
+    });
+}
+
+/// A commit releasing three locks while 1 000 other owners each hold the
+/// tree in IS and a page and a key in S.
+fn bench_release_among_holders(c: &mut Criterion) {
+    let m = LockManager::new();
+    for i in 0..1000u64 {
+        let o = OwnerId(i + 1);
+        m.lock(o, ResourceId::Tree(0), LockMode::IS).unwrap();
+        m.lock(o, ResourceId::Page(i as u32), LockMode::S).unwrap();
+        m.lock(o, ResourceId::Key(i), LockMode::S).unwrap();
+    }
+    let o = OwnerId(5000);
+    c.bench_function("lock/release-all-among-1k-holders", |b| {
+        b.iter(|| {
+            m.lock(o, ResourceId::Tree(0), LockMode::IS).unwrap();
+            m.lock(o, ResourceId::Page(7), LockMode::S).unwrap();
+            m.lock(o, ResourceId::Key(5000), LockMode::S).unwrap();
+            black_box(m.release_all(o));
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_uncontended,
     bench_shared_holders,
     bench_rx_forgo,
     bench_instant_rs,
-    bench_upgrade
+    bench_upgrade,
+    bench_get_sequence,
+    bench_release_among_holders
 );
 criterion_main!(benches);

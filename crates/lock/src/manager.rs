@@ -3,8 +3,10 @@
 //! reorganizer as preferred victim.
 
 use obr_sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::time::{Duration, Instant};
 
 use obr_obs::{Counter, Histogram, Registry};
@@ -86,14 +88,136 @@ struct Waiter {
 
 #[derive(Debug, Default)]
 struct ResQueue {
-    granted: HashMap<OwnerId, LockMode>,
+    /// One entry per holder. A resource almost always has one or two, so a
+    /// scan beats hashing.
+    granted: Vec<(OwnerId, LockMode)>,
     waiters: Vec<Waiter>,
 }
 
+impl ResQueue {
+    fn slot_of(&self, owner: OwnerId) -> Option<usize> {
+        self.granted.iter().position(|(o, _)| *o == owner)
+    }
+
+    fn is_idle(&self) -> bool {
+        self.granted.is_empty() && self.waiters.is_empty()
+    }
+}
+
+/// Multiplicative hashing with the 128-bit product folded, so that the low
+/// bits (which pick the bucket) depend on every input bit: keys that differ
+/// only in high bits still spread. Record keys reach the table as
+/// [`ResourceId::Key`] from clients, so each map starts from a random seed
+/// ([`SeededState`]) and a client cannot pick keys that collide.
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v) * u128::from(Self::K);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`MulHasher`]s from one random seed, drawn when the map is made.
+#[derive(Clone)]
+struct SeededState(u64);
+
+impl Default for SeededState {
+    fn default() -> Self {
+        SeededState(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for SeededState {
+    type Hasher = MulHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MulHasher {
+        MulHasher(self.0)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, SeededState>;
+
 #[derive(Default)]
 struct State {
-    resources: HashMap<ResourceId, ResQueue>,
+    resources: FastMap<ResourceId, ResQueue>,
+    /// The resources each owner holds a grant on, each listed once: the
+    /// same (owner, resource) set as the `granted` lists, indexed the other
+    /// way so that releasing an owner's locks never sweeps the table.
+    owned: FastMap<OwnerId, Vec<ResourceId>>,
     reorg_owners: HashSet<OwnerId>,
+}
+
+impl State {
+    /// Drop `res` from `owner`'s index entry (after its grant went).
+    fn forget(&mut self, owner: OwnerId, res: ResourceId) {
+        if let Entry::Occupied(mut e) = self.owned.entry(owner) {
+            let list = e.get_mut();
+            if let Some(i) = list.iter().position(|r| *r == res) {
+                list.swap_remove(i);
+            }
+            if list.is_empty() {
+                e.remove();
+            }
+        }
+    }
+
+    /// Remove `owner`'s grant on `res`, dropping the queue once idle.
+    /// Returns `None` when there was no grant, else whether anyone waits on
+    /// `res`.
+    fn revoke(&mut self, owner: OwnerId, res: ResourceId) -> Option<bool> {
+        let Entry::Occupied(mut e) = self.resources.entry(res) else {
+            return None;
+        };
+        let q = e.get_mut();
+        q.granted.swap_remove(q.slot_of(owner)?);
+        let waiters = !q.waiters.is_empty();
+        if q.is_idle() {
+            e.remove();
+        }
+        Some(waiters)
+    }
+}
+
+/// Taken when a request that must wait first joins its queue: the only
+/// clock read a lock call makes.
+#[derive(Clone, Copy)]
+struct Queued {
+    since: Instant,
+    deadline: Instant,
 }
 
 /// Per-manager metric handles. Nothing reads them here:
@@ -110,8 +234,26 @@ struct LockMetrics {
     wait_ns: Histogram,
 }
 
-/// The lock manager. One global table guarded by a mutex/condvar pair —
-/// simple, correct, and fast enough for the scale of the experiments.
+/// The lock manager: one table behind one mutex, and one condvar that
+/// lock waits sleep on.
+///
+/// The table maps each resource to its grant list, a short vector of
+/// `(owner, mode)` pairs, and its FIFO of waiters. An owner index maps each
+/// owner to the resources it holds a grant on. An entry is added only when
+/// an owner first appears on a resource; conversions and instant-duration
+/// grants add none. So [`LockManager::release_all`] and
+/// [`LockManager::held_resources`] touch only that owner's entries, never
+/// the whole table. Both maps use a seeded multiplicative hash, not
+/// SipHash.
+///
+/// An uncontended request is one hash lookup and a scan of a one- or
+/// two-entry grant list. The clock is read in one place: when a request
+/// must wait and first joins its resource's queue. That read starts the
+/// wait timeout and the `lock_wait_ns` measurement, so a grant that never
+/// queues reads no clock. A release wakes the condvar only when the
+/// resource it freed has waiters, so a request that has just queued is
+/// judged again before it sleeps (its ticket may be older than waiters
+/// already queued, and no release would wake it).
 ///
 /// ```
 /// use obr_lock::{LockManager, LockMode, OwnerId, ResourceId, LockError};
@@ -221,17 +363,16 @@ impl LockManager {
         try_only: bool,
         instant: bool,
     ) -> Result<(), LockError> {
-        let deadline = Instant::now() + self.timeout;
         let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
-        let mut enqueued = false;
-        let wait_start = Instant::now();
+        let mut queued: Option<Queued> = None;
         loop {
+            let enqueued = queued.is_some();
             match Self::check_grant(&mut st, owner, res, mode, ticket, enqueued, instant) {
                 GrantCheck::Granted => {
-                    if enqueued {
+                    if let Some(q) = queued {
                         Self::remove_waiter(&mut st, res, ticket);
-                        let waited = wait_start.elapsed().as_nanos() as u64;
+                        let waited = q.since.elapsed().as_nanos() as u64;
                         self.metrics.wait_nanos.add(waited);
                         self.metrics.wait_ns.record(waited);
                         if instant {
@@ -267,7 +408,7 @@ impl LockManager {
                     if try_only {
                         return Err(LockError::WouldBlock);
                     }
-                    if !enqueued {
+                    let Some(q) = queued else {
                         st.resources.entry(res).or_default().waiters.push(Waiter {
                             owner,
                             mode,
@@ -275,8 +416,17 @@ impl LockManager {
                             victim: false,
                             instant,
                         });
-                        enqueued = true;
-                    }
+                        let since = Instant::now();
+                        queued = Some(Queued {
+                            since,
+                            deadline: since + self.timeout,
+                        });
+                        // The ticket was drawn before the mutex, so it can be
+                        // older than waiters already queued, which now wait
+                        // behind this request. Judge it again from its place
+                        // in line before sleeping: nothing else would wake it.
+                        continue;
+                    };
                     // Deadlock detection before sleeping.
                     if let Some(victim_ticket) = Self::find_deadlock_victim(&st, owner, res) {
                         if victim_ticket == ticket {
@@ -289,7 +439,7 @@ impl LockManager {
                         self.cv.notify_all();
                         // Loop around: the victim will dequeue itself.
                     }
-                    let timed_out = self.cv.wait_until(&mut st, deadline).timed_out();
+                    let timed_out = self.cv.wait_until(&mut st, q.deadline).timed_out();
                     // Were we chosen as a victim while sleeping?
                     if Self::is_victim(&st, res, ticket) {
                         Self::remove_waiter(&mut st, res, ticket);
@@ -307,29 +457,28 @@ impl LockManager {
         }
     }
 
-    /// Release `owner`'s lock on `res`.
+    /// Release `owner`'s lock on `res`. A no-op when it holds none.
     pub fn unlock(&self, owner: OwnerId, res: ResourceId) {
         let mut st = self.state.lock();
-        if let Some(q) = st.resources.get_mut(&res) {
-            q.granted.remove(&owner);
-            if q.granted.is_empty() && q.waiters.is_empty() {
-                st.resources.remove(&res);
+        if let Some(waiters) = st.revoke(owner, res) {
+            st.forget(owner, res);
+            if waiters {
+                self.cv.notify_all();
             }
         }
-        self.cv.notify_all();
     }
 
     /// Release everything `owner` holds. Returns the resources released.
     pub fn release_all(&self, owner: OwnerId) -> Vec<ResourceId> {
         let mut st = self.state.lock();
-        let mut released = Vec::new();
-        st.resources.retain(|res, q| {
-            if q.granted.remove(&owner).is_some() {
-                released.push(*res);
-            }
-            !(q.granted.is_empty() && q.waiters.is_empty())
-        });
-        self.cv.notify_all();
+        let released = st.owned.remove(&owner).unwrap_or_default();
+        let mut wake = false;
+        for &res in &released {
+            wake |= st.revoke(owner, res) == Some(true);
+        }
+        if wake {
+            self.cv.notify_all();
+        }
         released
     }
 
@@ -338,20 +487,20 @@ impl LockManager {
     pub fn downgrade(&self, owner: OwnerId, res: ResourceId, mode: LockMode) {
         let mut st = self.state.lock();
         if let Some(q) = st.resources.get_mut(&res) {
-            if let Some(held) = q.granted.get_mut(&owner) {
-                *held = mode;
+            if let Some(i) = q.slot_of(owner) {
+                q.granted[i].1 = mode;
+                if !q.waiters.is_empty() {
+                    self.cv.notify_all();
+                }
             }
         }
-        self.cv.notify_all();
     }
 
     /// Mode `owner` currently holds on `res`.
     pub fn held_mode(&self, owner: OwnerId, res: ResourceId) -> Option<LockMode> {
-        self.state
-            .lock()
-            .resources
-            .get(&res)
-            .and_then(|q| q.granted.get(&owner).copied())
+        let st = self.state.lock();
+        let q = st.resources.get(&res)?;
+        q.slot_of(owner).map(|i| q.granted[i].1)
     }
 
     /// All `(owner, mode)` pairs granted on `res`.
@@ -361,7 +510,7 @@ impl LockManager {
             .resources
             .get(&res)
             .map(|q| {
-                let mut v: Vec<_> = q.granted.iter().map(|(o, m)| (*o, *m)).collect();
+                let mut v = q.granted.clone();
                 v.sort_by_key(|(o, _)| *o);
                 v
             })
@@ -383,13 +532,14 @@ impl LockManager {
     pub fn held_resources(&self, owner: OwnerId) -> Vec<ResourceId> {
         self.state
             .lock()
-            .resources
-            .iter()
-            .filter(|(_, q)| q.granted.contains_key(&owner))
-            .map(|(r, _)| *r)
-            .collect()
+            .owned
+            .get(&owner)
+            .cloned()
+            .unwrap_or_default()
     }
 
+    /// Decide `owner`'s request for `mode` on `res`, granting it when it
+    /// can.
     fn check_grant(
         st: &mut State,
         owner: OwnerId,
@@ -399,8 +549,25 @@ impl LockManager {
         enqueued: bool,
         instant: bool,
     ) -> GrantCheck {
-        let q = st.resources.entry(res).or_default();
-        let held = q.granted.get(&owner).copied();
+        let State {
+            resources, owned, ..
+        } = st;
+        let q = match resources.entry(res) {
+            // Nobody holds or waits for `res`: grant outright.
+            Entry::Vacant(e) => {
+                if !instant {
+                    e.insert(ResQueue {
+                        granted: vec![(owner, mode)],
+                        waiters: Vec::new(),
+                    });
+                    owned.entry(owner).or_default().push(res);
+                }
+                return GrantCheck::Granted;
+            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        let slot = q.slot_of(owner);
+        let held = slot.map(|i| q.granted[i].1);
         // Already covered: nothing to do.
         if let Some(h) = held {
             if h.covers(mode) {
@@ -437,8 +604,7 @@ impl LockManager {
         }
         // Conversions jump the queue (standard, and required for the
         // reorganizer's R -> X upgrade not to deadlock with its own waiters).
-        let is_conversion = held.is_some();
-        if !is_conversion {
+        if slot.is_none() {
             // Fairness: do not overtake earlier conflicting waiters.
             let blocked_by_waiter = q.waiters.iter().any(|w| {
                 let ahead = if enqueued { w.ticket < ticket } else { true };
@@ -455,16 +621,22 @@ impl LockManager {
             }
         }
         if !instant {
-            q.granted.insert(owner, target);
+            match slot {
+                Some(i) => q.granted[i].1 = target,
+                None => {
+                    q.granted.push((owner, target));
+                    owned.entry(owner).or_default().push(res);
+                }
+            }
         }
         GrantCheck::Granted
     }
 
     fn remove_waiter(st: &mut State, res: ResourceId, ticket: u64) {
-        if let Some(q) = st.resources.get_mut(&res) {
-            q.waiters.retain(|w| w.ticket != ticket);
-            if q.granted.is_empty() && q.waiters.is_empty() {
-                st.resources.remove(&res);
+        if let Entry::Occupied(mut e) = st.resources.entry(res) {
+            e.get_mut().waiters.retain(|w| w.ticket != ticket);
+            if e.get().is_idle() {
+                e.remove();
             }
         }
     }
@@ -575,31 +747,67 @@ impl LockManager {
 
     /// Internal consistency check (tests/diagnostics): every pair of locks
     /// granted on the same resource to *different* owners must be mutually
-    /// compatible. Returns the violations found.
+    /// compatible, no owner is granted twice on one resource, no idle
+    /// queue is left in the table, and the owner index lists exactly the
+    /// granted (owner, resource) pairs, each once. Returns the violations
+    /// found.
     pub fn validate_invariants(&self) -> Vec<String> {
         let st = self.state.lock();
         let mut violations = Vec::new();
+        let mut grants = 0usize;
         for (res, q) in &st.resources {
-            let granted: Vec<(OwnerId, LockMode)> =
-                q.granted.iter().map(|(o, m)| (*o, *m)).collect();
-            for (i, &(o1, m1)) in granted.iter().enumerate() {
-                for &(o2, m2) in &granted[i + 1..] {
-                    if o1 != o2 && !(m1.compatible_with(m2) && m2.compatible_with(m1)) {
+            if q.is_idle() {
+                violations.push(format!("{res:?}: idle queue left in the table"));
+            }
+            grants += q.granted.len();
+            for (i, &(o1, m1)) in q.granted.iter().enumerate() {
+                for &(o2, m2) in &q.granted[i + 1..] {
+                    if o1 == o2 {
+                        violations.push(format!("{res:?}: {o1} granted twice ({m1}, {m2})"));
+                    } else if !(m1.compatible_with(m2) && m2.compatible_with(m1)) {
                         violations.push(format!(
                             "{res:?}: {o1} holds {m1} alongside {o2} holding {m2}"
                         ));
                     }
                 }
+                let indexed = st
+                    .owned
+                    .get(&o1)
+                    .map_or(0, |l| l.iter().filter(|r| **r == *res).count());
+                if indexed != 1 {
+                    violations.push(format!(
+                        "{res:?}: {o1}'s grant appears {indexed} times in the owner index"
+                    ));
+                }
             }
             // No waiter may be marked granted.
             for w in &q.waiters {
-                if q.granted.contains_key(&w.owner) && q.granted[&w.owner] == w.mode {
+                if q.slot_of(w.owner).map(|i| q.granted[i].1) == Some(w.mode) {
                     violations.push(format!(
                         "{res:?}: {} both granted and waiting for {}",
                         w.owner, w.mode
                     ));
                 }
             }
+        }
+        let mut indexed = 0usize;
+        for (o, list) in &st.owned {
+            if list.is_empty() {
+                violations.push(format!("{o}: empty owner index entry"));
+            }
+            indexed += list.len();
+            for r in list {
+                if st.resources.get(r).and_then(|q| q.slot_of(*o)).is_none() {
+                    violations.push(format!(
+                        "{o}: owner index names {r:?}, which it does not hold"
+                    ));
+                }
+            }
+        }
+        if indexed != grants {
+            violations.push(format!(
+                "owner index holds {indexed} entries for {grants} grants"
+            ));
         }
         violations
     }
@@ -994,5 +1202,136 @@ mod tests {
         for p in 0..16 {
             assert!(m.holders(ResourceId::Page(p)).is_empty());
         }
+        assert_eq!(m.validate_invariants(), Vec::<String>::new());
+    }
+
+    /// A ticket is drawn before the mutex, so a request can join a queue
+    /// behind waiters with younger tickets. Releases wake only the waiters
+    /// of the resource they free, so such a request must judge its place
+    /// in line again before it sleeps, or everyone on the resource sleeps
+    /// until the timeout. With one lock per owner at a time nothing can
+    /// deadlock here, so any error is such a stall.
+    #[test]
+    fn no_request_sleeps_on_a_free_resource() {
+        let m = Arc::new(LockManager::with_timeout(Duration::from_secs(2)));
+        thread::scope(|s| {
+            for t in 0..8u64 {
+                let m = &m;
+                s.spawn(move || {
+                    for i in 0..1000u64 {
+                        let res = ResourceId::Page(((t + i) % 3) as u32);
+                        let mode = if (t + i) % 2 == 0 { X } else { S };
+                        m.lock(OwnerId(t + 1), res, mode).unwrap();
+                        m.unlock(OwnerId(t + 1), res);
+                    }
+                });
+            }
+        });
+        assert!(m.validate_invariants().is_empty());
+    }
+
+    #[test]
+    fn a_desynchronised_owner_index_is_a_violation() {
+        let m = mgr();
+        m.lock(OwnerId(1), PAGE, S).unwrap();
+        m.lock(OwnerId(2), PAGE, S).unwrap();
+        assert!(m.validate_invariants().is_empty());
+        // The index forgets a grant.
+        let saved = m.state.lock().owned.remove(&OwnerId(1)).unwrap();
+        assert!(!m.validate_invariants().is_empty());
+        // The index lists a grant twice.
+        m.state.lock().owned.insert(OwnerId(1), vec![PAGE, PAGE]);
+        assert!(!m.validate_invariants().is_empty());
+        // The index names a resource the owner does not hold.
+        m.state.lock().owned.insert(OwnerId(1), vec![PAGE, BASE]);
+        assert!(!m.validate_invariants().is_empty());
+        // A grant list names an owner twice.
+        m.state.lock().owned.insert(OwnerId(1), saved);
+        assert!(m.validate_invariants().is_empty());
+        m.state
+            .lock()
+            .resources
+            .get_mut(&PAGE)
+            .unwrap()
+            .granted
+            .push((OwnerId(2), IS));
+        assert!(!m.validate_invariants().is_empty());
+    }
+
+    #[test]
+    fn release_all_touches_only_its_owner() {
+        let m = mgr();
+        // 1 000 other owners hold S or IS, some on the resources `o` holds.
+        for i in 0..1000u64 {
+            let mode = if i % 2 == 0 { S } else { IS };
+            m.lock(OwnerId(i + 10), ResourceId::Page((i % 50) as u32), mode)
+                .unwrap();
+            m.lock(OwnerId(i + 10), ResourceId::Key(i), S).unwrap();
+        }
+        let o = OwnerId(1);
+        let mine = [
+            ResourceId::Tree(0),
+            ResourceId::Page(3),
+            ResourceId::Page(7),
+            ResourceId::Key(5000),
+        ];
+        for r in mine {
+            m.lock(o, r, IS).unwrap();
+        }
+        let others = |m: &LockManager| -> Vec<Vec<(OwnerId, LockMode)>> {
+            (0..50)
+                .map(ResourceId::Page)
+                .chain((0..1000).map(ResourceId::Key))
+                .map(|r| m.holders(r).into_iter().filter(|(w, _)| *w != o).collect())
+                .collect()
+        };
+        let before = others(&m);
+        let mut released = m.release_all(o);
+        released.sort_by_key(|r| format!("{r:?}"));
+        let mut expected = mine.to_vec();
+        expected.sort_by_key(|r| format!("{r:?}"));
+        assert_eq!(released, expected);
+        assert_eq!(others(&m), before);
+        assert!(m.held_resources(o).is_empty());
+        assert_eq!(m.held_resources(OwnerId(10)).len(), 2);
+        assert!(m.validate_invariants().is_empty());
+    }
+
+    #[test]
+    fn a_conversion_keeps_one_index_entry() {
+        let m = mgr();
+        m.lock(OwnerId(1), PAGE, IS).unwrap();
+        m.lock(OwnerId(1), PAGE, S).unwrap();
+        m.lock(OwnerId(1), PAGE, X).unwrap();
+        assert_eq!(m.held_mode(OwnerId(1), PAGE), Some(X));
+        assert_eq!(m.held_resources(OwnerId(1)), vec![PAGE]);
+        assert!(m.validate_invariants().is_empty());
+    }
+
+    #[test]
+    fn an_instant_grant_adds_no_index_entry() {
+        let m = mgr();
+        m.lock_instant(OwnerId(1), BASE, RS).unwrap();
+        assert!(m.held_resources(OwnerId(1)).is_empty());
+        // Nothing was granted, so nothing is left in the table either.
+        assert!(m.state.lock().resources.is_empty());
+        m.lock(OwnerId(2), BASE, S).unwrap();
+        m.lock_instant(OwnerId(1), BASE, RS).unwrap();
+        assert!(m.held_resources(OwnerId(1)).is_empty());
+        assert!(m.validate_invariants().is_empty());
+    }
+
+    #[test]
+    fn unlocking_an_unheld_resource_is_a_noop() {
+        let m = mgr();
+        m.lock(OwnerId(2), PAGE, S).unwrap();
+        m.lock(OwnerId(1), BASE, S).unwrap();
+        m.unlock(OwnerId(1), PAGE);
+        m.unlock(OwnerId(1), ResourceId::Key(9));
+        assert_eq!(m.holders(PAGE), vec![(OwnerId(2), S)]);
+        assert_eq!(m.held_resources(OwnerId(1)), vec![BASE]);
+        assert!(m.held_resources(OwnerId(3)).is_empty());
+        assert!(m.release_all(OwnerId(3)).is_empty());
+        assert!(m.validate_invariants().is_empty());
     }
 }
