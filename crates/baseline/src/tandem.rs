@@ -9,7 +9,7 @@ use obr_btree::leaf::LEAF_BODY;
 use obr_btree::{LeafRef, LeafView, NodeRef, NodeView};
 use obr_core::{CoreError, CoreResult, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
-use obr_storage::{Page, PageId, PageType, PAGE_SIZE};
+use obr_storage::{PageId, PageType};
 use obr_wal::LogRecord;
 
 /// Baseline configuration.
@@ -57,10 +57,6 @@ pub struct TandemReorganizer {
     stats: Mutex<TandemStats>,
     /// Raised externally to abandon the run (crash experiments).
     pub stop: AtomicBool,
-}
-
-fn image_of(page: &Page) -> Box<[u8; PAGE_SIZE]> {
-    Box::new(*page.bytes())
 }
 
 impl TandemReorganizer {
@@ -206,12 +202,12 @@ impl TandemReorganizer {
         for p in [a, b, base] {
             let g = pool.fetch(p)?;
             let page = g.read();
-            images.push((p, image_of(&page)));
+            images.push((p, page.image()));
         }
         if b_right.is_valid() {
             let g = pool.fetch(b_right)?;
             let page = g.read();
-            images.push((b_right, image_of(&page)));
+            images.push((b_right, page.image()));
         }
         let lsn = self.db.log().append(&LogRecord::Smo {
             images,
@@ -312,7 +308,7 @@ impl TandemReorganizer {
         for p in [src, target, base] {
             let g = pool.fetch(p)?;
             let page = g.read();
-            images.push((p, image_of(&page)));
+            images.push((p, page.image()));
         }
         let lsn = self.db.log().append(&LogRecord::Smo {
             images,
@@ -424,7 +420,7 @@ impl TandemReorganizer {
         for &p in &pages {
             let g = pool.fetch(p)?;
             let page = g.read();
-            images.push((p, image_of(&page)));
+            images.push((p, page.image()));
         }
         let lsn = self.db.log().append(&LogRecord::Smo {
             images,

@@ -1,10 +1,9 @@
 //! WAL benchmarks: append/encode throughput for the record shapes E6
-//! compares — keys-only MOVE, full-record MOVE, and the swap's full page
-//! image.
+//! compares — keys-only MOVE and full-record MOVE.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use obr_storage::{Lsn, PageId, PAGE_SIZE};
+use obr_storage::{Lsn, PageId};
 use obr_wal::{LogManager, LogRecord, MovePayload, UnitId};
 
 fn move_keys(n: u64) -> LogRecord {
@@ -27,16 +26,6 @@ fn move_records(n: u64, vlen: usize) -> LogRecord {
     }
 }
 
-fn swap_image() -> LogRecord {
-    LogRecord::ReorgSwap {
-        unit: UnitId(1),
-        page_a: PageId(1),
-        page_b: PageId(2),
-        image_a_old: Box::new([0xAB; PAGE_SIZE]),
-        prev_lsn: Lsn(5),
-    }
-}
-
 /// Append with periodic truncation so a full Criterion run (millions of
 /// iterations) cannot grow the in-memory log without bound.
 fn append_bounded(log: &LogManager, rec: &LogRecord) -> obr_storage::Lsn {
@@ -53,15 +42,11 @@ fn bench_append(c: &mut Criterion) {
     let log = LogManager::new();
     let keys = move_keys(50);
     let recs = move_records(50, 64);
-    let swap = swap_image();
     group.bench_function("move-keys-50", |b| {
         b.iter(|| black_box(append_bounded(&log, &keys)))
     });
     group.bench_function("move-records-50x64B", |b| {
         b.iter(|| black_box(append_bounded(&log, &recs)))
-    });
-    group.bench_function("swap-page-image", |b| {
-        b.iter(|| black_box(append_bounded(&log, &swap)))
     });
     group.finish();
 }
@@ -75,11 +60,6 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.bench_function("decode-move-keys-50", |b| {
         b.iter(|| black_box(LogRecord::decode(&encoded).unwrap()))
-    });
-    let swap = swap_image();
-    let swap_bytes = swap.encode();
-    group.bench_function("decode-swap-image", |b| {
-        b.iter(|| black_box(LogRecord::decode(&swap_bytes).unwrap()))
     });
     group.finish();
 }

@@ -124,9 +124,10 @@ pub fn e2_three_passes(scale: Scale) -> String {
 // E3 — §6.1: the placement heuristic vs naive policies.
 // ---------------------------------------------------------------------
 
-/// E3: pass-2 swaps and moves under each placement policy, across
+/// E3: pass-2 parks and moves under each placement policy, across
 /// sparseness levels. The paper: "our algorithm can greatly reduce the
-/// number of swaps needed at the second pass".
+/// number of swaps needed at the second pass"; here a swap's work is moves,
+/// plus a park for each cycle of occupied targets.
 pub fn e3_placement(scale: Scale) -> String {
     let mut rows: Vec<Row> = Vec::new();
     for f1 in [0.15, 0.25, 0.4] {
@@ -161,13 +162,13 @@ pub fn e3_placement(scale: Scale) -> String {
         }
     }
     table(
-        "E3: Find-Free-Space policy vs pass-2 swaps (§6.1)",
+        "E3: Find-Free-Space policy vs pass-2 units (§6.1)",
         &[
             "f1",
             "policy",
             "copy-switch",
             "in-place",
-            "swaps",
+            "parks",
             "moves",
             "disorder",
         ],
@@ -413,7 +414,7 @@ pub fn e5_forward_recovery(scale: Scale) -> String {
 // ---------------------------------------------------------------------
 
 /// E6: reorganization log bytes — keys-only (careful writing) vs full
-/// records vs \[Smi90\] page images; plus the pass-2 swap full-page cost.
+/// records vs \[Smi90\] page images.
 pub fn e6_log_volume(scale: Scale) -> String {
     let mut rows: Vec<Row> = Vec::new();
     let n = scale.n(3000);
@@ -424,7 +425,7 @@ pub fn e6_log_volume(scale: Scale) -> String {
     ] {
         let (_disk, db) = sparse_database(32_768, n, 0.25, 64);
         let bytes_before = db.metrics().snapshot().counter("wal_append_bytes");
-        let (moved, swaps) = match strategy {
+        let moved = match strategy {
             Some(ls) => {
                 let cfg = ReorgConfig {
                     log_strategy: ls,
@@ -434,12 +435,12 @@ pub fn e6_log_volume(scale: Scale) -> String {
                 let r = Reorganizer::new(Arc::clone(&db), cfg);
                 r.pass1_compact().unwrap();
                 r.pass2_swap_move().unwrap();
-                (r.stats().records_moved, r.stats().swaps)
+                r.stats().records_moved
             }
             None => {
                 let t = TandemReorganizer::new(Arc::clone(&db), TandemConfig::default());
                 t.run().unwrap();
-                (t.stats().records_moved, t.stats().swaps)
+                t.stats().records_moved
             }
         };
         let bytes = db.metrics().snapshot().counter("wal_append_bytes") - bytes_before;
@@ -447,20 +448,13 @@ pub fn e6_log_volume(scale: Scale) -> String {
         rows.push(vec![
             name.to_string(),
             moved.to_string(),
-            swaps.to_string(),
             bytes.to_string(),
             f(bytes as f64 / moved.max(1) as f64),
         ]);
     }
     table(
         "E6: reorganization log volume (§5 careful writing)",
-        &[
-            "strategy",
-            "records_moved",
-            "swaps",
-            "log_bytes",
-            "bytes/record",
-        ],
+        &["strategy", "records_moved", "log_bytes", "bytes/record"],
         &rows,
     )
 }

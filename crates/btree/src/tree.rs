@@ -101,10 +101,6 @@ impl Drop for SmoGuard<'_> {
     }
 }
 
-fn image_of(page: &Page) -> Box<[u8; PAGE_SIZE]> {
-    Box::new(*page.bytes())
-}
-
 impl BTree {
     /// Create a brand-new tree: a meta page and one empty root leaf,
     /// durable on return.
@@ -718,7 +714,7 @@ impl BTree {
             node.insert_entry(low, old_root)?;
         }
         let lsn = self.log.append(&LogRecord::Smo {
-            images: vec![(new_root, image_of(&npage))],
+            images: vec![(new_root, npage.image())],
             new_anchor: Some((new_root, height + 1)),
         });
         npage.set_lsn(lsn);
@@ -769,9 +765,9 @@ impl BTree {
         }
         let lsn = self.log.append(&LogRecord::Smo {
             images: vec![
-                (node_id, image_of(&npage)),
-                (new_id, image_of(&spage)),
-                (parent_id, image_of(&ppage)),
+                (node_id, npage.image()),
+                (new_id, spage.image()),
+                (parent_id, ppage.image()),
             ],
             new_anchor: None,
         });
@@ -866,7 +862,7 @@ impl BTree {
                             let rg = self.pool.fetch(old_right)?;
                             let mut rpage = rg.write();
                             rpage.set_left_sibling(new_id);
-                            images.push((old_right, image_of(&rpage)));
+                            images.push((old_right, rpage.image()));
                             extra_lsn_pages.push(old_right);
                         }
                     }
@@ -903,7 +899,7 @@ impl BTree {
                             let ng = self.pool.fetch(prev)?;
                             let mut npage = ng.write();
                             npage.set_right_sibling(new_id);
-                            images.push((prev, image_of(&npage)));
+                            images.push((prev, npage.image()));
                             extra_lsn_pages.push(prev);
                         }
                     }
@@ -915,7 +911,7 @@ impl BTree {
                             let lg2 = self.pool.fetch(old_left)?;
                             let mut l2 = lg2.write();
                             l2.set_right_sibling(new_id);
-                            images.push((old_left, image_of(&l2)));
+                            images.push((old_left, l2.image()));
                             extra_lsn_pages.push(old_left);
                         }
                     }
@@ -937,9 +933,9 @@ impl BTree {
                 }
             }
         }
-        images.push((leaf_id, image_of(&lpage)));
-        images.push((new_id, image_of(&spage)));
-        images.push((parent_id, image_of(&ppage)));
+        images.push((leaf_id, lpage.image()));
+        images.push((new_id, spage.image()));
+        images.push((parent_id, ppage.image()));
         let lsn = self.log.append(&LogRecord::Smo {
             images,
             new_anchor: None,
@@ -1017,7 +1013,7 @@ impl BTree {
                     let ng = self.pool.fetch(prev)?;
                     let mut npage = ng.write();
                     npage.set_right_sibling(right);
-                    images.push((prev, image_of(&npage)));
+                    images.push((prev, npage.image()));
                     neighbour_lsns.push(prev);
                 }
             }
@@ -1026,14 +1022,14 @@ impl BTree {
                     let ng = self.pool.fetch(left)?;
                     let mut npage = ng.write();
                     npage.set_right_sibling(right);
-                    images.push((left, image_of(&npage)));
+                    images.push((left, npage.image()));
                     neighbour_lsns.push(left);
                 }
                 if right.is_valid() {
                     let ng = self.pool.fetch(right)?;
                     let mut npage = ng.write();
                     npage.set_left_sibling(left);
-                    images.push((right, image_of(&npage)));
+                    images.push((right, npage.image()));
                     neighbour_lsns.push(right);
                 }
             }
@@ -1048,8 +1044,8 @@ impl BTree {
             low
         };
         lpage.format(PageType::Free, 0);
-        images.push((leaf_id, image_of(&lpage)));
-        images.push((parent_id, image_of(&ppage)));
+        images.push((leaf_id, lpage.image()));
+        images.push((parent_id, ppage.image()));
         let lsn = self.log.append(&LogRecord::Smo {
             images,
             new_anchor: None,
@@ -1097,7 +1093,7 @@ impl BTree {
         }
         npage.format(PageType::Free, 0);
         let lsn = self.log.append(&LogRecord::Smo {
-            images: vec![(node_id, image_of(&npage)), (parent_id, image_of(&ppage))],
+            images: vec![(node_id, npage.image()), (parent_id, ppage.image())],
             new_anchor: None,
         });
         npage.set_lsn(lsn);

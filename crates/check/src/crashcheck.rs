@@ -55,6 +55,13 @@
 //! resolves the former to the exact record boundary and refuses the
 //! latter.
 //!
+//! # Pass-2 coverage
+//!
+//! A fourth scenario journals pass 2 alone on a two-region tree whose
+//! leaves all sit on each other's target pages, so its crash states fall
+//! inside chains of one-leaf Move units and inside the parks that break
+//! their cycles.
+//!
 //! # The oracle
 //!
 //! The workload is single-threaded and every session operation forces the
@@ -341,6 +348,7 @@ fn build_scenarios(opts: &CrashCheckOptions) -> Result<Vec<Scenario>, Box<dyn st
         scenario_full_reorg()?,
         scenario_pass3_interrupted()?,
         scenario_segmented_wal(opts)?,
+        scenario_pass2_chain()?,
     ])
 }
 
@@ -616,6 +624,63 @@ fn scenario_segmented_wal(
         oracle,
         frames: pages as usize,
         wal_dir: Some(wal_dir),
+    })
+}
+
+/// Scenario 4: pass 2 alone on a two-region tree whose leaves interleaved
+/// inserts scattered over pages that all hold leaves, so it places them
+/// with chains of one-leaf Move units and breaks cycles with parks. The
+/// inserts precede the journal; the window is pass 2 and nothing else.
+fn scenario_pass2_chain() -> Result<Scenario, Box<dyn std::error::Error>> {
+    const KEYS: u64 = 240;
+    let pages = 512u32;
+    let inner = Arc::new(InMemoryDisk::new(pages));
+    let journal = Arc::new(JournalDisk::new(inner as Arc<dyn DiskManager>));
+    let db = Database::create_with_regions(
+        Arc::clone(&journal) as Arc<dyn DiskManager>,
+        pages as usize,
+        SidePointerMode::TwoWay,
+        32,
+    )?;
+    journal.set_witness(Arc::clone(db.log()) as Arc<dyn DurabilityWitness>);
+    let records: Vec<(u64, Vec<u8>)> = (0..KEYS).map(|k| (k * 2, val(k))).collect();
+    db.tree().bulk_load(&records, 0.85, 0.9)?;
+    let s = Session::new(Arc::clone(&db));
+    for k in 0..KEYS {
+        s.insert(k * 2 + 1, &val(k))?;
+    }
+    db.checkpoint()?;
+    db.pool().flush_all()?;
+    db.log().flush_all()?;
+    journal.begin_journal()?;
+    let base_mark = db.log().durable_lsn();
+    let model: BTreeMap<u64, Vec<u8>> = db.tree().collect_all()?.into_iter().collect();
+
+    let cfg = ReorgConfig {
+        shrink_pass: false,
+        ..ReorgConfig::default()
+    };
+    let reorg = Reorganizer::new(Arc::clone(&db), cfg.clone());
+    reorg.pass2_swap_move()?;
+    // A park only runs for a chain of two leaves or more.
+    let st = reorg.stats();
+    if st.swaps == 0 || st.moves <= st.swaps {
+        return Err(format!("pass-2 chain scenario ran no park and chain: {st:?}").into());
+    }
+
+    db.pool().flush_all()?;
+    db.log().flush_all()?;
+    let end_mark = db.log().durable_lsn();
+    Ok(Scenario {
+        name: "pass2-chain",
+        journal,
+        log: Arc::clone(db.log()),
+        cfg,
+        base_mark,
+        end_mark,
+        oracle: vec![(base_mark.0, model)],
+        frames: pages as usize,
+        wal_dir: None,
     })
 }
 

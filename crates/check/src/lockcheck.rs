@@ -331,28 +331,14 @@ pub fn protocol_sequences() -> &'static [LockSequence] {
         // try_lock with an instant-duration fallback: never a waiter.
         try_acq(SideFile, IX),
     ];
-    const PASS1_UNIT: &[Acquisition] = &[
+    // Pass 1's compaction and pass 2's one-leaf move run the same unit.
+    const MOVE_UNIT: &[Acquisition] = &[
         acq(Tree, IX),
         acq(Base, S),
         acq(Base, R),
         acq(Leaf, RX), // the unit's leaves (and the dest page)
         acq(Leaf, X),  // side-pointer chain neighbours under other parents
         acq(Base, X),  // upgrade for the short MODIFY
-    ];
-    const PASS2_MOVE: &[Acquisition] = &[
-        acq(Tree, IX),
-        acq(Base, S),
-        acq(Base, R),
-        acq(Leaf, RX),
-        acq(Base, X),
-    ];
-    const PASS2_SWAP: &[Acquisition] = &[
-        acq(Tree, IX),
-        acq(Base, S),
-        acq(Base, R),
-        acq(Leaf, RX),
-        acq(Leaf, X), // chain neighbours of both swapped leaves
-        acq(Base, X),
     ];
     const PASS3_SCAN: &[Acquisition] = &[acq(Base, S)];
     const PASS3_SWITCH_GATE: &[Acquisition] = &[acq(SideFile, X)];
@@ -364,15 +350,11 @@ pub fn protocol_sequences() -> &'static [LockSequence] {
         },
         LockSequence {
             name: "pass-1 compaction unit (§4.1.1)",
-            steps: PASS1_UNIT,
+            steps: MOVE_UNIT,
         },
         LockSequence {
             name: "pass-2 move unit (§6)",
-            steps: PASS2_MOVE,
-        },
-        LockSequence {
-            name: "pass-2 swap unit (§6)",
-            steps: PASS2_SWAP,
+            steps: MOVE_UNIT,
         },
         LockSequence {
             name: "pass-3 base scan (§7.1)",

@@ -9,7 +9,7 @@
 //!   it is the compensating reverse of an earlier MOVE in the same unit
 //!   (the §5.2 undo path legitimately logs full records, because the
 //!   source page has already been emptied).
-//! - **Unit chaining** — every chained record (MOVE/MODIFY/SWAP/SIDEPTR)
+//! - **Unit chaining** — every chained record (MOVE/MODIFY/SIDEPTR)
 //!   must name the open unit and carry `prev_lsn` equal to the unit's most
 //!   recent LSN (the BEGIN's LSN for the first). A mismatch means the log
 //!   was reordered or spliced.
@@ -63,7 +63,7 @@ struct OpenUnit {
     chain_broken: bool,
     /// `(org, dest)` of forward MOVEs seen so far, for undo detection.
     moves: Vec<(PageId, PageId)>,
-    /// Chained work records (MOVE/MODIFY/SWAP/SIDEPTR) attributed to the
+    /// Chained work records (MOVE/MODIFY/SIDEPTR) attributed to the
     /// unit, for empty-unit detection at END.
     work: u64,
 }
@@ -230,10 +230,6 @@ impl<'a> Linter<'a> {
                     }
                 }
             }
-            LogRecord::ReorgSwap { unit, prev_lsn, .. } => {
-                self.reorg_lsns.insert(lsn);
-                self.chain(lsn, *unit, *prev_lsn, "SWAP");
-            }
             LogRecord::ReorgModify { unit, prev_lsn, .. } => {
                 self.reorg_lsns.insert(lsn);
                 self.chain(lsn, *unit, *prev_lsn, "MODIFY");
@@ -273,7 +269,7 @@ impl<'a> Linter<'a> {
                                 Some(lsn),
                                 format!(
                                     "unit {} (begun at LSN {}) ends with no \
-                                     MOVE/MODIFY/SWAP/SIDEPTR records",
+                                     MOVE/MODIFY/SIDEPTR records",
                                     open.unit.0, open.begin_lsn
                                 ),
                             );

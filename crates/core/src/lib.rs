@@ -3,8 +3,8 @@
 //!
 //! * [`reorg::Reorganizer`] — the three-pass algorithm: pass 1 compacts
 //!   leaves (in-place compaction + new-place copy-and-switch with the §6.1
-//!   placement heuristic), pass 2 optionally swaps/moves leaves into
-//!   physical key order, pass 3 rebuilds the upper levels bottom-up behind a
+//!   placement heuristic), pass 2 optionally moves leaves into physical
+//!   key order with the same one-leaf units, pass 3 rebuilds the upper levels bottom-up behind a
 //!   side file and switches trees (§7.4).
 //! * [`recovery`] — ARIES-style redo + transaction undo, plus the paper's
 //!   **Forward Recovery**: an interrupted reorganization unit is finished,

@@ -25,7 +25,7 @@ pub(crate) struct CoreMetrics {
     pub records_moved: Counter,
     pub pages_freed: Counter,
     // Pass 2 (§6.2) and pass 3 (§7).
-    pub pass2_swaps: Counter,
+    pub pass2_parks: Counter,
     pub pass2_moves: Counter,
     pub base_pages_read: Counter,
     pub stable_points: Counter,
@@ -65,7 +65,7 @@ impl CoreMetrics {
         reg.register_counter("reorg_deadlock_retries", &self.deadlock_retries);
         reg.register_counter("reorg_records_moved", &self.records_moved);
         reg.register_counter("reorg_pages_freed", &self.pages_freed);
-        reg.register_counter("reorg_pass2_swaps", &self.pass2_swaps);
+        reg.register_counter("reorg_pass2_parks", &self.pass2_parks);
         reg.register_counter("reorg_pass2_moves", &self.pass2_moves);
         reg.register_counter("reorg_base_pages_read", &self.base_pages_read);
         reg.register_counter("reorg_stable_points", &self.stable_points);

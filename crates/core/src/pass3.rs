@@ -23,7 +23,7 @@ use obr_btree::node::NODE_CAPACITY;
 use obr_btree::{NodeRef, NodeView, SmoObserver};
 use obr_lock::{LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
-use obr_storage::{Page, PageId, PageType, StorageError, PAGE_SIZE};
+use obr_storage::{PageId, PageType, StorageError};
 use obr_wal::{LogRecord, Pass3State, TxnId};
 
 use crate::db::{Database, CK_IDLE};
@@ -33,10 +33,6 @@ use crate::sidefile::{SideEntry, SideOp};
 
 /// Sentinel stable key meaning "all base pages have been read".
 pub const STABLE_ALL_READ: u64 = u64::MAX;
-
-fn image_of(page: &Page) -> Box<[u8; PAGE_SIZE]> {
-    Box::new(*page.bytes())
-}
 
 /// The §7.2 observer: catches base-page entry changes made by user
 /// transactions while pass 3 runs, and queues the ones behind the read
@@ -197,7 +193,7 @@ impl<'a> NewTreeEditor<'a> {
         for &p in pages {
             let g = pool.fetch(p)?;
             let page = g.read();
-            images.push((p, image_of(&page)));
+            images.push((p, page.image()));
         }
         let lsn = self.db.log().append(&LogRecord::Smo {
             images,
@@ -561,7 +557,7 @@ impl Reorganizer {
         let mut images = Vec::with_capacity(pages.len());
         for &p in pages {
             let g = pool.fetch(p)?;
-            images.push((p, image_of(&g.read())));
+            images.push((p, g.read().image()));
         }
         let lsn = db.log().append(&LogRecord::Smo {
             images,

@@ -78,7 +78,6 @@ struct UnitInfo {
     kind: ReorgKind,
     base_pages: Vec<PageId>,
     leaf_pages: Vec<PageId>,
-    swap_logged: bool,
 }
 
 /// Test-only sabotage switch: when `OBR_BUG_SKIP_SIDE_RESTORE=1`, recovery
@@ -194,7 +193,6 @@ impl Replay {
                         kind: *kind,
                         base_pages: base_pages.clone(),
                         leaf_pages: leaf_pages.clone(),
-                        swap_logged: false,
                     },
                 );
             }
@@ -202,12 +200,6 @@ impl Replay {
             | LogRecord::ReorgModify { .. }
             | LogRecord::ReorgSidePtr { .. } => {
                 db.reorg_table().advance(lsn);
-            }
-            LogRecord::ReorgSwap { unit, .. } => {
-                db.reorg_table().advance(lsn);
-                if let Some(u) = self.open_units.get_mut(unit) {
-                    u.swap_logged = true;
-                }
             }
             LogRecord::ReorgEnd { unit, largest_key } => {
                 self.open_units.remove(unit);
@@ -510,14 +502,6 @@ fn redo_one(db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) -> CoreResult<bool> {
         } => {
             return redo_move(db, lsn, *org, *dest, payload);
         }
-        LogRecord::ReorgSwap {
-            page_a,
-            page_b,
-            image_a_old,
-            ..
-        } => {
-            return redo_swap(db, lsn, *page_a, *page_b, image_a_old);
-        }
         LogRecord::ReorgModify {
             base_page,
             old_entries,
@@ -657,59 +641,6 @@ fn redo_move(
     Ok(true)
 }
 
-/// Redo a swap from its one logged image (§5): `b`'s new content is the
-/// logged old image of `a`; `a`'s new content is `b`'s old content, still
-/// present because careful writing forbids flushing `b` before `a`.
-fn redo_swap(
-    db: &Arc<Database>,
-    lsn: Lsn,
-    a: PageId,
-    b: PageId,
-    image_a_old: &[u8; obr_storage::PAGE_SIZE],
-) -> CoreResult<bool> {
-    let pool = db.pool();
-    let ag = pool.fetch(a)?;
-    let bg = pool.fetch(b)?;
-    let mut apage = ag.write();
-    let mut bpage = bg.write();
-    let need_a = apage.lsn() < lsn;
-    let need_b = bpage.lsn() < lsn;
-    if !need_a && !need_b {
-        return Ok(false);
-    }
-    if need_a && !need_b {
-        return Err(CoreError::Recovery(format!(
-            "careful-writing violation: swap target {b} durable before {a}"
-        )));
-    }
-    let remap = |p: PageId| {
-        if p == a {
-            b
-        } else if p == b {
-            a
-        } else {
-            p
-        }
-    };
-    if need_a {
-        // b still holds its pre-swap content.
-        let b_old = *bpage.bytes();
-        apage.bytes_mut().copy_from_slice(&b_old);
-        let (l, r) = (apage.left_sibling(), apage.right_sibling());
-        apage.set_left_sibling(remap(l));
-        apage.set_right_sibling(remap(r));
-        apage.set_lsn(lsn);
-    }
-    if need_b {
-        bpage.bytes_mut().copy_from_slice(image_a_old);
-        let (l, r) = (bpage.left_sibling(), bpage.right_sibling());
-        bpage.set_left_sibling(remap(l));
-        bpage.set_right_sibling(remap(r));
-        bpage.set_lsn(lsn);
-    }
-    Ok(true)
-}
-
 /// Roll back one loser transaction by walking its prev-LSN chain from
 /// `last` down to zero, which is what its first update record carries.
 fn undo_txn(
@@ -784,142 +715,87 @@ fn complete_unit(
 ) -> CoreResult<()> {
     let tree = db.tree();
     let pool = db.pool();
-    let mut largest_key = 0u64;
-    match info.kind {
-        ReorgKind::Compact | ReorgKind::Move => {
-            let dest = if info.kind == ReorgKind::Move {
-                *info.leaf_pages.last().expect("move unit lists dest")
-            } else {
-                info.leaf_pages[0]
-            };
-            let sources: Vec<PageId> = info
-                .leaf_pages
-                .iter()
-                .copied()
-                .filter(|&p| p != dest)
-                .collect();
-            let _g = tree.smo_guard();
-            // Count work already durable: records that reached dest.
-            {
-                let dg = pool.fetch(dest)?;
-                let dpage = dg.read();
-                if dpage.page_type() == Some(PageType::Leaf) {
-                    report.records_preserved += LeafRef::new(&dpage).count() as u64;
-                }
-            }
-            // Finish outstanding moves.
-            for org in sources.iter().copied() {
-                let records = {
-                    let og = pool.fetch(org)?;
-                    let opage = og.read();
-                    if opage.page_type() != Some(PageType::Leaf) {
-                        continue;
-                    }
-                    LeafRef::new(&opage).records()
-                };
-                if records.is_empty() {
-                    continue;
-                }
-                let lsn =
-                    db.reorg_table()
-                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
-                            unit: info.unit,
-                            org,
-                            dest,
-                            payload: MovePayload::Records(records.clone()),
-                            prev_lsn,
-                        });
-                {
-                    let dg = pool.fetch(dest)?;
-                    let mut dpage = dg.write();
-                    if dpage.page_type() != Some(PageType::Leaf) {
-                        let mut leaf = LeafView::init(&mut dpage);
-                        leaf.page_mut().set_low_mark(records[0].0);
-                    }
-                    let mut leaf = LeafView::new(&mut dpage);
-                    for (k, v) in &records {
-                        leaf.upsert(*k, v)?;
-                    }
-                    dpage.set_lsn(lsn);
-                }
-                {
-                    let og = pool.fetch(org)?;
-                    let mut opage = og.write();
-                    LeafView::new(&mut opage).take_all();
-                    opage.set_lsn(lsn);
-                }
-            }
-            {
-                let dg = pool.fetch(dest)?;
-                let dpage = dg.read();
-                if dpage.page_type() == Some(PageType::Leaf) {
-                    if let Some(k) = LeafRef::new(&dpage).last_key() {
-                        largest_key = k;
-                    }
-                }
-            }
-            // Finish the MODIFY on each base page. One whose entries name
-            // no source has it durable already, or is not the unit's base.
-            for &base in &info.base_pages {
-                let bg = pool.fetch(base)?;
-                let mut bpage = bg.write();
-                if bpage.page_type() == Some(PageType::Internal) {
-                    modify_base(db, info.unit, base, &mut bpage, &sources, dest)?;
-                }
-            }
-        }
-        ReorgKind::Swap => {
-            let (a, b) = (info.leaf_pages[0], info.leaf_pages[1]);
-            let _g = tree.smo_guard();
-            if info.swap_logged {
-                // Contents exchanged (redone); ensure both parents route
-                // correctly by their current first keys.
-                for leaf in [a, b] {
-                    let key = {
-                        let g = pool.fetch(leaf)?;
-                        let page = g.read();
-                        if page.page_type() != Some(PageType::Leaf) {
-                            continue;
-                        }
-                        let r = LeafRef::new(&page);
-                        largest_key = largest_key.max(r.last_key().unwrap_or(0));
-                        match r.first_key() {
-                            Some(k) => k,
-                            None => continue,
-                        }
-                    };
-                    let path = tree.path_for_locked(key)?;
-                    if path.len() < 2 {
-                        continue;
-                    }
-                    let base = path[path.len() - 2];
-                    let routed = *path.last().expect("non-empty");
-                    if routed != leaf {
-                        let bg = pool.fetch(base)?;
-                        let mut bpage = bg.write();
-                        let entry = NodeRef::new(&bpage).entry_for(key);
-                        if let Some((k, old_child)) = entry {
-                            let lsn = db.reorg_table().append_to_unit(db.log(), |prev_lsn| {
-                                LogRecord::ReorgModify {
-                                    unit: info.unit,
-                                    base_page: base,
-                                    old_entries: vec![(k, old_child)],
-                                    new_entries: vec![(k, leaf)],
-                                    prev_lsn,
-                                }
-                            });
-                            NodeView::new(&mut bpage)
-                                .set_child(k, leaf)
-                                .map_err(CoreError::Storage)?;
-                            bpage.set_lsn(lsn);
-                        }
-                    }
-                }
-            }
-            // If the swap image was never logged, nothing moved: close the
-            // unit with no effect.
+    let dest = if info.kind == ReorgKind::Move {
+        *info.leaf_pages.last().expect("move unit lists dest")
+    } else {
+        info.leaf_pages[0]
+    };
+    let sources: Vec<PageId> = info
+        .leaf_pages
+        .iter()
+        .copied()
+        .filter(|&p| p != dest)
+        .collect();
+    let smo = tree.smo_guard();
+    // Count work already durable: records that reached dest.
+    {
+        let dg = pool.fetch(dest)?;
+        let dpage = dg.read();
+        if dpage.page_type() == Some(PageType::Leaf) {
+            report.records_preserved += LeafRef::new(&dpage).count() as u64;
         }
     }
+    // Finish outstanding moves.
+    for org in sources.iter().copied() {
+        let records = {
+            let og = pool.fetch(org)?;
+            let opage = og.read();
+            if opage.page_type() != Some(PageType::Leaf) {
+                continue;
+            }
+            LeafRef::new(&opage).records()
+        };
+        if records.is_empty() {
+            continue;
+        }
+        let lsn = db
+            .reorg_table()
+            .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+                unit: info.unit,
+                org,
+                dest,
+                payload: MovePayload::Records(records.clone()),
+                prev_lsn,
+            });
+        {
+            let dg = pool.fetch(dest)?;
+            let mut dpage = dg.write();
+            if dpage.page_type() != Some(PageType::Leaf) {
+                let mut leaf = LeafView::init(&mut dpage);
+                leaf.page_mut().set_low_mark(records[0].0);
+            }
+            let mut leaf = LeafView::new(&mut dpage);
+            for (k, v) in &records {
+                leaf.upsert(*k, v)?;
+            }
+            dpage.set_lsn(lsn);
+        }
+        {
+            let og = pool.fetch(org)?;
+            let mut opage = og.write();
+            LeafView::new(&mut opage).take_all();
+            opage.set_lsn(lsn);
+        }
+    }
+    let largest_key = {
+        let dg = pool.fetch(dest)?;
+        let dpage = dg.read();
+        if dpage.page_type() == Some(PageType::Leaf) {
+            LeafRef::new(&dpage).last_key().unwrap_or(0)
+        } else {
+            0
+        }
+    };
+    // Finish the MODIFY on each base page. One whose entries name no source
+    // has it durable already, or is not the unit's base.
+    for &base in &info.base_pages {
+        let bg = pool.fetch(base)?;
+        let mut bpage = bg.write();
+        if bpage.page_type() == Some(PageType::Internal) {
+            modify_base(db, info.unit, base, &mut bpage, &sources, dest)?;
+        }
+    }
+    drop(smo);
     // Side-pointer chain repair: recompute the whole chain (recovery-time
     // only; simple and always correct).
     repair_side_chain(db, info.unit)?;

@@ -5,11 +5,12 @@
 //! factor `f2` — `Copying-Switching` into a well-placed empty page when
 //! `Find-Free-Space` finds one, `In-Place-Reorg` otherwise. Pass 2
 //! (`Swapping-Moving`, optional) puts the compacted leaves into physically
-//! contiguous key order: a leaf whose target page is free moves there in a
-//! one-leaf Move unit — the very unit pass 1 runs for copy-and-switch — and
-//! a leaf whose target holds another leaf swaps with it. Pass 3 (§7)
-//! rebuilds the upper levels new-place behind a side file and switches
-//! trees.
+//! contiguous key order with one-leaf Move units — the very unit pass 1
+//! runs for copy-and-switch. Where the paper swaps two leaves, pass 2 moves
+//! a chain of them, each straight into its target, after parking one leaf
+//! past the leaf region when the chain is a cycle; no unit logs a page
+//! image. Pass 3 (§7) rebuilds the upper levels new-place behind a side
+//! file and switches trees.
 //!
 //! Each unit follows the §4.1.1 reorganizer protocol: IX on the tree lock,
 //! S then R on the base page(s), RX on the unit's leaves (and X on
@@ -32,7 +33,7 @@ use obr_btree::leaf::LEAF_BODY;
 use obr_btree::{LeafRef, LeafView, NodeRef, NodeView, SmoGuard};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
-use obr_storage::{Page, PageId, PageType, PAGE_SIZE};
+use obr_storage::{Page, PageId, PageType};
 use obr_wal::{LogRecord, MovePayload, ReorgKind, UnitId};
 
 use crate::db::Database;
@@ -155,8 +156,8 @@ impl Default for ReorgConfig {
 pub struct ReorgTrigger {
     /// Compact (pass 1) when the average leaf fill drops below this.
     pub min_fill: f64,
-    /// Swap (pass 2) when more than this fraction of key-adjacent leaf
-    /// pairs are physically non-adjacent.
+    /// Order the leaves (pass 2) when more than this fraction of
+    /// key-adjacent leaf pairs are physically non-adjacent.
     pub max_disorder: f64,
     /// Never run pass 2 on trees smaller than this many leaves: a couple
     /// of leaves interleaved with immovable internal pages (no §6 region
@@ -198,9 +199,10 @@ pub struct ReorgStats {
     pub inplace_units: u64,
     /// Pass-1 new-place copy-and-switch units.
     pub copy_switch_units: u64,
-    /// Pass-2 swaps (expensive: full-page logging, two parents).
+    /// Pass-2 parks: leaves moved past the leaf region to break a cycle of
+    /// occupied targets (the paper would swap there). Each is also a move.
     pub swaps: u64,
-    /// Pass-2 moves to empty pages (cheap).
+    /// Pass-2 one-leaf Move units, parks included.
     pub moves: u64,
     /// Records moved across all units.
     pub records_moved: u64,
@@ -271,10 +273,6 @@ pub struct Reorganizer {
     fail: Option<FailPoint>,
     rng: Mutex<u64>,
     pub(crate) stats: Mutex<ReorgStats>,
-}
-
-fn image_of(page: &Page) -> Box<[u8; PAGE_SIZE]> {
-    Box::new(*page.bytes())
 }
 
 impl Drop for Reorganizer {
@@ -1086,8 +1084,12 @@ impl Reorganizer {
     // Pass 2: Swapping-Moving (§6, Figure 2).
     // ------------------------------------------------------------------
 
-    /// Pass 2: place leaves contiguously in key order, preferring moves to
-    /// empty pages over swaps.
+    /// Pass 2: place leaves contiguously in key order. A leaf whose target
+    /// is held by a later leaf starts a chain of occupants that ends at a
+    /// free page; the chain moves tail first, each leaf straight into its
+    /// target. When the chain instead returns to the leaf (a cycle) or meets
+    /// a page pass 2 cannot move, the leaf first parks past the leaf region
+    /// and its vacated page ends the chain.
     pub fn pass2_swap_move(&self) -> CoreResult<()> {
         let units_before = self.db.core_metrics().units_completed.get();
         self.db.tracer().emit(TraceKind::PassEnter, 0, 2, 0, 0, 0);
@@ -1114,68 +1116,105 @@ impl Reorganizer {
         } else {
             leaves.iter().min().copied().unwrap_or(PageId(0)).0
         };
+        let target = |i: usize| PageId(start + i as u32);
+        let region_end = target(leaves.len());
         for i in 0..leaves.len() {
-            let target = PageId(start + i as u32);
-            let leaf = leaves[i];
-            if leaf == target {
+            if leaves[i] == target(i) {
                 continue;
             }
-            if fsm.allocate_specific(target) {
-                // A one-leaf Move unit into the reserved free page.
-                let moved = self.with_retries(format_args!("move {leaf}->{target}"), || {
-                    let (base, entry_key) = self.base_of_leaf(leaf)?;
-                    self.move_unit(2, base, &[(entry_key, leaf)], target)
-                });
-                match moved {
-                    Ok(done) if done.freed > 0 => {
-                        leaves[i] = target;
-                        self.stats.lock().moves += 1;
-                        self.db.core_metrics().pass2_moves.inc();
-                    }
-                    // The leaf was not under the base its key led to; the
-                    // unit logged nothing and returned `target`.
-                    Ok(_) => {}
-                    Err(CoreError::TooManyRetries(_)) => {
-                        // Leave this leaf where it is; §3 allows "not
-                        // necessarily a perfectly ordered" result.
-                        fsm.free(target);
-                        self.stats.lock().skipped_placements += 1;
-                    }
-                    Err(e) => return Err(e),
+            // Follow the occupants: `chain[k + 1]` holds `chain[k]`'s
+            // target, until a target is free (and now reserved).
+            let mut chain = vec![i];
+            let end = loop {
+                let want = target(chain[chain.len() - 1]);
+                if fsm.allocate_specific(want) {
+                    break Some(want);
                 }
-            } else {
-                // Occupied: swap if it holds another leaf of this tree.
-                let occupant_is_leaf = {
-                    let g = self.db.pool().fetch(target)?;
-                    let page = g.read();
-                    page.page_type() == Some(PageType::Leaf)
-                };
-                let occupied_by_ours = leaves.iter().position(|&l| l == target);
-                match (occupant_is_leaf, occupied_by_ours) {
-                    (true, Some(j)) if j > i => {
-                        let swapped = self
-                            .with_retries(format_args!("swap {leaf}<->{target}"), || {
-                                self.swap_leaf_unit(leaf, target)
-                            });
-                        match swapped {
-                            Ok(()) => {
-                                leaves[j] = leaf;
-                                leaves[i] = target;
-                            }
-                            Err(CoreError::TooManyRetries(_)) => {
-                                self.stats.lock().skipped_placements += 1;
-                            }
-                            Err(e) => return Err(e),
-                        }
+                match self.occupant(want, &leaves)? {
+                    Some(j) if j > i => chain.push(j),
+                    // Back at leaf i (a cycle), or at a page pass 2 leaves
+                    // where it is.
+                    _ => break None,
+                }
+            };
+            let end = match end {
+                Some(free) => free,
+                // Leaf i's own target holds an internal page or a foreign
+                // leaf: leave leaf i where it is.
+                None if chain.len() == 1 => continue,
+                None => {
+                    // Park leaf i past the region; its page ends the chain.
+                    let vacated = leaves[i];
+                    let Some(park) = fsm.allocate_in(PageId(region_end.0 - 1), PageId(u32::MAX))
+                    else {
+                        self.stats.lock().skipped_placements += 1;
+                        continue;
+                    };
+                    if !self.place(&mut leaves, i, park)? {
+                        continue;
                     }
-                    _ => {
-                        // An internal/meta page sits in the leaf region (or
-                        // a foreign leaf): leave this leaf where it is.
+                    self.stats.lock().swaps += 1;
+                    self.db.core_metrics().pass2_parks.inc();
+                    if !fsm.allocate_specific(vacated) {
+                        continue; // a split took it: leaf i stays parked
                     }
+                    vacated
+                }
+            };
+            // Tail first: each move vacates the target of the leaf before
+            // it in the chain.
+            let mut dest = end;
+            for (n, &c) in chain.iter().enumerate().rev() {
+                if n + 1 < chain.len() {
+                    dest = target(c);
+                    if !fsm.allocate_specific(dest) {
+                        break;
+                    }
+                }
+                if !self.place(&mut leaves, c, dest)? {
+                    break;
                 }
             }
         }
         Ok(())
+    }
+
+    /// The index in `leaves` of the leaf that occupies `page`, if any.
+    fn occupant(&self, page: PageId, leaves: &[PageId]) -> CoreResult<Option<usize>> {
+        let g = self.db.pool().fetch(page)?;
+        if g.read().page_type() != Some(PageType::Leaf) {
+            return Ok(None);
+        }
+        Ok(leaves.iter().position(|&l| l == page))
+    }
+
+    /// Move leaf `leaves[i]` into the reserved page `dest` with a one-leaf
+    /// Move unit. Returns whether it moved; when it did not, `dest` is free
+    /// again and the leaf stays where it is — §3 allows "not necessarily a
+    /// perfectly ordered" result.
+    fn place(&self, leaves: &mut [PageId], i: usize, dest: PageId) -> CoreResult<bool> {
+        let leaf = leaves[i];
+        let moved = self.with_retries(format_args!("move {leaf}->{dest}"), || {
+            let (base, entry_key) = self.base_of_leaf(leaf)?;
+            self.move_unit(2, base, &[(entry_key, leaf)], dest)
+        });
+        match moved {
+            Ok(done) if done.freed > 0 => {
+                leaves[i] = dest;
+                self.stats.lock().moves += 1;
+                self.db.core_metrics().pass2_moves.inc();
+                Ok(true)
+            }
+            // The leaf was not under the base its key led to; the unit
+            // logged nothing and returned `dest`.
+            Ok(_) => Ok(false),
+            Err(CoreError::TooManyRetries(_)) => {
+                self.db.fsm().free(dest);
+                self.stats.lock().skipped_placements += 1;
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// The base page a descent by `leaf`'s first key (its low mark when it
@@ -1201,216 +1240,6 @@ impl Reorganizer {
             .find(|&(_, c)| c == leaf)
             .map_or(key, |(k, _)| k);
         Ok((base, entry_key))
-    }
-
-    /// Exchange the contents of `a` and `b` under the SMO guard, logging
-    /// one full page image, remapping self-referencing side pointers, and
-    /// patching the external neighbours. Self-inverse, which is what makes
-    /// the §5.2 undo of a swap trivial.
-    fn apply_swap(
-        &self,
-        unit: UnitId,
-        a: PageId,
-        b: PageId,
-        neighbours: [PageId; 4],
-    ) -> CoreResult<()> {
-        let db = &self.db;
-        let tree = db.tree();
-        let _g = tree.smo_guard();
-        let pool = db.pool();
-        let remap = |p: PageId| {
-            if p == a {
-                b
-            } else if p == b {
-                a
-            } else {
-                p
-            }
-        };
-        {
-            let ag = pool.fetch(a)?;
-            let bg = pool.fetch(b)?;
-            let mut apage = ag.write();
-            let mut bpage = bg.write();
-            let image_a_old = image_of(&apage);
-            let lsn = db
-                .reorg_table()
-                .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgSwap {
-                    unit,
-                    page_a: a,
-                    page_b: b,
-                    image_a_old,
-                    prev_lsn,
-                });
-            // Exchange the full images (headers — low marks, side pointers —
-            // travel with the content), then remap self-references.
-            std::mem::swap(apage.bytes_mut(), bpage.bytes_mut());
-            for page in [&mut apage, &mut bpage] {
-                let (l, r) = (page.left_sibling(), page.right_sibling());
-                page.set_left_sibling(remap(l));
-                page.set_right_sibling(remap(r));
-            }
-            apage.set_lsn(lsn);
-            bpage.set_lsn(lsn);
-            // Careful writing: the unlogged side (b's old image, now in a)
-            // must not be overwritten on disk before `a` is durable.
-            pool.add_write_dependency(b, a);
-        }
-        // External neighbours now point at swapped positions. Each is
-        // visited once, even when it neighbours both swapped pages.
-        let mut seen: Vec<PageId> = Vec::with_capacity(4);
-        for n in neighbours {
-            if n == a || n == b || seen.contains(&n) {
-                continue;
-            }
-            seen.push(n);
-            set_siblings(db, unit, n, |l, r| (remap(l), remap(r)))?;
-        }
-        Ok(())
-    }
-
-    /// Pass-2 swap: exchange the contents of two leaves, logging one full
-    /// page image (the paper's unavoidable cost, §5) and repointing both
-    /// parents.
-    fn swap_leaf_unit(&self, a: PageId, b: PageId) -> CoreResult<()> {
-        let db = &self.db;
-        let tree = db.tree();
-        let locks = db.locks();
-        let owner = self.owner;
-        let gen = tree.generation()?;
-        let (base_a, _) = self.base_of_leaf(a)?;
-        let (base_b, _) = self.base_of_leaf(b)?;
-        locks.lock(owner, ResourceId::Tree(gen), LockMode::IX)?;
-        for base in [base_a, base_b] {
-            locks.lock(owner, ResourceId::Page(base.0), LockMode::S)?;
-            locks.lock(owner, ResourceId::Page(base.0), LockMode::R)?;
-        }
-        locks.lock(owner, ResourceId::Page(a.0), LockMode::RX)?;
-        locks.lock(owner, ResourceId::Page(b.0), LockMode::RX)?;
-        let mut held_neighbours: Vec<PageId> = Vec::new();
-        let (a_left, a_right) = self.lock_chain_neighbours(a, a, &[a, b], &mut held_neighbours)?;
-        let (b_left, b_right) = self.lock_chain_neighbours(b, b, &[a, b], &mut held_neighbours)?;
-        let unit = self.next_unit_id();
-        let begin_lsn = db.log().append(&LogRecord::ReorgBegin {
-            unit,
-            kind: ReorgKind::Swap,
-            base_pages: vec![base_a, base_b],
-            leaf_pages: vec![a, b],
-        });
-        db.reorg_table().begin_unit(begin_lsn);
-        db.core_metrics().units_started.inc();
-        db.tracer().emit(
-            TraceKind::UnitBegin,
-            unit.0,
-            2,
-            u64::from(base_a.0),
-            u64::from(a.0),
-            u64::from(b.0),
-        );
-        self.check_fail(FailSite::AfterUnitBegin)?;
-        self.apply_swap(unit, a, b, [a_left, a_right, b_left, b_right])?;
-        db.tracer().emit(
-            TraceKind::Pass2Swap,
-            unit.0,
-            2,
-            u64::from(a.0),
-            u64::from(b.0),
-            0,
-        );
-        // MODIFY both parents (upgrade R -> X). When the two leaves share a
-        // parent, it is updated exactly once.
-        let bases: Vec<PageId> = if base_a == base_b {
-            vec![base_a]
-        } else {
-            vec![base_a, base_b]
-        };
-        let mut upgrade_err = None;
-        for &base in &bases {
-            if let Err(e) = locks.lock(owner, ResourceId::Page(base.0), LockMode::X) {
-                upgrade_err = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = upgrade_err {
-            // §5.2: deadlock after the contents were exchanged. The swap is
-            // self-inverse: apply it again (with fresh log records) to undo,
-            // then abandon the unit without advancing LK.
-            let (na_l, na_r) = self.chain_neighbours(a, a)?;
-            let (nb_l, nb_r) = self.chain_neighbours(b, b)?;
-            self.apply_swap(unit, a, b, [na_l, na_r, nb_l, nb_r])?;
-            self.close_undone_unit(unit, 2);
-            return Err(e.into());
-        }
-        {
-            let _g = tree.smo_guard();
-            let pool = db.pool();
-            for &base in &bases {
-                let bg = pool.fetch(base)?;
-                let mut bpage = bg.write();
-                let entries = NodeRef::new(&bpage).entries();
-                let mut old_entries = Vec::new();
-                let mut new_entries = Vec::new();
-                for (k, c) in entries {
-                    let mapped = if c == a {
-                        b
-                    } else if c == b {
-                        a
-                    } else {
-                        continue;
-                    };
-                    old_entries.push((k, c));
-                    new_entries.push((k, mapped));
-                }
-                if old_entries.is_empty() {
-                    continue;
-                }
-                let lsn =
-                    db.reorg_table()
-                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgModify {
-                            unit,
-                            base_page: base,
-                            old_entries,
-                            new_entries: new_entries.clone(),
-                            prev_lsn,
-                        });
-                let mut node = NodeView::new(&mut bpage);
-                for &(k, c) in &new_entries {
-                    node.set_child(k, c).map_err(CoreError::Storage)?;
-                }
-                bpage.set_lsn(lsn);
-            }
-        }
-        self.check_fail(FailSite::BeforeEnd)?;
-        // Make the logged side durable so the careful-writing chain is
-        // short-lived, then END.
-        db.pool().flush_page(a)?;
-        let largest_key = {
-            let g = db.pool().fetch(a)?;
-            let page = g.read();
-            LeafRef::new(&page).last_key().unwrap_or(0)
-        };
-        #[cfg(debug_assertions)]
-        self.debug_assert_unit_outcome(&bases, &[a, b]);
-        db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
-        db.reorg_table().finish_unit(largest_key);
-        locks.release_all(owner);
-        {
-            let mut st = self.stats.lock();
-            st.units += 1;
-            st.swaps += 1;
-        }
-        let cm = db.core_metrics();
-        cm.units_completed.inc();
-        cm.pass2_swaps.inc();
-        db.tracer().emit(
-            TraceKind::UnitEnd,
-            unit.0,
-            2,
-            u64::from(base_a.0),
-            largest_key,
-            0,
-        );
-        Ok(())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Crash-injection matrix: every unit fail site × both logging strategies ×
-//! several flush behaviours, plus swap-unit forward recovery and recovery
-//! idempotence. Every scenario must end with the exact pre-reorganization
-//! data and a structurally valid tree.
+//! several flush behaviours, plus forward recovery of pass 2's move chains
+//! and parks, and recovery idempotence. Every scenario must end with the
+//! exact pre-reorganization data and a structurally valid tree.
 
 use std::sync::Arc;
 
@@ -10,6 +10,7 @@ use obr_core::{
     recover, CoreError, Database, FailPoint, FailSite, LogStrategy, PlacementPolicy,
     RecoveryReport, ReorgConfig, Reorganizer,
 };
+use obr_obs::TraceKind;
 use obr_storage::{DiskManager, InMemoryDisk, Lsn, PageId};
 use obr_wal::{LogRecord, ReorgKind};
 
@@ -140,18 +141,18 @@ fn crash_before_modify_full_records() {
     run_site(FailSite::BeforeModify, 1, LogStrategy::FullRecords, 5);
 }
 
-/// Crash the first pass-2 unit at `site` with `cfg`, check that it was a
-/// unit of `kind`, recover forward, and let pass 2 finish.
-fn crash_first_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, kind: ReorgKind) {
+/// Crash pass 2's unit number `nth` at `site` with `cfg`, check that it
+/// was a one-leaf Move unit, recover forward, and let pass 2 finish.
+fn crash_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, nth: u64) -> Arc<Database> {
     let side = SidePointerMode::TwoWay;
-    let reorg =
-        Reorganizer::new(Arc::clone(&sc.db), cfg.clone()).with_fail_point(FailPoint::new(site, 0));
+    let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
+        .with_fail_point(FailPoint::new(site, nth));
     match reorg.pass2_swap_move() {
         Err(CoreError::InjectedCrash(_)) => {}
         other => panic!("expected a crash inside pass 2 at {site:?}, got {other:?}"),
     }
-    // A Move unit lists its one source and the target; a swap its two leaves.
-    assert_eq!(last_unit_begun(&sc.db), (kind, 2));
+    // A Move unit lists its one source and the target.
+    assert_eq!(last_unit_begun(&sc.db), (ReorgKind::Move, 2));
     let mut i = 0u64;
     let (db2, report) = crash_and_recover(sc, side, |_| {
         i += 1;
@@ -162,6 +163,7 @@ fn crash_first_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, kind:
     reorg2.pass2_swap_move().unwrap();
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
+    db2
 }
 
 #[test]
@@ -178,14 +180,14 @@ fn crash_during_pass2_move_is_forward_completed() {
         Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
             .pass1_compact()
             .unwrap();
-        crash_first_pass2_unit(&sc, cfg.clone(), site, ReorgKind::Move);
+        crash_pass2_unit(&sc, cfg.clone(), site, 0);
     }
 }
 
-#[test]
-fn crash_during_pass2_swap_is_forward_completed() {
-    // Interleaved inserts into a two-region tree scatter its leaves over
-    // pages that all hold leaves, so pass 2 has to swap.
+/// Interleaved inserts into a two-region tree (leaf region from page 512)
+/// scatter its leaves over pages that all hold leaves, so pass 2 has to
+/// run chains of moves, some of them cycles that start with a park.
+fn interleaved() -> Scenario {
     let disk = Arc::new(InMemoryDisk::new(8192));
     let db = Database::create_with_regions(
         Arc::clone(&disk) as Arc<dyn DiskManager>,
@@ -208,12 +210,43 @@ fn crash_during_pass2_swap_is_forward_completed() {
     db.end_txn(txn);
     db.checkpoint().unwrap();
     let expected = db.tree().collect_all().unwrap();
-    let sc = Scenario { disk, db, expected };
+    Scenario { disk, db, expected }
+}
+
+#[test]
+fn crash_during_pass2_chain_is_forward_completed() {
     let cfg = ReorgConfig {
         shrink_pass: false,
         ..ReorgConfig::default()
     };
-    crash_first_pass2_unit(&sc, cfg, FailSite::BeforeEnd, ReorgKind::Swap);
+    // A clean run names the units: a park moves its leaf past the leaf
+    // region, a chain unit moves one into it.
+    let clean = interleaved();
+    let region_end = 512 + clean.db.tree().stats().unwrap().leaf_pages as u64;
+    Reorganizer::new(Arc::clone(&clean.db), cfg.clone())
+        .pass2_swap_move()
+        .unwrap();
+    let dests: Vec<u64> = clean
+        .db
+        .tracer()
+        .events()
+        .iter()
+        .filter(|e| e.kind == TraceKind::UnitBegin && e.pass == 2)
+        .map(|e| e.a)
+        .collect();
+    let first_chain_unit = dests.iter().position(|&d| d < region_end).unwrap();
+    let first_park = dests.iter().position(|&d| d >= region_end).unwrap();
+    for nth in [first_chain_unit, first_park] {
+        for site in [
+            FailSite::AfterFirstMove,
+            FailSite::BeforeModify,
+            FailSite::BeforeEnd,
+        ] {
+            let db2 = crash_pass2_unit(&interleaved(), cfg.clone(), site, nth as u64);
+            let after = db2.tree().stats().unwrap();
+            assert_eq!(after.leaf_discontinuities(), 0, "{site:?} in unit {nth}");
+        }
+    }
 }
 
 #[test]

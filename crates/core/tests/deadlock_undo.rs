@@ -135,7 +135,8 @@ fn reorganizer_undoes_a_pass2_move_when_victimized() {
 
     let stats = reorg.stats();
     assert_eq!(after_pass1.units_undone, 0, "{after_pass1:?}");
-    // Every unit pass 2 undid was a move: swaps trace no `unit_move`.
+    // Every unit pass 2 undid had moved its leaf first, so its undo is a
+    // compensating move (§5.2).
     let events = db.tracer().events();
     let undone: Vec<u64> = events
         .iter()

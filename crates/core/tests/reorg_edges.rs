@@ -82,11 +82,35 @@ fn pass2_alone_orders_an_uncompacted_tree() {
     }
     let before = d.tree().stats().unwrap();
     assert!(before.leaf_discontinuities() > 0);
+    let misplaced = (512u32..)
+        .zip(&before.leaves_in_key_order)
+        .filter(|&(target, &leaf)| leaf.0 != target)
+        .count() as u64;
     let expected = d.tree().collect_all().unwrap();
+    let log_bytes = || d.metrics().snapshot().counter("wal_append_bytes");
+    let (bytes_before, disk_before) = (log_bytes(), d.disk().stats());
     let r = Reorganizer::new(Arc::clone(&d), ReorgConfig::default());
     r.pass2_swap_move().unwrap();
+    // Page writes until every page pass 2 dirtied is on disk, counted
+    // before `validate`, which latches every page for writing. The swaps
+    // this replaced took 83.
+    d.pool().flush_all().unwrap();
+    let writes = d.disk().stats().since(&disk_before).writes;
     let after = d.tree().stats().unwrap();
     assert_eq!(after.leaf_discontinuities(), 0);
     assert_eq!(d.tree().collect_all().unwrap(), expected);
     d.tree().validate().unwrap();
+    // Every leaf's target is held by another leaf, so pass 2 runs chains,
+    // and at least one is a cycle that needs a park. Each misplaced leaf
+    // moves once, plus one move per park, and every unit logs keys only.
+    let s = r.stats();
+    assert!(s.swaps >= 1, "no park ran: {s:?}");
+    assert_eq!(s.units, s.moves, "{s:?}");
+    assert!(
+        s.moves <= misplaced + s.swaps,
+        "{misplaced} misplaced: {s:?}"
+    );
+    let pass2_bytes = log_bytes() - bytes_before;
+    assert!(pass2_bytes <= 34_200, "pass 2 logged {pass2_bytes} bytes");
+    assert!(writes <= 83, "pass 2 wrote {writes} pages");
 }

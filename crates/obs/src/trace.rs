@@ -5,7 +5,7 @@
 //! span-style: `pass_enter`/`pass_exit` bracket each of the paper's three
 //! passes, `unit_begin`..`unit_end` bracket one reorganization unit
 //! (Figure 2), and point events mark the interesting moments in between —
-//! record moves, pass-2 swaps, pass-3 stable points, side-file traffic and
+//! record moves, pass-3 stable points, side-file traffic and
 //! the final tree switch.
 //!
 //! Every event carries the same fixed field set (`unit`, `pass`, `page`,
@@ -50,8 +50,6 @@ pub enum TraceKind {
     UnitEnd,
     /// A unit was rolled back (deadlock victim etc.).
     UnitUndo,
-    /// Pass 2 swapped the contents of two leaves: `page` and `a`.
-    Pass2Swap,
     /// Pass 3 logged a stable point (§7.3). `a` = stable key.
     Pass3Stable,
     /// An entry entered the side file (§7.2). `page` = leaf concerned,
@@ -101,7 +99,6 @@ impl TraceKind {
             TraceKind::UnitModify => "unit_modify",
             TraceKind::UnitEnd => "unit_end",
             TraceKind::UnitUndo => "unit_undo",
-            TraceKind::Pass2Swap => "pass2_swap",
             TraceKind::Pass3Stable => "pass3_stable",
             TraceKind::SideEnqueue => "side_enqueue",
             TraceKind::SideDrain => "side_drain",

@@ -12,8 +12,10 @@
 //!
 //! A cycle in the dependency graph is reported as an error: the paper notes
 //! that a *swap* of two pages cannot be protected by careful writing (each
-//! page would have to reach disk before the other), which is exactly why a
-//! swap must log at least one full page image.
+//! page would have to reach disk before the other), which is why its swap
+//! logs a full page image. The reorganizer never asks for one: pass 2
+//! places leaves with one-way moves, each of whose destinations is durable
+//! before the next move reuses its source.
 //!
 //! # Sharding
 //!
@@ -516,7 +518,7 @@ impl BufferPool {
     fn flush_rec(&self, id: PageId, visiting: &mut HashSet<PageId>) -> StorageResult<()> {
         if !visiting.insert(id) {
             return Err(StorageError::Corrupt(format!(
-                "write-ordering cycle through page {id}; a swap must log a full page image instead"
+                "write-ordering cycle through page {id}: careful writing cannot order its pages"
             )));
         }
         let prereqs: Vec<PageId> = self

@@ -169,6 +169,11 @@ impl Page {
         &self.data
     }
 
+    /// A copy of the raw image, as a page-image log record carries it.
+    pub fn image(&self) -> Box<[u8; PAGE_SIZE]> {
+        self.data.clone()
+    }
+
     /// Mutable raw image (used by typed views).
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.data

@@ -3,10 +3,11 @@
 //! The log record vocabulary follows §5 of the paper: a reorganization
 //! *unit* writes `BEGIN`, one `MOVE` per source page (optionally carrying
 //! keys only, under careful writing), `MODIFY` for the base-page key/pointer
-//! changes, and `END`. Swaps log one full page image — the paper observes
-//! there is no way to avoid that, because careful writing would need a
-//! cyclic write order. Pass 3 adds *stable key* records (§7.3) and the final
-//! switch record (§7.4). Ordinary transactions log logical record operations
+//! changes, and `END`. The paper's pass-2 swap would log one full page
+//! image, because careful writing cannot order an exchange of two pages;
+//! this reorganizer places every leaf with Move units instead, so no unit
+//! record carries a page image. Pass 3 adds *stable key* records (§7.3) and
+//! the final switch record (§7.4). Ordinary transactions log logical record operations
 //! with prev-LSN chains for undo, and structure modifications (splits, root
 //! growth) log full page images as atomic system actions.
 //!

@@ -1051,13 +1051,6 @@ mod tests {
                 payload: MovePayload::Keys(vec![17]),
                 prev_lsn: Lsn(17),
             },
-            LogRecord::ReorgSwap {
-                unit: u,
-                page_a: p,
-                page_b: p,
-                image_a_old: image(),
-                prev_lsn: Lsn(17),
-            },
             LogRecord::ReorgModify {
                 unit: u,
                 base_page: p,

@@ -38,8 +38,7 @@ pub struct UnitId(pub u64);
 pub enum ReorgKind {
     /// Compacting leaf pages under the same base page (in-place).
     Compact = 0,
-    /// Swapping two leaf pages under one or two base pages.
-    Swap = 1,
+    // Discriminant 1 was the page-image swap; it stays unassigned.
     /// Moving one leaf page to an empty page (new-place copy-and-switch).
     Move = 2,
 }
@@ -48,7 +47,6 @@ impl ReorgKind {
     fn from_u8(v: u8) -> StorageResult<ReorgKind> {
         match v {
             0 => Ok(ReorgKind::Compact),
-            1 => Ok(ReorgKind::Swap),
             2 => Ok(ReorgKind::Move),
             _ => Err(StorageError::Corrupt(format!("bad ReorgKind tag {v}"))),
         }
@@ -232,21 +230,6 @@ pub enum LogRecord {
         /// Previous LSN of this unit.
         prev_lsn: Lsn,
     },
-    /// Contents of `page_a` and `page_b` were exchanged; `image_a_old` is
-    /// the pre-swap image of `page_a` — the one full page the paper says a
-    /// swap cannot avoid logging.
-    ReorgSwap {
-        /// Unit id.
-        unit: UnitId,
-        /// First page of the swap (its old image is logged).
-        page_a: PageId,
-        /// Second page of the swap.
-        page_b: PageId,
-        /// Pre-swap image of `page_a`.
-        image_a_old: Box<[u8; PAGE_SIZE]>,
-        /// Previous LSN of this unit.
-        prev_lsn: Lsn,
-    },
     /// MODIFY: the base-page entries for the unit's leaves were rewritten.
     ReorgModify {
         /// Unit id.
@@ -317,7 +300,7 @@ const TAG_CLR: u8 = 7;
 const TAG_SMO: u8 = 8;
 const TAG_REORG_BEGIN: u8 = 9;
 const TAG_REORG_MOVE: u8 = 10;
-const TAG_REORG_SWAP: u8 = 11;
+// Tag 11 was the page-image swap record; it stays unassigned.
 const TAG_REORG_MODIFY: u8 = 12;
 const TAG_REORG_SIDEPTR: u8 = 13;
 const TAG_REORG_END: u8 = 14;
@@ -524,20 +507,6 @@ impl LogRecord {
                 }
                 w.put_u64(prev_lsn.0);
             }
-            LogRecord::ReorgSwap {
-                unit,
-                page_a,
-                page_b,
-                image_a_old,
-                prev_lsn,
-            } => {
-                w.put_u8(TAG_REORG_SWAP);
-                w.put_u64(unit.0);
-                w.put_u32(page_a.0);
-                w.put_u32(page_b.0);
-                put_image(&mut w, image_a_old);
-                w.put_u64(prev_lsn.0);
-            }
             LogRecord::ReorgModify {
                 unit,
                 base_page,
@@ -712,13 +681,6 @@ impl LogRecord {
                     prev_lsn: Lsn(r.get_u64()?),
                 }
             }
-            TAG_REORG_SWAP => LogRecord::ReorgSwap {
-                unit: UnitId(r.get_u64()?),
-                page_a: PageId(r.get_u32()?),
-                page_b: PageId(r.get_u32()?),
-                image_a_old: get_image(&mut r)?,
-                prev_lsn: Lsn(r.get_u64()?),
-            },
             TAG_REORG_MODIFY => LogRecord::ReorgModify {
                 unit: UnitId(r.get_u64()?),
                 base_page: PageId(r.get_u32()?),
@@ -799,7 +761,6 @@ impl LogRecord {
             | LogRecord::TxnDelete { prev_lsn, .. }
             | LogRecord::TxnUpdate { prev_lsn, .. }
             | LogRecord::ReorgMove { prev_lsn, .. }
-            | LogRecord::ReorgSwap { prev_lsn, .. }
             | LogRecord::ReorgModify { prev_lsn, .. }
             | LogRecord::ReorgSidePtr { prev_lsn, .. } => Some(*prev_lsn),
             LogRecord::Clr { undo_next, .. } => Some(*undo_next),
@@ -812,7 +773,6 @@ impl LogRecord {
         match self {
             LogRecord::ReorgBegin { unit, .. }
             | LogRecord::ReorgMove { unit, .. }
-            | LogRecord::ReorgSwap { unit, .. }
             | LogRecord::ReorgModify { unit, .. }
             | LogRecord::ReorgSidePtr { unit, .. }
             | LogRecord::ReorgEnd { unit, .. } => Some(*unit),
@@ -914,20 +874,32 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_swap_carries_full_image() {
-        let mut img = Box::new([0u8; PAGE_SIZE]);
-        img[0] = 0xAA;
-        img[PAGE_SIZE - 1] = 0xBB;
-        let rec = LogRecord::ReorgSwap {
+    fn retired_swap_tag_and_kind_do_not_decode() {
+        // Tag 11 and ReorgKind 1 belonged to the page-image swap record;
+        // the neighbours keep their numbers.
+        assert_eq!((TAG_REORG_MOVE, TAG_REORG_MODIFY), (10, 12));
+        assert_eq!((ReorgKind::Compact as u8, ReorgKind::Move as u8), (0, 2));
+        // A whole swap record as it was written: unit, both pages, the
+        // page image, prev_lsn.
+        let mut w = Writer::new();
+        w.put_u8(11);
+        w.put_u64(1);
+        w.put_u32(4);
+        w.put_u32(9);
+        put_image(&mut w, &[0xAB; PAGE_SIZE]);
+        w.put_u64(2);
+        assert!(LogRecord::decode(&w.into_bytes()).is_err());
+        let begin = LogRecord::ReorgBegin {
             unit: UnitId(1),
-            page_a: PageId(4),
-            page_b: PageId(9),
-            image_a_old: img,
-            prev_lsn: Lsn(2),
+            kind: ReorgKind::Move,
+            base_pages: vec![PageId(3)],
+            leaf_pages: vec![PageId(4), PageId(5)],
         };
-        let bytes = rec.encode();
-        assert!(bytes.len() > PAGE_SIZE); // the point of E6: swaps are log-expensive
-        round_trip(rec);
+        let mut bytes = begin.encode();
+        assert_eq!(bytes[0], TAG_REORG_BEGIN);
+        assert_eq!(bytes[9], ReorgKind::Move as u8);
+        bytes[9] = 1;
+        assert!(LogRecord::decode(&bytes).is_err());
     }
 
     #[test]
@@ -1092,13 +1064,10 @@ mod tests {
                     payload: pl,
                     prev_lsn: Lsn(l),
                 }),
-            (any::<u64>(), any::<u32>(), any::<u32>(), img, any::<u64>()).prop_map(
-                |(u, a, b, i, l)| LogRecord::ReorgSwap {
-                    unit: UnitId(u),
-                    page_a: PageId(a),
-                    page_b: PageId(b),
-                    image_a_old: i,
-                    prev_lsn: Lsn(l),
+            (any::<u32>(), img, any::<bool>(), any::<u32>(), any::<u8>()).prop_map(
+                |(p, i, grew, r, h)| LogRecord::Smo {
+                    images: vec![(PageId(p), i)],
+                    new_anchor: grew.then_some((PageId(r), h)),
                 }
             ),
             (

@@ -45,12 +45,12 @@ fn main() {
         after.leaf_pages, after.avg_leaf_fill, after.height
     );
     println!(
-        "units: {} ({} in-place, {} copy-switch), pass-2: {} swaps / {} moves, freed {} pages",
+        "units: {} ({} in-place, {} copy-switch), pass-2: {} moves ({} parks), freed {} pages",
         stats.units,
         stats.inplace_units,
         stats.copy_switch_units,
-        stats.swaps,
         stats.moves,
+        stats.swaps,
         stats.pages_freed
     );
 

@@ -1022,8 +1022,8 @@ fn main() {
                 let r = Reorganizer::new(Arc::clone(&db), ReorgConfig::default());
                 match r.run() {
                     Ok(st) => println!(
-                        "reorganized: {} units, {} swaps, {} moves, {} pages freed",
-                        st.units, st.swaps, st.moves, st.pages_freed
+                        "reorganized: {} units, {} pass-2 moves ({} parks), {} pages freed",
+                        st.units, st.moves, st.swaps, st.pages_freed
                     ),
                     Err(e) => println!("error: {e}"),
                 }

@@ -166,7 +166,7 @@ pub fn scripted_reorg_trace() -> CoreResult<(Arc<Database>, Vec<TraceEvent>)> {
     let records: Vec<(u64, Vec<u8>)> = (0..1_200u64).map(|k| (k * 2, vec![0x42; 48])).collect();
     // Sparse leaves give pass 1 work; the thin upper level gives pass 3 a
     // level to shrink. In-place-only placement leaves the compacted pages
-    // scattered, so pass 2 has moves and swaps to trace; stable_interval 1
+    // scattered, so pass 2 has moves to trace; stable_interval 1
     // puts a pass-3 stable point after every base page.
     db.tree().bulk_load(&records, 0.25, 0.5)?;
     let cfg = ReorgConfig {
