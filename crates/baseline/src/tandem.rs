@@ -6,7 +6,7 @@ use std::sync::Arc;
 use obr_sync::Mutex;
 
 use obr_btree::leaf::LEAF_BODY;
-use obr_btree::{LeafRef, LeafView, NodeRef, NodeView};
+use obr_btree::{LeafView, NodeView};
 use obr_core::{CoreError, CoreResult, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_storage::{PageId, PageType};
@@ -144,8 +144,8 @@ impl TandemReorganizer {
                         continue;
                     }
                     (
-                        LeafRef::new(&pa).used_bytes(),
-                        LeafRef::new(&pb).used_bytes(),
+                        LeafView::of(&pa).used_bytes(),
+                        LeafView::of(&pb).used_bytes(),
                     )
                 };
                 if ua + ub > budget || ub == 0 {
@@ -397,9 +397,8 @@ impl TandemReorganizer {
         for &base in &bases {
             let g = pool.fetch(base)?;
             let mut p = g.write();
-            let entries = NodeRef::new(&p).entries();
             let mut node = NodeView::new(&mut p);
-            for (k, c) in entries {
+            for (k, c) in node.entries() {
                 if c == a {
                     node.set_child(k, b).map_err(CoreError::Storage)?;
                 } else if c == b {
@@ -439,7 +438,7 @@ impl TandemReorganizer {
         let key = {
             let g = pool.fetch(leaf)?;
             let page = g.read();
-            LeafRef::new(&page).first_key().unwrap_or(page.low_mark())
+            LeafView::of(&page).first_key().unwrap_or(page.low_mark())
         };
         let path = tree.path_for_locked(key)?;
         if path.len() < 2 {

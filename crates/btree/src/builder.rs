@@ -110,7 +110,7 @@ impl UpperBuilder {
                     "resume: {cur} is not internal"
                 )));
             }
-            let node = crate::node::NodeRef::new(&page);
+            let node = NodeView::of(&page);
             let (first_key, _) = node
                 .first_entry()
                 .ok_or_else(|| BTreeError::Inconsistent(format!("resume: {cur} empty")))?;

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use obr_storage::PageType;
 
 use crate::error::BTreeResult;
-use crate::leaf::LeafRef;
+use crate::leaf::LeafView;
 use crate::tree::{BTree, SidePointerMode};
 
 /// A forward cursor over `[lo, hi]`.
@@ -84,7 +84,7 @@ impl RangeCursor<'_> {
                 // Raced with a structure change: retry from the same key.
                 return Ok(());
             }
-            let r = LeafRef::new(&page);
+            let r = LeafView::of(&page);
             (r.range(from, self.hi), r.last_key(), page.right_sibling())
         };
         self.buf.extend(records);
@@ -100,7 +100,7 @@ impl RangeCursor<'_> {
                     let g = pool.fetch(right)?;
                     let page = g.read();
                     if page.page_type() == Some(PageType::Leaf) {
-                        LeafRef::new(&page).first_key()
+                        LeafView::of(&page).first_key()
                     } else {
                         leaf_last.map(|l| l.saturating_add(1))
                     }
@@ -137,7 +137,7 @@ impl RangeCursor<'_> {
             if page.page_type() != Some(PageType::Leaf) {
                 continue; // deallocated since the snapshot
             }
-            let r = LeafRef::new(&page);
+            let r = LeafView::of(&page);
             if r.first_key().map(|k| k > self.hi).unwrap_or(false) {
                 *pos = leaves.len(); // past the range: stop
                 break;

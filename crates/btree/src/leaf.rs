@@ -5,6 +5,12 @@
 //! in the page header. Packing in key order keeps the view simple and makes
 //! the *fill fraction* — the quantity the whole paper is about — a direct
 //! function of the free pointer.
+//!
+//! [`LeafView`] is the one view of this format. Its reads (`validate`
+//! included) need only `&Page`, so readers take a shared latch; its writes
+//! need `&mut Page` and carry the `page-mutation` protocol annotation.
+
+use std::ops::{Deref, DerefMut};
 
 use obr_storage::page::HEADER_SIZE;
 use obr_storage::{Page, PageType, StorageError, StorageResult, PAGE_SIZE};
@@ -17,128 +23,45 @@ const REC_OVERHEAD: usize = 8 + 2;
 /// Largest value a single record may carry.
 pub const MAX_VALUE: usize = LEAF_BODY - REC_OVERHEAD;
 
-/// A read-only typed view over a leaf page (usable under a shared latch).
+/// The one typed view over a leaf page, generic over how it borrows the
+/// page. [`LeafView::of`] wraps a `&Page` (usable under a shared latch)
+/// and offers every read; [`LeafView::new`] wraps a `&mut Page` and adds
+/// the writes.
 #[derive(Clone, Copy)]
-pub struct LeafRef<'a> {
-    page: &'a Page,
+pub struct LeafView<P> {
+    page: P,
 }
 
-impl<'a> LeafRef<'a> {
-    /// Wrap a leaf page for reading.
-    pub fn new(page: &'a Page) -> LeafRef<'a> {
-        debug_assert_eq!(page.page_type(), Some(PageType::Leaf), "not a leaf page");
-        LeafRef { page }
-    }
-
-    /// Number of records.
-    pub fn count(&self) -> usize {
-        self.page.slot_count() as usize
-    }
-
-    /// True when the leaf holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Bytes of body in use.
-    pub fn used_bytes(&self) -> usize {
-        self.page.free_ptr() as usize - HEADER_SIZE
-    }
-
-    /// Fraction of the body in use (the page fill factor `f`).
-    pub fn fill_fraction(&self) -> f64 {
-        self.used_bytes() as f64 / LEAF_BODY as f64
-    }
-
-    /// Bytes still free.
-    pub fn free_bytes(&self) -> usize {
-        LEAF_BODY - self.used_bytes()
-    }
-
-    fn walk(&self) -> Walk<'a> {
-        Walk {
-            bytes: self.page.bytes(),
-            off: HEADER_SIZE,
-            remaining: self.count(),
-        }
-    }
-
-    /// All records in key order.
-    pub fn records(&self) -> Vec<(u64, Vec<u8>)> {
-        self.walk().map(|(_, k, v)| (k, v.to_vec())).collect()
-    }
-
-    /// All keys in order.
-    pub fn keys(&self) -> Vec<u64> {
-        self.walk().map(|(_, k, _)| k).collect()
-    }
-
-    /// Smallest key, if any.
-    pub fn first_key(&self) -> Option<u64> {
-        self.walk().next().map(|(_, k, _)| k)
-    }
-
-    /// Largest key, if any.
-    pub fn last_key(&self) -> Option<u64> {
-        self.walk().last().map(|(_, k, _)| k)
-    }
-
-    /// Look up a key.
-    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        for (_, k, v) in self.walk() {
-            if k == key {
-                return Some(v.to_vec());
-            }
-            if k > key {
-                return None;
-            }
-        }
-        None
-    }
-
-    /// True when the key is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Records with keys in `[lo, hi]`.
-    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        self.walk()
-            .filter(|(_, k, _)| *k >= lo && *k <= hi)
-            .map(|(_, k, v)| (k, v.to_vec()))
-            .collect()
+impl<'a> LeafView<&'a Page> {
+    /// Wrap a leaf page for reading. Debug-asserts the type tag.
+    pub fn of(page: &'a Page) -> LeafView<&'a Page> {
+        LeafView::wrap(page)
     }
 }
 
-/// A typed (read/write) view over a leaf page.
-///
-/// The view borrows the [`Page`] mutably; read-only helpers take `&self`.
-pub struct LeafView<'a> {
-    page: &'a mut Page,
-}
-
-impl<'a> LeafView<'a> {
-    /// Wrap an existing leaf page. Debug-asserts the type tag.
-    pub fn new(page: &'a mut Page) -> LeafView<'a> {
-        debug_assert_eq!(page.page_type(), Some(PageType::Leaf), "not a leaf page");
-        LeafView { page }
+impl<'a> LeafView<&'a mut Page> {
+    /// Wrap a leaf page for reading and writing. Debug-asserts the type tag.
+    pub fn new(page: &'a mut Page) -> LeafView<&'a mut Page> {
+        LeafView::wrap(page)
     }
 
     /// Format `page` as an empty leaf and wrap it.
     // protocol: page-mutation
-    pub fn init(page: &'a mut Page) -> LeafView<'a> {
+    pub fn init(page: &'a mut Page) -> LeafView<&'a mut Page> {
         page.format(PageType::Leaf, 0);
+        LeafView { page }
+    }
+}
+
+impl<P: Deref<Target = Page>> LeafView<P> {
+    fn wrap(page: P) -> LeafView<P> {
+        debug_assert_eq!(page.page_type(), Some(PageType::Leaf), "not a leaf page");
         LeafView { page }
     }
 
     /// The underlying page.
     pub fn page(&self) -> &Page {
-        self.page
-    }
-
-    /// The underlying page, mutably.
-    pub fn page_mut(&mut self) -> &mut Page {
-        self.page
+        &self.page
     }
 
     /// Number of records.
@@ -197,20 +120,15 @@ impl<'a> LeafView<'a> {
 
     /// Look up a key.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        for (_, k, v) in self.walk() {
-            if k == key {
-                return Some(v.to_vec());
-            }
-            if k > key {
-                return None;
-            }
-        }
-        None
+        self.locate(key).1
     }
 
-    /// True when the key is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
+    /// Records with keys in `[lo, hi]`.
+    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
+        self.walk()
+            .filter(|(_, k, _)| *k >= lo && *k <= hi)
+            .map(|(_, k, v)| (k, v.to_vec()))
+            .collect()
     }
 
     /// Where `key`'s record is or would go: its byte offset (the first
@@ -225,154 +143,6 @@ impl<'a> LeafView<'a> {
             }
         }
         (self.page.free_ptr() as usize, None)
-    }
-
-    /// Write `key`'s record at `at` over the `old` value there (if any),
-    /// moving the tail once. Leaves the page untouched when the record is
-    /// too large or does not fit.
-    // protocol: page-mutation
-    pub(crate) fn write_at(
-        &mut self,
-        at: usize,
-        old: Option<&[u8]>,
-        key: u64,
-        value: &[u8],
-    ) -> StorageResult<()> {
-        if value.len() > MAX_VALUE {
-            return Err(StorageError::Corrupt(format!(
-                "value of {} bytes exceeds MAX_VALUE {MAX_VALUE}",
-                value.len()
-            )));
-        }
-        let need = REC_OVERHEAD + value.len();
-        let freed = old.map_or(0, |v| REC_OVERHEAD + v.len());
-        if need > self.free_bytes() + freed {
-            return Err(StorageError::PageFull {
-                page: obr_storage::PageId::INVALID,
-                needed: need - freed,
-                free: self.free_bytes(),
-            });
-        }
-        let end = self.page.free_ptr() as usize;
-        let bytes = self.page.bytes_mut();
-        bytes.copy_within(at + freed..end, at + need);
-        bytes[at..at + 8].copy_from_slice(&key.to_le_bytes());
-        bytes[at + 8..at + 10].copy_from_slice(&(value.len() as u16).to_le_bytes());
-        bytes[at + 10..at + 10 + value.len()].copy_from_slice(value);
-        self.page.set_free_ptr((end + need - freed) as u16);
-        if old.is_none() {
-            self.page.set_slot_count(self.page.slot_count() + 1);
-        }
-        if self.page.low_mark() == u64::MAX || key < self.page.low_mark() {
-            // The low mark is "the smallest key on this page when the page
-            // was first created"; for pages filled incrementally we keep it
-            // as the smallest key ever seen, which preserves its use as a
-            // lower bound.
-            self.page.set_low_mark(key);
-        }
-        Ok(())
-    }
-
-    /// Insert a record, keeping key order. Fails on duplicates and on
-    /// overflow (callers split on [`StorageError::PageFull`]).
-    // protocol: page-mutation
-    pub fn insert(&mut self, key: u64, value: &[u8]) -> StorageResult<()> {
-        match self.locate(key) {
-            (_, Some(_)) => Err(StorageError::Corrupt(format!("duplicate key {key}"))),
-            (at, None) => self.write_at(at, None, key, value),
-        }
-    }
-
-    /// Insert, or replace an existing value in place. Returns the old
-    /// value. On [`StorageError::PageFull`] the page is unchanged.
-    // protocol: page-mutation
-    pub fn upsert(&mut self, key: u64, value: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let (at, old) = self.locate(key);
-        self.write_at(at, old.as_deref(), key, value)?;
-        Ok(old)
-    }
-
-    /// Remove a record, returning its value.
-    // protocol: page-mutation
-    pub fn remove(&mut self, key: u64) -> Option<Vec<u8>> {
-        let mut found: Option<(usize, usize, Vec<u8>)> = None;
-        for (off, k, v) in self.walk() {
-            if k == key {
-                found = Some((off, REC_OVERHEAD + v.len(), v.to_vec()));
-                break;
-            }
-            if k > key {
-                return None;
-            }
-        }
-        let (off, len, value) = found?;
-        let end = self.page.free_ptr() as usize;
-        self.page.bytes_mut().copy_within(off + len..end, off);
-        self.page.set_free_ptr((end - len) as u16);
-        self.page.set_slot_count(self.page.slot_count() - 1);
-        Some(value)
-    }
-
-    /// Remove and return every record, leaving the leaf empty (used by
-    /// compaction MOVEs).
-    // protocol: page-mutation
-    pub fn take_all(&mut self) -> Vec<(u64, Vec<u8>)> {
-        let recs = self.records();
-        self.page.set_free_ptr(HEADER_SIZE as u16);
-        self.page.set_slot_count(0);
-        recs
-    }
-
-    /// Append records in bulk. They must all be greater than the current
-    /// last key and sorted; fails with `PageFull` when they do not fit.
-    // protocol: page-mutation
-    pub fn extend(&mut self, records: &[(u64, Vec<u8>)]) -> StorageResult<()> {
-        let need: usize = records.iter().map(|(_, v)| REC_OVERHEAD + v.len()).sum();
-        if need > self.free_bytes() {
-            return Err(StorageError::PageFull {
-                page: obr_storage::PageId::INVALID,
-                needed: need,
-                free: self.free_bytes(),
-            });
-        }
-        if let (Some(last), Some((first_new, _))) = (self.last_key(), records.first()) {
-            if *first_new <= last {
-                return Err(StorageError::Corrupt(format!(
-                    "extend would break key order: {first_new} <= {last}"
-                )));
-            }
-        }
-        let mut off = self.page.free_ptr() as usize;
-        let mut prev: Option<u64> = None;
-        for (k, v) in records {
-            if let Some(p) = prev {
-                if *k <= p {
-                    return Err(StorageError::Corrupt(format!(
-                        "extend batch not sorted: {k} after {p}"
-                    )));
-                }
-            }
-            prev = Some(*k);
-            let bytes = self.page.bytes_mut();
-            bytes[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            bytes[off + 8..off + 10].copy_from_slice(&(v.len() as u16).to_le_bytes());
-            bytes[off + 10..off + 10 + v.len()].copy_from_slice(v);
-            off += REC_OVERHEAD + v.len();
-            self.page.set_slot_count(self.page.slot_count() + 1);
-            if self.page.low_mark() == u64::MAX || *k < self.page.low_mark() {
-                self.page.set_low_mark(*k);
-            }
-        }
-        self.page.set_free_ptr(off as u16);
-        Ok(())
-    }
-
-    /// Records with keys in `[lo, hi]`.
-    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        self.walk()
-            .filter(|(_, k, _)| *k >= lo && *k <= hi)
-            .map(|(_, k, v)| (k, v.to_vec()))
-            .collect()
     }
 
     /// Structural self-check: sorted keys, header consistent with body.
@@ -405,6 +175,139 @@ impl<'a> LeafView<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+impl<P: DerefMut<Target = Page>> LeafView<P> {
+    /// The underlying page, mutably.
+    pub fn page_mut(&mut self) -> &mut Page {
+        &mut self.page
+    }
+
+    /// Write `key`'s record at `at` over the `old` value there (if any),
+    /// moving the tail once. Leaves the page untouched when the record is
+    /// too large or does not fit.
+    // protocol: page-mutation
+    pub(crate) fn write_at(
+        &mut self,
+        at: usize,
+        old: Option<&[u8]>,
+        key: u64,
+        value: &[u8],
+    ) -> StorageResult<()> {
+        if value.len() > MAX_VALUE {
+            return Err(StorageError::Corrupt(format!(
+                "value of {} bytes exceeds MAX_VALUE {MAX_VALUE}",
+                value.len()
+            )));
+        }
+        let need = REC_OVERHEAD + value.len();
+        let freed = old.map_or(0, |v| REC_OVERHEAD + v.len());
+        if need > self.free_bytes() + freed {
+            return Err(StorageError::PageFull {
+                page: obr_storage::PageId::INVALID,
+                needed: need - freed,
+                free: self.free_bytes(),
+            });
+        }
+        let page = &mut *self.page;
+        let end = page.free_ptr() as usize;
+        page.bytes_mut().copy_within(at + freed..end, at + need);
+        put_record(page, at, key, value);
+        page.set_free_ptr((end + need - freed) as u16);
+        if old.is_none() {
+            page.set_slot_count(page.slot_count() + 1);
+        }
+        Ok(())
+    }
+
+    /// Insert a record, keeping key order. Fails on duplicates and on
+    /// overflow (callers split on [`StorageError::PageFull`]).
+    // protocol: page-mutation
+    pub fn insert(&mut self, key: u64, value: &[u8]) -> StorageResult<()> {
+        match self.locate(key) {
+            (_, Some(_)) => Err(StorageError::Corrupt(format!("duplicate key {key}"))),
+            (at, None) => self.write_at(at, None, key, value),
+        }
+    }
+
+    /// Insert, or replace an existing value in place. Returns the old
+    /// value. On [`StorageError::PageFull`] the page is unchanged.
+    // protocol: page-mutation
+    pub fn upsert(&mut self, key: u64, value: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        let (at, old) = self.locate(key);
+        self.write_at(at, old.as_deref(), key, value)?;
+        Ok(old)
+    }
+
+    /// Remove a record, returning its value.
+    // protocol: page-mutation
+    pub fn remove(&mut self, key: u64) -> Option<Vec<u8>> {
+        let (off, value) = self.locate(key);
+        let value = value?;
+        let len = REC_OVERHEAD + value.len();
+        let page = &mut *self.page;
+        let end = page.free_ptr() as usize;
+        page.bytes_mut().copy_within(off + len..end, off);
+        page.set_free_ptr((end - len) as u16);
+        page.set_slot_count(page.slot_count() - 1);
+        Some(value)
+    }
+
+    /// Remove and return every record, leaving the leaf empty (used by
+    /// compaction MOVEs).
+    // protocol: page-mutation
+    pub fn take_all(&mut self) -> Vec<(u64, Vec<u8>)> {
+        let recs = self.records();
+        self.page.set_free_ptr(HEADER_SIZE as u16);
+        self.page.set_slot_count(0);
+        recs
+    }
+
+    /// Append records in bulk. They must all be greater than the current
+    /// last key and sorted; fails with `PageFull` when they do not fit.
+    // protocol: page-mutation
+    pub fn extend(&mut self, records: &[(u64, Vec<u8>)]) -> StorageResult<()> {
+        let need: usize = records.iter().map(|(_, v)| REC_OVERHEAD + v.len()).sum();
+        if need > self.free_bytes() {
+            return Err(StorageError::PageFull {
+                page: obr_storage::PageId::INVALID,
+                needed: need,
+                free: self.free_bytes(),
+            });
+        }
+        let mut prev = self.last_key();
+        for &(k, _) in records {
+            if let Some(p) = prev.filter(|&p| k <= p) {
+                return Err(StorageError::Corrupt(format!(
+                    "extend would break key order: {k} after {p}"
+                )));
+            }
+            prev = Some(k);
+        }
+        let page = &mut *self.page;
+        let mut off = page.free_ptr() as usize;
+        for (k, v) in records {
+            put_record(page, off, *k, v);
+            off += REC_OVERHEAD + v.len();
+        }
+        page.set_slot_count(page.slot_count() + records.len() as u16);
+        page.set_free_ptr(off as u16);
+        Ok(())
+    }
+}
+
+/// Write one record at `off` and lower the page's low mark to its key.
+fn put_record(page: &mut Page, off: usize, key: u64, value: &[u8]) {
+    let bytes = page.bytes_mut();
+    bytes[off..off + 8].copy_from_slice(&key.to_le_bytes());
+    bytes[off + 8..off + 10].copy_from_slice(&(value.len() as u16).to_le_bytes());
+    bytes[off + 10..off + 10 + value.len()].copy_from_slice(value);
+    if page.low_mark() == u64::MAX || key < page.low_mark() {
+        // The low mark is "the smallest key on this page when the page was
+        // first created"; for pages filled incrementally we keep it as the
+        // smallest key ever seen, which preserves its use as a lower bound.
+        page.set_low_mark(key);
     }
 }
 
@@ -456,6 +359,21 @@ mod tests {
         assert_eq!(v.keys(), vec![1, 5]);
         assert_eq!(v.remove(3), None);
         v.validate().unwrap();
+    }
+
+    #[test]
+    fn shared_view_reads_and_validates() {
+        let mut p = leaf();
+        let mut v = LeafView::new(&mut p);
+        v.insert(2, b"b").unwrap();
+        v.insert(1, b"a").unwrap();
+        let r = LeafView::of(&p);
+        assert_eq!(r.records(), vec![(1, b"a".to_vec()), (2, b"b".to_vec())]);
+        assert_eq!(r.get(2).unwrap(), b"b");
+        assert_eq!((r.first_key(), r.last_key()), (Some(1), Some(2)));
+        r.validate().unwrap();
+        p.set_slot_count(1);
+        assert!(LeafView::of(&p).validate().is_err());
     }
 
     #[test]
@@ -524,9 +442,11 @@ mod tests {
         v.extend(&[(5, b"e".to_vec()), (7, b"g".to_vec())]).unwrap();
         assert_eq!(v.keys(), vec![1, 5, 7]);
         v.validate().unwrap();
-        // Out-of-order extends are rejected.
+        // Out-of-order extends are rejected and leave the page as it was.
         assert!(v.extend(&[(6, vec![])]).is_err());
         assert!(v.extend(&[(9, vec![]), (8, vec![])]).is_err());
+        assert_eq!(v.keys(), vec![1, 5, 7]);
+        v.validate().unwrap();
     }
 
     #[test]

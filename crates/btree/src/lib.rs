@@ -29,8 +29,8 @@ pub mod tree;
 pub use builder::UpperBuilder;
 pub use cursor::RangeCursor;
 pub use error::{BTreeError, BTreeResult};
-pub use leaf::{LeafRef, LeafView};
-pub use meta::{MetaRef, MetaView};
-pub use node::{NodeRef, NodeView};
+pub use leaf::LeafView;
+pub use meta::MetaView;
+pub use node::NodeView;
 pub use stats::TreeStats;
 pub use tree::{BTree, SidePointerMode, SmoGuard, SmoObserver};

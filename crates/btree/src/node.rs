@@ -8,6 +8,13 @@
 //!
 //! Level-1 internal pages are the *base pages* of the paper — the unit the
 //! reorganizer's R/X base-page locks protect.
+//!
+//! [`NodeView`] is the one view of this format. Its reads (routing and
+//! `validate` included) need only `&Page`, so readers take a shared latch;
+//! its writes need `&mut Page` and carry the `page-mutation` protocol
+//! annotation.
+
+use std::ops::{Deref, DerefMut};
 
 use obr_storage::page::HEADER_SIZE;
 use obr_storage::{Page, PageId, PageType, StorageError, StorageResult, PAGE_SIZE};
@@ -18,137 +25,50 @@ pub const ENTRY_SIZE: usize = 12;
 /// Maximum number of entries an internal page can hold.
 pub const NODE_CAPACITY: usize = (PAGE_SIZE - HEADER_SIZE) / ENTRY_SIZE;
 
-/// A read-only typed view over an internal page (usable under a shared
-/// latch).
+/// The one typed view over an internal page, generic over how it borrows
+/// the page. [`NodeView::of`] wraps a `&Page` (usable under a shared latch)
+/// and offers every read; [`NodeView::new`] wraps a `&mut Page` and adds
+/// the writes.
 #[derive(Clone, Copy)]
-pub struct NodeRef<'a> {
-    page: &'a Page,
+pub struct NodeView<P> {
+    page: P,
 }
 
-impl<'a> NodeRef<'a> {
-    /// Wrap an internal page for reading.
-    pub fn new(page: &'a Page) -> NodeRef<'a> {
-        debug_assert_eq!(
-            page.page_type(),
-            Some(PageType::Internal),
-            "not an internal page"
-        );
-        NodeRef { page }
-    }
-
-    /// Number of entries.
-    pub fn count(&self) -> usize {
-        self.page.slot_count() as usize
-    }
-
-    /// True when the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Fraction of entry slots in use.
-    pub fn fill_fraction(&self) -> f64 {
-        self.count() as f64 / NODE_CAPACITY as f64
-    }
-
-    fn entry_at(&self, i: usize) -> (u64, PageId) {
-        let off = HEADER_SIZE + i * ENTRY_SIZE;
-        let b = self.page.bytes();
-        let key = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-        let child = PageId(u32::from_le_bytes(b[off + 8..off + 12].try_into().unwrap()));
-        (key, child)
-    }
-
-    /// All `(low_key, child)` entries in key order.
-    pub fn entries(&self) -> Vec<(u64, PageId)> {
-        (0..self.count()).map(|i| self.entry_at(i)).collect()
-    }
-
-    /// All child page ids in key order.
-    pub fn children(&self) -> Vec<PageId> {
-        (0..self.count()).map(|i| self.entry_at(i).1).collect()
-    }
-
-    fn route_index(&self, key: u64) -> Option<usize> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.entry_at(mid).0 <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo.saturating_sub(1))
-    }
-
-    /// The child to descend into for `key`.
-    pub fn child_for(&self, key: u64) -> Option<PageId> {
-        self.route_index(key).map(|i| self.entry_at(i).1)
-    }
-
-    /// The routing entry `(low_key, child)` for `key`.
-    pub fn entry_for(&self, key: u64) -> Option<(u64, PageId)> {
-        self.route_index(key).map(|i| self.entry_at(i))
-    }
-
-    /// The entry after the routing entry for `key`.
-    pub fn entry_after(&self, key: u64) -> Option<(u64, PageId)> {
-        let i = self.route_index(key)?;
-        if i + 1 < self.count() {
-            Some(self.entry_at(i + 1))
-        } else {
-            None
-        }
-    }
-
-    /// First (smallest) entry.
-    pub fn first_entry(&self) -> Option<(u64, PageId)> {
-        (!self.is_empty()).then(|| self.entry_at(0))
-    }
-
-    /// Last (largest) entry.
-    pub fn last_entry(&self) -> Option<(u64, PageId)> {
-        let n = self.count();
-        (n > 0).then(|| self.entry_at(n - 1))
+impl<'a> NodeView<&'a Page> {
+    /// Wrap an internal page for reading. Debug-asserts the type tag.
+    pub fn of(page: &'a Page) -> NodeView<&'a Page> {
+        NodeView::wrap(page)
     }
 }
 
-/// A typed view over an internal page.
-pub struct NodeView<'a> {
-    page: &'a mut Page,
-}
-
-impl<'a> NodeView<'a> {
-    /// Wrap an existing internal page.
-    pub fn new(page: &'a mut Page) -> NodeView<'a> {
-        debug_assert_eq!(
-            page.page_type(),
-            Some(PageType::Internal),
-            "not an internal page"
-        );
-        NodeView { page }
+impl<'a> NodeView<&'a mut Page> {
+    /// Wrap an internal page for reading and writing. Debug-asserts the
+    /// type tag.
+    pub fn new(page: &'a mut Page) -> NodeView<&'a mut Page> {
+        NodeView::wrap(page)
     }
 
     /// Format `page` as an empty internal page at `level` and wrap it.
     // protocol: page-mutation
-    pub fn init(page: &'a mut Page, level: u8) -> NodeView<'a> {
+    pub fn init(page: &'a mut Page, level: u8) -> NodeView<&'a mut Page> {
         page.format(PageType::Internal, level);
+        NodeView { page }
+    }
+}
+
+impl<P: Deref<Target = Page>> NodeView<P> {
+    fn wrap(page: P) -> NodeView<P> {
+        debug_assert_eq!(
+            page.page_type(),
+            Some(PageType::Internal),
+            "not an internal page"
+        );
         NodeView { page }
     }
 
     /// The underlying page.
     pub fn page(&self) -> &Page {
-        self.page
-    }
-
-    /// The underlying page, mutably.
-    pub fn page_mut(&mut self) -> &mut Page {
-        self.page
+        &self.page
     }
 
     /// Number of entries.
@@ -159,11 +79,6 @@ impl<'a> NodeView<'a> {
     /// True when the node has no entries.
     pub fn is_empty(&self) -> bool {
         self.count() == 0
-    }
-
-    /// True when another entry fits.
-    pub fn has_room(&self) -> bool {
-        self.count() < NODE_CAPACITY
     }
 
     /// Fraction of entry slots in use.
@@ -177,13 +92,6 @@ impl<'a> NodeView<'a> {
         let key = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
         let child = PageId(u32::from_le_bytes(b[off + 8..off + 12].try_into().unwrap()));
         (key, child)
-    }
-
-    fn write_entry_at(&mut self, i: usize, key: u64, child: PageId) {
-        let off = HEADER_SIZE + i * ENTRY_SIZE;
-        let b = self.page.bytes_mut();
-        b[off..off + 8].copy_from_slice(&key.to_le_bytes());
-        b[off + 8..off + 12].copy_from_slice(&child.0.to_le_bytes());
     }
 
     /// All `(low_key, child)` entries in key order.
@@ -224,21 +132,74 @@ impl<'a> NodeView<'a> {
         self.route_index(key).map(|i| self.entry_at(i))
     }
 
-    /// The entry after the routing entry for `key` (right neighbour).
-    pub fn entry_after(&self, key: u64) -> Option<(u64, PageId)> {
-        let i = self.route_index(key)?;
-        if i + 1 < self.count() {
-            Some(self.entry_at(i + 1))
-        } else {
-            None
-        }
-    }
-
     /// Entry whose low key is exactly `key`, if present.
     pub fn find_exact(&self, key: u64) -> Option<(usize, PageId)> {
         let i = self.route_index(key)?;
         let (k, c) = self.entry_at(i);
         (k == key).then_some((i, c))
+    }
+
+    fn index_of(&self, child: PageId) -> Option<usize> {
+        (0..self.count()).find(|&i| self.entry_at(i).1 == child)
+    }
+
+    /// Low key of the entry that points at `child`, if any.
+    pub fn low_key_of(&self, child: PageId) -> Option<u64> {
+        self.index_of(child).map(|i| self.entry_at(i).0)
+    }
+
+    /// First (smallest) entry.
+    pub fn first_entry(&self) -> Option<(u64, PageId)> {
+        (!self.is_empty()).then(|| self.entry_at(0))
+    }
+
+    /// Last (largest) entry.
+    pub fn last_entry(&self) -> Option<(u64, PageId)> {
+        let n = self.count();
+        (n > 0).then(|| self.entry_at(n - 1))
+    }
+
+    /// Structural self-check.
+    pub fn validate(&self) -> StorageResult<()> {
+        let mut prev: Option<u64> = None;
+        for i in 0..self.count() {
+            let (k, c) = self.entry_at(i);
+            if !c.is_valid() {
+                return Err(StorageError::Corrupt(format!(
+                    "entry {i} has invalid child"
+                )));
+            }
+            if let Some(p) = prev {
+                if k <= p {
+                    return Err(StorageError::Corrupt(format!(
+                        "node keys out of order: {k} after {p}"
+                    )));
+                }
+            }
+            prev = Some(k);
+        }
+        let expect_fp = HEADER_SIZE + self.count() * ENTRY_SIZE;
+        if self.page.free_ptr() as usize != expect_fp {
+            return Err(StorageError::Corrupt(format!(
+                "node free pointer {} expected {expect_fp}",
+                self.page.free_ptr()
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl<P: DerefMut<Target = Page>> NodeView<P> {
+    /// The underlying page, mutably.
+    pub fn page_mut(&mut self) -> &mut Page {
+        &mut self.page
+    }
+
+    fn write_entry_at(&mut self, i: usize, key: u64, child: PageId) {
+        let off = HEADER_SIZE + i * ENTRY_SIZE;
+        let b = self.page.bytes_mut();
+        b[off..off + 8].copy_from_slice(&key.to_le_bytes());
+        b[off + 8..off + 12].copy_from_slice(&child.0.to_le_bytes());
     }
 
     /// Insert an entry keeping key order. Fails when full or on duplicate
@@ -311,58 +272,15 @@ impl<'a> NodeView<'a> {
         }
     }
 
-    /// Replace the child pointer `old` wherever it appears (a swap updates
-    /// parents by child identity, not by key). Returns the entry's low key.
+    /// Replace the child pointer `old` wherever it appears (Tandem's
+    /// relocation repoints a parent by child identity, not by key).
+    /// Returns the entry's low key.
     // protocol: page-mutation
     pub fn repoint_child(&mut self, old: PageId, new: PageId) -> Option<u64> {
-        for i in 0..self.count() {
-            let (k, c) = self.entry_at(i);
-            if c == old {
-                self.write_entry_at(i, k, new);
-                return Some(k);
-            }
-        }
-        None
-    }
-
-    /// First (smallest) entry.
-    pub fn first_entry(&self) -> Option<(u64, PageId)> {
-        (!self.is_empty()).then(|| self.entry_at(0))
-    }
-
-    /// Last (largest) entry.
-    pub fn last_entry(&self) -> Option<(u64, PageId)> {
-        let n = self.count();
-        (n > 0).then(|| self.entry_at(n - 1))
-    }
-
-    /// Structural self-check.
-    pub fn validate(&self) -> StorageResult<()> {
-        let mut prev: Option<u64> = None;
-        for i in 0..self.count() {
-            let (k, c) = self.entry_at(i);
-            if !c.is_valid() {
-                return Err(StorageError::Corrupt(format!(
-                    "entry {i} has invalid child"
-                )));
-            }
-            if let Some(p) = prev {
-                if k <= p {
-                    return Err(StorageError::Corrupt(format!(
-                        "node keys out of order: {k} after {p}"
-                    )));
-                }
-            }
-            prev = Some(k);
-        }
-        let expect_fp = HEADER_SIZE + self.count() * ENTRY_SIZE;
-        if self.page.free_ptr() as usize != expect_fp {
-            return Err(StorageError::Corrupt(format!(
-                "node free pointer {} expected {expect_fp}",
-                self.page.free_ptr()
-            )));
-        }
-        Ok(())
+        let i = self.index_of(old)?;
+        let (k, _) = self.entry_at(i);
+        self.write_entry_at(i, k, new);
+        Some(k)
     }
 }
 
@@ -393,6 +311,20 @@ mod tests {
         // Below every low key: clamp to the leftmost child.
         assert_eq!(v.child_for(5), Some(PageId(1)));
         v.validate().unwrap();
+    }
+
+    #[test]
+    fn shared_view_routes_and_validates() {
+        let mut p = node();
+        let mut v = NodeView::new(&mut p);
+        v.insert_entry(10, PageId(1)).unwrap();
+        v.insert_entry(20, PageId(2)).unwrap();
+        let r = NodeView::of(&p);
+        assert_eq!(r.child_for(25), Some(PageId(2)));
+        assert_eq!(r.low_key_of(PageId(1)), Some(10));
+        r.validate().unwrap();
+        p.set_free_ptr(p.free_ptr() + 1);
+        assert!(NodeView::of(&p).validate().is_err());
     }
 
     #[test]
@@ -434,7 +366,9 @@ mod tests {
         assert_eq!(v.remove_entry(10), Some(PageId(1)));
         assert_eq!(v.remove_entry(10), None);
         assert_eq!(v.entries(), vec![(20, PageId(2))]);
+        assert_eq!(v.low_key_of(PageId(2)), Some(20));
         assert_eq!(v.repoint_child(PageId(2), PageId(9)), Some(20));
+        assert_eq!(v.low_key_of(PageId(2)), None);
         assert_eq!(v.child_for(25), Some(PageId(9)));
         assert_eq!(v.repoint_child(PageId(2), PageId(9)), None);
         v.set_child(20, PageId(4)).unwrap();
@@ -449,7 +383,7 @@ mod tests {
         for i in 0..NODE_CAPACITY as u64 {
             v.insert_entry(i, PageId(i as u32)).unwrap();
         }
-        assert!(!v.has_room());
+        assert_eq!(v.count(), NODE_CAPACITY);
         assert!(v.insert_entry(9999, PageId(9)).is_err());
         assert!((v.fill_fraction() - 1.0).abs() < f64::EPSILON);
         v.validate().unwrap();
@@ -462,8 +396,6 @@ mod tests {
         v.insert_entry(10, PageId(1)).unwrap();
         v.insert_entry(20, PageId(2)).unwrap();
         assert_eq!(v.entry_for(15), Some((10, PageId(1))));
-        assert_eq!(v.entry_after(15), Some((20, PageId(2))));
-        assert_eq!(v.entry_after(25), None);
         assert_eq!(v.first_entry(), Some((10, PageId(1))));
         assert_eq!(v.last_entry(), Some((20, PageId(2))));
     }

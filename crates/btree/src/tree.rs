@@ -28,9 +28,9 @@ use obr_storage::{BufferPool, FreeSpaceMap, Lsn, Page, PageId, PageType, Storage
 use obr_wal::{LogManager, LogRecord, TxnId};
 
 use crate::error::{BTreeError, BTreeResult};
-use crate::leaf::{LeafRef, LeafView};
-use crate::meta::{MetaRef, MetaView};
-use crate::node::{NodeRef, NodeView, NODE_CAPACITY};
+use crate::leaf::LeafView;
+use crate::meta::MetaView;
+use crate::node::{NodeView, NODE_CAPACITY};
 use crate::stats::TreeStats;
 
 /// Side-pointer configuration (§4.3 of the paper).
@@ -149,8 +149,7 @@ impl BTree {
     ) -> BTreeResult<BTree> {
         {
             let mg = pool.fetch(meta_id)?;
-            let mut page = mg.write();
-            MetaView::new(&mut page)?; // validates magic
+            MetaView::of(&mg.read())?; // validates magic
         }
         Ok(BTree {
             pool,
@@ -193,7 +192,7 @@ impl BTree {
     pub fn anchor(&self) -> BTreeResult<(PageId, u8)> {
         let mg = self.pool.fetch(self.meta_id)?;
         let page = mg.read();
-        let meta = MetaRef::new(&page)?;
+        let meta = MetaView::of(&page)?;
         Ok((meta.root(), meta.height()))
     }
 
@@ -216,7 +215,7 @@ impl BTree {
     pub fn generation(&self) -> BTreeResult<u32> {
         let mg = self.pool.fetch(self.meta_id)?;
         let page = mg.read();
-        Ok(MetaRef::new(&page)?.generation())
+        Ok(MetaView::of(&page)?.generation())
     }
 
     /// Bump the generation (on switch).
@@ -231,7 +230,7 @@ impl BTree {
     pub fn reorg_bit(&self) -> BTreeResult<bool> {
         let mg = self.pool.fetch(self.meta_id)?;
         let page = mg.read();
-        Ok(MetaRef::new(&page)?.reorg_bit())
+        Ok(MetaView::of(&page)?.reorg_bit())
     }
 
     /// Set/clear the reorganization bit.
@@ -325,7 +324,7 @@ impl BTree {
                     "expected internal page at {cur} (level {level})"
                 )));
             }
-            match NodeRef::new(&page).child_for(key) {
+            match NodeView::of(&page).child_for(key) {
                 Some(c) => cur = c,
                 None => {
                     return Err(BTreeError::Inconsistent(format!(
@@ -435,7 +434,7 @@ impl BTree {
 
     /// Point lookup.
     pub fn search(&self, key: u64) -> BTreeResult<Option<Vec<u8>>> {
-        self.with_leaf_read(key, |_, page| LeafRef::new(page).get(key))
+        self.with_leaf_read(key, |_, page| LeafView::of(page).get(key))
     }
 
     /// The one leaf write. Latches the leaf for `key` and hands the key's
@@ -621,7 +620,7 @@ impl BTree {
             let needs = {
                 let g = self.pool.fetch(root)?;
                 let page = g.read();
-                let leaf = LeafRef::new(&page);
+                let leaf = LeafView::of(&page);
                 leaf.free_bytes() < 10 + value_len
             };
             if needs {
@@ -636,7 +635,7 @@ impl BTree {
             let full = {
                 let g = self.pool.fetch(id)?;
                 let page = g.read();
-                NodeRef::new(&page).count() >= NODE_CAPACITY
+                NodeView::of(&page).count() >= NODE_CAPACITY
             };
             if full {
                 if i == 0 {
@@ -656,7 +655,7 @@ impl BTree {
             if page.page_type() != Some(PageType::Leaf) {
                 return Ok(()); // raced; caller retries
             }
-            LeafRef::new(&page).free_bytes() < 10 + value_len
+            LeafView::of(&page).free_bytes() < 10 + value_len
         };
         if needs {
             self.split_leaf(parent_id, leaf_id, key)?;
@@ -670,22 +669,21 @@ impl BTree {
     /// actually route to every child the SMO registered. Release builds
     /// compile this away.
     #[cfg(debug_assertions)]
-    fn debug_assert_smo_pages(parent: Option<(&mut Page, &[PageId])>, leaves: &mut [&mut Page]) {
-        for page in leaves.iter_mut() {
+    fn debug_assert_smo_pages(parent: Option<(&Page, &[PageId])>, leaves: &[&Page]) {
+        for &page in leaves {
             match page.page_type() {
-                Some(PageType::Leaf) => LeafView::new(page)
+                Some(PageType::Leaf) => LeafView::of(page)
                     .validate()
                     .expect("SMO produced an invalid leaf"),
-                _ => NodeView::new(page)
+                _ => NodeView::of(page)
                     .validate()
                     .expect("SMO produced an invalid node"),
             }
         }
         if let Some((ppage, children)) = parent {
-            NodeView::new(ppage)
-                .validate()
-                .expect("SMO produced an invalid parent");
-            let routed = NodeRef::new(ppage).children();
+            let node = NodeView::of(ppage);
+            node.validate().expect("SMO produced an invalid parent");
+            let routed = node.children();
             for child in children {
                 assert!(
                     routed.contains(child),
@@ -719,7 +717,7 @@ impl BTree {
         });
         npage.set_lsn(lsn);
         #[cfg(debug_assertions)]
-        Self::debug_assert_smo_pages(Some((&mut npage, &[old_root])), &mut []);
+        Self::debug_assert_smo_pages(Some((&npage, &[old_root])), &[]);
         drop(npage);
         drop(opage);
         self.set_anchor(new_root, height + 1, lsn)?;
@@ -740,7 +738,7 @@ impl BTree {
         let mut npage = ng.write();
         let mut spage = sg.write();
         let level = npage.level();
-        let entries = NodeRef::new(&npage).entries();
+        let entries = NodeView::of(&npage).entries();
         let split_at = entries.len() / 2;
         let (keep, moved) = entries.split_at(split_at);
         {
@@ -775,10 +773,7 @@ impl BTree {
         spage.set_lsn(lsn);
         ppage.set_lsn(lsn);
         #[cfg(debug_assertions)]
-        Self::debug_assert_smo_pages(
-            Some((&mut ppage, &[node_id, new_id])),
-            &mut [&mut npage, &mut spage],
-        );
+        Self::debug_assert_smo_pages(Some((&ppage, &[node_id, new_id])), &[&npage, &spage]);
         Ok(())
     }
 
@@ -802,11 +797,11 @@ impl BTree {
         if lpage.page_type() != Some(PageType::Leaf) {
             return Ok(()); // raced with another SMO round
         }
-        let recs = LeafRef::new(&lpage).records();
+        let recs = LeafView::of(&lpage).records();
         let old_right = lpage.right_sibling();
         let old_left = lpage.left_sibling();
         // The parent's routing entry for `key` (it points at this leaf).
-        let l_entry_key = NodeRef::new(&ppage)
+        let l_entry_key = NodeView::of(&ppage)
             .entry_for(key)
             .ok_or_else(|| BTreeError::Inconsistent("parent has no routing entry".into()))?
             .0;
@@ -944,10 +939,7 @@ impl BTree {
         spage.set_lsn(lsn);
         ppage.set_lsn(lsn);
         #[cfg(debug_assertions)]
-        Self::debug_assert_smo_pages(
-            Some((&mut ppage, &[leaf_id, new_id])),
-            &mut [&mut lpage, &mut spage],
-        );
+        Self::debug_assert_smo_pages(Some((&ppage, &[leaf_id, new_id])), &[&lpage, &spage]);
         let parent_level = ppage.level();
         for p in extra_lsn_pages {
             let g = self.pool.fetch(p)?;
@@ -986,7 +978,7 @@ impl BTree {
         {
             let pg = self.pool.fetch(parent_id)?;
             let ppage = pg.read();
-            if NodeRef::new(&ppage).count() <= 1 && path.len() == 2 {
+            if NodeView::of(&ppage).count() <= 1 && path.len() == 2 {
                 return Ok(());
             }
         }
@@ -999,7 +991,7 @@ impl BTree {
         let pg = self.pool.fetch(parent_id)?;
         let mut lpage = lg.write();
         let mut ppage = pg.write();
-        if lpage.page_type() != Some(PageType::Leaf) || !LeafRef::new(&lpage).is_empty() {
+        if lpage.page_type() != Some(PageType::Leaf) || !LeafView::of(&lpage).is_empty() {
             return Ok(()); // raced: someone inserted meanwhile
         }
         let (left, right) = (lpage.left_sibling(), lpage.right_sibling());
@@ -1038,7 +1030,7 @@ impl BTree {
         let removed_low = {
             let mut parent = NodeView::new(&mut ppage);
             let low = parent
-                .repoint_child(leaf_id, leaf_id)
+                .low_key_of(leaf_id)
                 .ok_or_else(|| BTreeError::Inconsistent(format!("leaf {leaf_id} not in parent")))?;
             parent.remove_entry(low);
             low
@@ -1078,16 +1070,16 @@ impl BTree {
         let pg = self.pool.fetch(parent_id)?;
         let mut npage = ng.write();
         let mut ppage = pg.write();
-        if npage.page_type() != Some(PageType::Internal) || !NodeRef::new(&npage).is_empty() {
+        if npage.page_type() != Some(PageType::Internal) || !NodeView::of(&npage).is_empty() {
             return Ok(());
         }
-        if NodeRef::new(&ppage).count() <= 1 && idx == 1 {
+        if NodeView::of(&ppage).count() <= 1 && idx == 1 {
             return Ok(()); // keep the last subtree of the root
         }
         {
             let mut parent = NodeView::new(&mut ppage);
             let low = parent
-                .repoint_child(node_id, node_id)
+                .low_key_of(node_id)
                 .ok_or_else(|| BTreeError::Inconsistent(format!("node {node_id} not in parent")))?;
             parent.remove_entry(low);
         }
@@ -1141,7 +1133,7 @@ impl BTree {
                     if page.page_type() != Some(PageType::Leaf) {
                         continue;
                     }
-                    let r = LeafRef::new(&page);
+                    let r = LeafView::of(&page);
                     if r.first_key().map(|k| k > hi).unwrap_or(false) {
                         break;
                     }
@@ -1165,7 +1157,7 @@ impl BTree {
                     if page.page_type() != Some(PageType::Leaf) {
                         break;
                     }
-                    let r = LeafRef::new(&page);
+                    let r = LeafView::of(&page);
                     out.extend(r.range(lo, hi));
                     if r.last_key().map(|k| k >= hi).unwrap_or(false) {
                         break;
@@ -1209,7 +1201,7 @@ impl BTree {
                     page.page_type()
                 )));
             }
-            NodeRef::new(&page).children()
+            NodeView::of(&page).children()
         };
         for c in children {
             self.collect_level(c, level - 1, target, out)?;
@@ -1224,7 +1216,7 @@ impl BTree {
         if page.page_type() != Some(PageType::Internal) {
             return Err(BTreeError::Inconsistent(format!("{base} is not internal")));
         }
-        Ok(NodeRef::new(&page).entries())
+        Ok(NodeView::of(&page).entries())
     }
 
     /// Leaf page ids in key order.
@@ -1262,7 +1254,7 @@ impl BTree {
         for &l in &leaves {
             let g = self.pool.fetch(l)?;
             let page = g.read();
-            let r = LeafRef::new(&page);
+            let r = LeafView::of(&page);
             records += r.count() as u64;
             fill_sum += r.fill_fraction();
         }
@@ -1292,7 +1284,7 @@ impl BTree {
         for leaf in self.leaves_in_key_order()? {
             let g = self.pool.fetch(leaf)?;
             let page = g.read();
-            out.extend(LeafRef::new(&page).records());
+            out.extend(LeafView::of(&page).records());
         }
         Ok(out)
     }
@@ -1310,12 +1302,12 @@ impl BTree {
             self.collect_level(root, height, lvl, &mut pages)?;
             for p in pages {
                 let g = self.pool.fetch(p)?;
-                let mut page = g.write();
+                let page = g.read();
                 if lvl == 0 {
                     if page.page_type() != Some(PageType::Leaf) {
                         return Err(BTreeError::Inconsistent(format!("{p} should be a leaf")));
                     }
-                    LeafView::new(&mut page).validate()?;
+                    LeafView::of(&page).validate()?;
                 } else {
                     if page.page_type() != Some(PageType::Internal) {
                         return Err(BTreeError::Inconsistent(format!("{p} should be internal")));
@@ -1326,7 +1318,7 @@ impl BTree {
                             page.level()
                         )));
                     }
-                    NodeView::new(&mut page).validate()?;
+                    NodeView::of(&page).validate()?;
                 }
             }
         }
@@ -1337,7 +1329,7 @@ impl BTree {
         for &l in &leaves {
             let g = self.pool.fetch(l)?;
             let page = g.read();
-            for k in LeafRef::new(&page).keys() {
+            for k in LeafView::of(&page).keys() {
                 if let Some(p) = prev {
                     if k <= p {
                         return Err(BTreeError::Inconsistent(format!(
@@ -1465,6 +1457,26 @@ mod tests {
         assert_eq!(t.search(3).unwrap().unwrap(), val(3, 16));
         assert_eq!(t.search(4).unwrap(), None);
         assert_eq!(t.validate().unwrap(), 4);
+    }
+
+    #[test]
+    fn reading_dirties_nothing() {
+        let t = setup(256);
+        for k in 0..2_000u64 {
+            t.insert(TxnId(1), Lsn::ZERO, k, &val(k, 64)).unwrap();
+        }
+        assert!(t.anchor().unwrap().1 >= 1, "the tree has internal pages");
+        let pool = Arc::clone(t.pool());
+        pool.flush_all().unwrap();
+        assert_eq!(t.validate().unwrap(), 2_000);
+        let side = t.side_mode();
+        let (fsm, log) = (Arc::clone(t.fsm()), Arc::clone(t.log()));
+        BTree::open(Arc::clone(&pool), fsm, log, t.meta_id(), side).unwrap();
+        let pages = t.reachable_pages().unwrap();
+        assert!(pages.len() > 2);
+        for p in pages {
+            assert!(!pool.is_dirty(p), "reading dirtied {p}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::io::Read;
 use std::path::Path;
 
 use obr_btree::leaf::LEAF_BODY;
-use obr_btree::{LeafRef, LeafView, MetaRef, NodeRef, NodeView};
+use obr_btree::{LeafView, MetaView, NodeView};
 use obr_core::Database;
 use obr_storage::{BufferPool, Page, PageId, PageType, PAGE_SIZE};
 
@@ -237,14 +237,12 @@ impl Walker<'_> {
             return;
         }
         self.stats.internal_pages += 1;
-        {
-            // Slot-directory coherence (offsets, free pointer, sortedness).
-            let mut copy = page.clone();
-            if let Err(e) = NodeView::new(&mut copy).validate() {
-                self.err("node-invalid", id, format!("node validation: {e}"));
-            }
+        let node = NodeView::of(&page);
+        // Slot-directory coherence (free pointer, sortedness, children).
+        if let Err(e) = node.validate() {
+            self.err("node-invalid", id, format!("node validation: {e}"));
         }
-        let entries = NodeRef::new(&page).entries();
+        let entries = node.entries();
         if entries.is_empty() {
             self.err("empty-internal", id, "internal page routes nothing");
             return;
@@ -292,13 +290,10 @@ impl Walker<'_> {
         }
         self.stats.leaf_pages += 1;
         self.leaves.push(id);
-        {
-            let mut copy = page.clone();
-            if let Err(e) = LeafView::new(&mut copy).validate() {
-                self.err("leaf-invalid", id, format!("leaf validation: {e}"));
-            }
+        let leaf = LeafView::of(&page);
+        if let Err(e) = leaf.validate() {
+            self.err("leaf-invalid", id, format!("leaf validation: {e}"));
         }
-        let leaf = LeafRef::new(&page);
         let keys = leaf.keys();
         for w in keys.windows(2) {
             if w[0] >= w[1] {
@@ -401,7 +396,7 @@ impl Walker<'_> {
             if page.page_type() != Some(PageType::Leaf) {
                 continue;
             }
-            let leaf = LeafRef::new(&page);
+            let leaf = LeafView::of(&page);
             if let (Some(first), Some(last)) = (leaf.first_key(), leaf.last_key()) {
                 if let Some((pid, plast)) = prev {
                     if first <= plast {
@@ -438,7 +433,7 @@ impl Walker<'_> {
                 if page.page_type() != Some(PageType::Internal) {
                     continue;
                 }
-                next.extend(NodeRef::new(&page).children());
+                next.extend(NodeView::of(&page).children());
             }
             bases = next;
         }
@@ -451,7 +446,7 @@ impl Walker<'_> {
             if bp.page_type() != Some(PageType::Internal) {
                 continue;
             }
-            let children = NodeRef::new(&bp).children();
+            let children = NodeView::of(&bp).children();
             let mut used = 0u64;
             let mut fills = 0.0f64;
             let mut leaves = 0u32;
@@ -460,7 +455,7 @@ impl Walker<'_> {
                 if lp.page_type() != Some(PageType::Leaf) {
                     continue;
                 }
-                let leaf = LeafRef::new(&lp);
+                let leaf = LeafView::of(&lp);
                 used += leaf.used_bytes() as u64;
                 fills += leaf.fill_fraction();
                 leaves += 1;
@@ -504,7 +499,7 @@ pub fn fsck_source(src: &dyn PageSource, opts: &FsckOptions) -> FsckResult {
     };
     w.seen.insert(meta_id);
     w.stats.pages_scanned += 1;
-    let meta = match MetaRef::new(&meta_page) {
+    let meta = match MetaView::of(&meta_page) {
         Ok(m) => m,
         Err(e) => {
             w.err("meta-invalid", meta_id, format!("meta page rejected: {e}"));
@@ -528,8 +523,8 @@ fn finish(mut w: Walker<'_>, opts: &FsckOptions) -> FsckResult {
     for id in &w.leaves {
         if let Some(p) = w.src.page(*id) {
             if p.page_type() == Some(PageType::Leaf)
-                && LeafRef::new(&p).fill_fraction() < opts.sparse_threshold
-                && !LeafRef::new(&p).is_empty()
+                && LeafView::of(&p).fill_fraction() < opts.sparse_threshold
+                && !LeafView::of(&p).is_empty()
             {
                 sparse += 1;
             }
@@ -682,7 +677,7 @@ mod tests {
                     .fetch(p)
                     .map(|g| {
                         let page = g.read();
-                        page.page_type() == Some(PageType::Leaf) && LeafRef::new(&page).count() >= 2
+                        page.page_type() == Some(PageType::Leaf) && LeafView::of(&page).count() >= 2
                     })
                     .unwrap_or(false)
             })
@@ -692,7 +687,7 @@ mod tests {
             // touching the slot directory.
             let g = db.pool().fetch(leaf).unwrap();
             let mut page = g.write();
-            let keys = LeafRef::new(&page).keys();
+            let keys = LeafView::of(&page).keys();
             let (a, b) = (keys[0], keys[1]);
             let body = page.body_mut();
             // Slots store the key at the slot offset; find and swap the two

@@ -21,9 +21,8 @@
 //!   reference LSNs of reorg records that precede the checkpoint, with
 //!   `begin_lsn <= recent_lsn < checkpoint LSN`.
 //! - **Transaction undo chains** — a transaction is in the log from its
-//!   first update record to its commit or abort; there is no begin record
-//!   (old logs hold `TxnBegin`, which is accepted and ignored), and one
-//!   that wrote nothing leaves at most a bare commit/abort, which is
+//!   first update record to its commit or abort; there is no begin record,
+//!   and one that wrote nothing leaves at most a bare commit/abort, which is
 //!   counted, not flagged. What recovery relies on is the `prev_lsn` chain
 //!   it walks to roll a loser back: every update record must point at the
 //!   transaction's previous one (zero for the first), and every CLR's
@@ -356,8 +355,6 @@ impl<'a> Linter<'a> {
                 // A switch completes the build; a later Pass 3 starts over.
                 self.stable_key = None;
             }
-            // Old logs only; a transaction begins at its first update.
-            LogRecord::TxnBegin { .. } => {}
             LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
                 if *txn != TxnId::SYSTEM && self.txns.remove(txn).is_none() {
                     self.bare_ends += 1;
@@ -783,16 +780,14 @@ mod tests {
                 LogRecord::TxnCommit { txn: TxnId(1) },
                 // A reader written through the raw log API: bare commit.
                 LogRecord::TxnCommit { txn: TxnId(2) },
-                // An old log's shape: begin, update, commit; begin, abort.
-                LogRecord::TxnBegin { txn: TxnId(3) },
+                // One update, committed; a reader's bare abort.
                 ins(3, 7, 0),
                 LogRecord::TxnCommit { txn: TxnId(3) },
-                LogRecord::TxnBegin { txn: TxnId(4) },
                 LogRecord::TxnAbort { txn: TxnId(4) },
                 // A rollback: CLRs walk the chain back to zero.
                 ins(5, 8, 0),
-                ins(5, 9, 10),
-                clr(5, 9, 10),
+                ins(5, 9, 8),
+                clr(5, 9, 8),
                 clr(5, 8, 0),
                 LogRecord::TxnAbort { txn: TxnId(5) },
                 // A loser: open at end of log.
@@ -925,14 +920,14 @@ mod tests {
     #[test]
     fn checkpoint_must_reference_seen_lsns() {
         use obr_wal::{CheckpointData, ReorgTableSnapshot};
-        // LSN 4 is a TxnBegin, not a reorg record, so a snapshot naming it
+        // LSN 4 is a transaction's insert, not a reorg record, so a snapshot naming it
         // dangles even though it precedes the checkpoint.
         let r = lint_records(
             &seq(vec![
                 begin(1),
                 mv(1, 10, 20, 1),
                 end(1),
-                LogRecord::TxnBegin { txn: TxnId(7) },
+                ins(7, 1, 0),
                 LogRecord::Checkpoint {
                     data: CheckpointData {
                         reorg: ReorgTableSnapshot {

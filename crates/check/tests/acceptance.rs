@@ -112,11 +112,9 @@ fn flipped_sibling_pointer_is_caught_in_the_file() {
     // The right-sibling field lives in the page header; point the first
     // leaf's right sibling at itself.
     let victim = leaves[0];
-    let base = victim * PAGE_SIZE;
-    let page_bytes: &[u8; PAGE_SIZE] = bytes[base..base + PAGE_SIZE].try_into().unwrap();
-    let mut page = obr_storage::Page::from_bytes(page_bytes);
-    page.set_right_sibling(obr_storage::PageId(victim as u32));
-    bytes[base..base + PAGE_SIZE].copy_from_slice(page.bytes());
+    edit_page(&mut bytes, victim, |p| {
+        p.set_right_sibling(obr_storage::PageId(victim as u32))
+    });
     fs::write(&pages_db, &bytes).unwrap();
 
     let fsck = fsck_file(&pages_db, &FsckOptions::default()).unwrap();
@@ -166,6 +164,61 @@ fn out_of_order_key_is_caught_in_the_file() {
         "no finding names page {victim}: {}",
         fsck.report
     );
+}
+
+/// Rewrite page `i` of a raw page file through `edit`.
+fn edit_page(bytes: &mut [u8], i: usize, edit: impl FnOnce(&mut obr_storage::Page)) {
+    let range = i * PAGE_SIZE..(i + 1) * PAGE_SIZE;
+    let mut page = obr_storage::Page::from_bytes(bytes[range.clone()].try_into().unwrap());
+    edit(&mut page);
+    bytes[range].copy_from_slice(page.bytes());
+}
+
+/// fsck's per-page self-checks fire on header damage: a leaf whose slot
+/// count no longer matches its records (`leaf-invalid`) and an internal
+/// page whose free pointer no longer ends its entries (`node-invalid`).
+#[test]
+fn header_damage_is_caught_by_the_per_page_checks() {
+    let scratch = Scratch::new("header");
+    build_reorganized_db(scratch.path());
+    let pages_db = scratch.path().join("pages.db");
+    let mut bytes = fs::read(&pages_db).unwrap();
+
+    let page_at = |bytes: &[u8], i: usize| {
+        obr_storage::Page::from_bytes(
+            bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]
+                .try_into()
+                .unwrap(),
+        )
+    };
+    let leaf = *leaf_pages(&bytes)
+        .iter()
+        .find(|&&i| page_at(&bytes, i).slot_count() >= 2)
+        .expect("need a leaf with two records");
+    let meta = (0..bytes.len() / PAGE_SIZE)
+        .map(|i| page_at(&bytes, i))
+        .find(|p| p.page_type() == Some(PageType::Meta))
+        .expect("the file holds a meta page");
+    let root = obr_btree::MetaView::of(&meta).unwrap().root().0 as usize;
+    assert_eq!(page_at(&bytes, root).page_type(), Some(PageType::Internal));
+    // One record fewer than the body holds; a free pointer one byte past
+    // the last entry.
+    edit_page(&mut bytes, leaf, |p| p.set_slot_count(p.slot_count() - 1));
+    edit_page(&mut bytes, root, |p| p.set_free_ptr(p.free_ptr() + 1));
+    fs::write(&pages_db, &bytes).unwrap();
+
+    let fsck = fsck_file(&pages_db, &FsckOptions::default()).unwrap();
+    for (code, victim) in [("leaf-invalid", leaf), ("node-invalid", root)] {
+        let page = Some(obr_storage::PageId(victim as u32));
+        assert!(
+            fsck.report
+                .findings
+                .iter()
+                .any(|f| f.code == code && f.page == page),
+            "no {code} finding names page {victim}: {}",
+            fsck.report
+        );
+    }
 }
 
 /// The active (highest-first-LSN) segment of a segmented WAL directory.
@@ -352,12 +405,12 @@ fn cut_undo_chain_is_caught_naming_the_lsn() {
     );
 }
 
-/// A log in the shape older versions wrote (begin records) that also holds
-/// what the raw log API can still produce (a commit for a transaction with
-/// no other record) recovers — the begun-and-unfinished writer is undone,
-/// the committed one kept — and lints without a finding.
+/// A log that holds what the raw log API can still produce (a commit for a
+/// transaction with no other record) next to a committed writer and an
+/// unfinished one recovers — the unfinished writer is undone, the
+/// committed one kept — and lints without a finding.
 #[test]
-fn log_with_begin_records_and_a_bare_commit_recovers_and_lints_clean() {
+fn log_with_a_bare_commit_recovers_and_lints_clean() {
     use obr_check::lint_log;
     use obr_storage::{DiskManager, Lsn};
     use obr_wal::{LogRecord, TxnId};
@@ -370,14 +423,11 @@ fn log_with_begin_records_and_a_bare_commit_recovers_and_lints_clean() {
     .unwrap();
     let (tree, log) = (db.tree(), db.log());
     // Ids far from the ones `begin_txn` hands out.
-    let (winner, loser, idle, reader) = (TxnId(9_001), TxnId(9_002), TxnId(9_003), TxnId(9_004));
-    log.append(&LogRecord::TxnBegin { txn: winner });
+    let (winner, loser, reader) = (TxnId(9_001), TxnId(9_002), TxnId(9_004));
     let l = tree.insert(winner, Lsn::ZERO, 10, b"kept").unwrap();
     tree.insert(winner, l, 11, b"kept too").unwrap();
     log.append(&LogRecord::TxnCommit { txn: winner });
-    log.append(&LogRecord::TxnBegin { txn: loser });
     tree.insert(loser, Lsn::ZERO, 20, b"undone").unwrap();
-    log.append(&LogRecord::TxnBegin { txn: idle });
     log.append(&LogRecord::TxnCommit { txn: reader });
     log.flush_all().unwrap();
     db.crash(|_| true).unwrap();
@@ -390,7 +440,7 @@ fn log_with_begin_records_and_a_bare_commit_recovers_and_lints_clean() {
     )
     .unwrap();
     let report = obr_core::recover(&db2).unwrap();
-    assert_eq!(report.losers_undone, 2, "the writer and the idle begin");
+    assert_eq!(report.losers_undone, 1, "the unfinished writer");
     assert_eq!(report.clrs_written, 1);
     assert_eq!(
         db2.tree().search(10).unwrap().as_deref(),

@@ -79,6 +79,42 @@ fn sabotage_dropping_no_wal_audit_is_caught() {
     );
 }
 
+/// R1 teeth through the generic page views: deleting the audit above
+/// `BTree::create` must resurface it as an unlogged mutation path that
+/// ends in `LeafView::init` or `MetaView::init`. The views' constructors
+/// and writers live in generic impl blocks, so this proves the call graph
+/// still resolves them.
+#[test]
+fn sabotage_dropping_create_audit_is_caught() {
+    let mut files = sources();
+    let tree = files
+        .iter_mut()
+        .find(|(p, _)| p.ends_with("crates/btree/src/tree.rs"))
+        .expect("tree.rs scanned");
+    let audit = "    // protocol: no-wal bootstrap:";
+    let at = tree.1.find(audit).expect("create's audit present");
+    let end = at + tree.1[at..].find('\n').expect("audit line ends");
+    tree.1.replace_range(at..=end, "");
+    assert!(
+        tree.1[at..].trim_start().starts_with("pub fn create("),
+        "the removed audit was create's"
+    );
+
+    let m = parse_manifest(&manifest_text()).expect("manifest parses");
+    let refs = as_refs(&files);
+    let report = obr_check::check_sources(&refs, Some(&m));
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.code == "wal-unlogged-path" && f.detail.contains("BTree::create"))
+        .unwrap_or_else(|| panic!("stripped audit must be flagged at BTree::create:\n{report}"));
+    assert!(
+        f.detail.contains("BTree::create -> LeafView::init")
+            || f.detail.contains("BTree::create -> MetaView::init"),
+        "diagnostic's chain ends in a view's init: {f:?}"
+    );
+}
+
 /// R2 teeth: removing the replica replay-state edges from the manifest
 /// must flag the replica's hold-replay-state-across-redo nesting as
 /// undeclared.

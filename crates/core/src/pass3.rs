@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use obr_btree::builder::UpperBuilder;
 use obr_btree::node::NODE_CAPACITY;
-use obr_btree::{NodeRef, NodeView, SmoObserver};
+use obr_btree::{NodeView, SmoObserver};
 use obr_lock::{LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
 use obr_storage::{PageId, PageType, StorageError};
@@ -178,7 +178,7 @@ impl<'a> NewTreeEditor<'a> {
                     "new tree: {cur} not internal at level {level}"
                 )));
             }
-            cur = NodeRef::new(&page).child_for(key).ok_or_else(|| {
+            cur = NodeView::of(&page).child_for(key).ok_or_else(|| {
                 CoreError::Recovery(format!("new tree: empty node {cur} on descent"))
             })?;
             path.push(cur);
@@ -229,7 +229,7 @@ impl<'a> NewTreeEditor<'a> {
         {
             let g = pool.fetch(page_id)?;
             let page = g.read();
-            let node = NodeRef::new(&page);
+            let node = NodeView::of(&page);
             exact = node.entries().iter().any(|&(k, _)| k == key);
             room = node.count() < NODE_CAPACITY;
         }
@@ -264,7 +264,7 @@ impl<'a> NewTreeEditor<'a> {
             let mut npage = ng.write();
             let mut spage = sg.write();
             let level = npage.level();
-            let entries = NodeRef::new(&npage).entries();
+            let entries = NodeView::of(&npage).entries();
             // Split at the configured fill so post-split pages stay near f2.
             let at = (entries.len() / 2).min(self.node_fill_entries).max(1);
             let (keep, moved) = entries.split_at(at);
@@ -326,8 +326,7 @@ impl<'a> NewTreeEditor<'a> {
             // The entry key may differ slightly if it was re-registered;
             // fall back to the routing entry when exact removal misses.
             if node.remove_entry(key).is_none() {
-                let route = NodeRef::new(node.page()).entry_for(key);
-                if let Some((k, _)) = route {
+                if let Some((k, _)) = node.entry_for(key) {
                     node.remove_entry(k);
                 }
             }
@@ -341,7 +340,7 @@ impl<'a> NewTreeEditor<'a> {
                 let g = pool.fetch(parent_id)?;
                 let mut page = g.write();
                 let mut node = NodeView::new(&mut page);
-                node.repoint_child(page_id, page_id).inspect(|&low| {
+                node.low_key_of(page_id).inspect(|&low| {
                     node.remove_entry(low);
                 })
             };
@@ -353,7 +352,7 @@ impl<'a> NewTreeEditor<'a> {
                 let parent_empty = {
                     let g = pool.fetch(parent_id)?;
                     let page = g.read();
-                    NodeRef::new(&page).is_empty()
+                    NodeView::of(&page).is_empty()
                 };
                 if parent_empty && idx - 1 > 0 {
                     return self.remove_cascade(path, idx - 1);
@@ -371,7 +370,7 @@ impl<'a> NewTreeEditor<'a> {
             let g = pool.fetch(parent_id)?;
             let mut page = g.write();
             let mut node = NodeView::new(&mut page);
-            node.repoint_child(page_id, page_id).inspect(|&low| {
+            node.low_key_of(page_id).inspect(|&low| {
                 node.remove_entry(low);
             })
         };
@@ -382,7 +381,7 @@ impl<'a> NewTreeEditor<'a> {
             let parent_empty = {
                 let g = pool.fetch(parent_id)?;
                 let page = g.read();
-                NodeRef::new(&page).is_empty()
+                NodeView::of(&page).is_empty()
             };
             if parent_empty && idx - 1 > 0 {
                 return self.remove_cascade(path, idx - 1);
@@ -505,7 +504,7 @@ impl Reorganizer {
                 if page.page_type() != Some(PageType::Internal) {
                     Vec::new() // deallocated since listing; skip
                 } else {
-                    let entries = NodeRef::new(&page).entries();
+                    let entries = NodeView::of(&page).entries();
                     // Next frontier: smallest base low mark above this one.
                     let mut next_low = STABLE_ALL_READ;
                     for b in tree.base_pages()? {
@@ -630,7 +629,7 @@ impl Reorganizer {
             }
             out.push(p);
             if page.level() > 1 {
-                stack.extend(NodeRef::new(&page).children());
+                stack.extend(NodeView::of(&page).children());
             }
         }
         Ok(out)

@@ -15,9 +15,7 @@
 //! naming an id the scan never saw (a reader that committed through the raw
 //! log API) takes out nothing. What is left is undone by walking each
 //! loser's `prev_lsn` chain from its newest record until the chain reaches
-//! zero at its first one. Logs written before this rule hold `TxnBegin`
-//! records; the scan still reads them, as a transaction with nothing to
-//! undo yet.
+//! zero at its first one. No record marks a transaction's begin.
 //!
 //! An interrupted
 //! reorganization unit, however, is *not* rolled back: its BEGIN record
@@ -38,7 +36,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use obr_btree::{LeafRef, LeafView, NodeRef, NodeView};
+use obr_btree::{LeafView, NodeView};
 use obr_storage::{Lsn, PageId, PageType};
 use obr_wal::{LogRecord, MovePayload, Pass3State, ReorgKind, TxnId, UnitId};
 
@@ -156,10 +154,6 @@ impl Replay {
     /// Fold one record into the analysis state.
     fn analyse(&mut self, db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) {
         match rec {
-            // Old logs only: a begun transaction with nothing to undo yet.
-            LogRecord::TxnBegin { txn } => {
-                self.losers.insert(*txn, Lsn::ZERO);
-            }
             LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
                 self.losers.remove(txn);
             }
@@ -380,11 +374,11 @@ fn level1_entries(
             continue;
         }
         if page.level() == 1 {
-            for (k, c) in NodeRef::new(&page).entries() {
+            for (k, c) in NodeView::of(&page).entries() {
                 out.insert(k, c);
             }
         } else {
-            stack.extend(NodeRef::new(&page).children());
+            stack.extend(NodeView::of(&page).children());
         }
     }
     Ok(out)
@@ -407,7 +401,7 @@ fn collect_new_tree_pages(
         if page.page_type() != Some(PageType::Internal) || page.level() <= 1 {
             continue;
         }
-        stack.extend(NodeRef::new(&page).children());
+        stack.extend(NodeView::of(&page).children());
     }
     Ok(())
 }
@@ -594,7 +588,7 @@ fn redo_move(
                         "careful-writing violation: org {org} overwritten before dest {dest} durable"
                     )));
                 }
-                let leaf = LeafRef::new(&opage);
+                let leaf = LeafView::of(&opage);
                 let mut rs = Vec::with_capacity(ks.len());
                 for k in ks {
                     let v = leaf.get(*k).ok_or_else(|| {
@@ -732,7 +726,7 @@ fn complete_unit(
         let dg = pool.fetch(dest)?;
         let dpage = dg.read();
         if dpage.page_type() == Some(PageType::Leaf) {
-            report.records_preserved += LeafRef::new(&dpage).count() as u64;
+            report.records_preserved += LeafView::of(&dpage).count() as u64;
         }
     }
     // Finish outstanding moves.
@@ -743,7 +737,7 @@ fn complete_unit(
             if opage.page_type() != Some(PageType::Leaf) {
                 continue;
             }
-            LeafRef::new(&opage).records()
+            LeafView::of(&opage).records()
         };
         if records.is_empty() {
             continue;
@@ -781,7 +775,7 @@ fn complete_unit(
         let dg = pool.fetch(dest)?;
         let dpage = dg.read();
         if dpage.page_type() == Some(PageType::Leaf) {
-            LeafRef::new(&dpage).last_key().unwrap_or(0)
+            LeafView::of(&dpage).last_key().unwrap_or(0)
         } else {
             0
         }

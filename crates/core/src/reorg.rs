@@ -30,7 +30,7 @@ use std::sync::Arc;
 use obr_sync::Mutex;
 
 use obr_btree::leaf::LEAF_BODY;
-use obr_btree::{LeafRef, LeafView, NodeRef, NodeView, SmoGuard};
+use obr_btree::{LeafView, NodeView, SmoGuard};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
 use obr_storage::{Page, PageId, PageType};
@@ -560,7 +560,7 @@ impl Reorganizer {
                 if page.page_type() != Some(PageType::Leaf) {
                     continue;
                 }
-                let r = LeafRef::new(&page);
+                let r = LeafView::of(&page);
                 // A leaf whose records all precede the frontier was already
                 // handled by an earlier unit (e.g. it *is* a previous dest).
                 match r.last_key() {
@@ -614,7 +614,7 @@ impl Reorganizer {
             if page.page_type() != Some(PageType::Leaf) {
                 continue;
             }
-            let r = LeafRef::new(&page);
+            let r = LeafView::of(&page);
             if let (Some(f), Some(la)) = (r.first_key(), r.last_key()) {
                 lo = lo.min(f);
                 hi = hi.max(la);
@@ -749,7 +749,7 @@ impl Reorganizer {
             let g = pool.fetch(base)?;
             let page = g.read();
             if page.page_type() == Some(PageType::Internal) {
-                NodeRef::new(&page).entries()
+                NodeView::of(&page).entries()
             } else {
                 Vec::new()
             }
@@ -765,7 +765,7 @@ impl Reorganizer {
             if page.page_type() != Some(PageType::Leaf) {
                 break;
             }
-            let used = LeafRef::new(&page).used_bytes();
+            let used = LeafView::of(&page).used_bytes();
             if kept > 0 && bytes + used > LEAF_BODY {
                 break;
             }
@@ -780,7 +780,7 @@ impl Reorganizer {
             let mut largest_key = group.iter().map(|&(k, _)| k).max().unwrap_or(0);
             if kept > 0 {
                 let g = pool.fetch(group[0].1)?;
-                let last = LeafRef::new(&g.read()).last_key();
+                let last = LeafView::of(&g.read()).last_key();
                 largest_key = largest_key.max(last.unwrap_or(0));
             }
             locks.release_all(owner);
@@ -850,7 +850,7 @@ impl Reorganizer {
                 if org == dest {
                     let g = pool.fetch(org)?;
                     let page = g.read();
-                    if let Some(k) = LeafRef::new(&page).last_key() {
+                    if let Some(k) = LeafView::of(&page).last_key() {
                         largest_key = largest_key.max(k);
                     }
                     continue;
@@ -859,7 +859,7 @@ impl Reorganizer {
                 let dg = pool.fetch(dest)?;
                 let mut opage = og.write();
                 let mut dpage = dg.write();
-                let records = LeafRef::new(&opage).records();
+                let records = LeafView::of(&opage).records();
                 if let Some((k, _)) = records.last() {
                     largest_key = largest_key.max(*k);
                 }
@@ -1006,15 +1006,13 @@ impl Reorganizer {
         let pool = self.db.pool();
         for &id in bases {
             let g = pool.fetch(id).expect("unit base page unreadable at END");
-            let mut page = g.read().clone();
-            NodeView::new(&mut page)
+            NodeView::of(&g.read())
                 .validate()
                 .expect("reorganization unit left an invalid base page");
         }
         for &id in leaves {
             let g = pool.fetch(id).expect("unit leaf unreadable at END");
-            let mut page = g.read().clone();
-            LeafView::new(&mut page)
+            LeafView::of(&g.read())
                 .validate()
                 .expect("reorganization unit left an invalid leaf");
         }
@@ -1227,7 +1225,7 @@ impl Reorganizer {
         let key = {
             let g = self.db.pool().fetch(leaf)?;
             let page = g.read();
-            LeafRef::new(&page).first_key().unwrap_or(page.low_mark())
+            LeafView::of(&page).first_key().unwrap_or(page.low_mark())
         };
         let path = tree.path_for(key)?;
         if path.len() < 2 {
@@ -1297,7 +1295,7 @@ pub(crate) fn modify_base(
     sources: &[PageId],
     dest: PageId,
 ) -> CoreResult<Option<(usize, usize)>> {
-    let entries = NodeRef::new(bpage).entries();
+    let entries = NodeView::of(bpage).entries();
     let old_entries: Vec<(u64, PageId)> = entries
         .iter()
         .copied()

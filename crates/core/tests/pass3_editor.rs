@@ -127,7 +127,7 @@ fn editor_removals_cascade_empty_pages_away() {
         let keys = {
             let g = db.tree().pool().fetch(leaf).unwrap();
             let page = g.read();
-            obr_btree::LeafRef::new(&page).keys()
+            obr_btree::LeafView::of(&page).keys()
         };
         for k in keys {
             db.tree().delete(TxnId(1), Lsn::ZERO, k).unwrap();

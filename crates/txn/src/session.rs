@@ -601,7 +601,7 @@ mod tests {
         let tree = s.db().tree();
         let leaf = tree.leaf_for(1).unwrap();
         let g = s.db().pool().fetch(leaf).unwrap();
-        assert_eq!(obr_btree::LeafRef::new(&g.read()).count(), 1);
+        assert_eq!(obr_btree::LeafView::of(&g.read()).count(), 1);
         drop(g);
         let leaves = tree.stats().unwrap().leaf_pages;
         let mut t = s.begin();

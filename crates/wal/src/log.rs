@@ -121,12 +121,12 @@ struct IoState {
 /// use obr_wal::{LogManager, LogRecord, TxnId};
 ///
 /// let log = LogManager::new();
-/// let l1 = log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
-/// log.append(&LogRecord::TxnCommit { txn: TxnId(1) }); // volatile tail
+/// let l1 = log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
+/// log.append(&LogRecord::TxnCommit { txn: TxnId(2) }); // volatile tail
 /// log.flush_to(l1).unwrap();
 /// // A crash loses everything past the durability watermark.
 /// assert_eq!(log.simulate_crash(), 1);
-/// assert_eq!(log.read(l1).unwrap(), Some(LogRecord::TxnBegin { txn: TxnId(1) }));
+/// assert_eq!(log.read(l1).unwrap(), Some(LogRecord::TxnCommit { txn: TxnId(1) }));
 /// ```
 pub struct LogManager {
     mem: Mutex<LogMem>,
@@ -881,23 +881,23 @@ mod tests {
     use super::*;
     use crate::record::{CheckpointData, TxnId};
 
-    fn begin(n: u64) -> LogRecord {
-        LogRecord::TxnBegin { txn: TxnId(n) }
+    fn commit(n: u64) -> LogRecord {
+        LogRecord::TxnCommit { txn: TxnId(n) }
     }
 
     #[test]
     fn append_assigns_sequential_lsns_from_one() {
         let log = LogManager::new();
-        assert_eq!(log.append(&begin(1)), Lsn(1));
-        assert_eq!(log.append(&begin(2)), Lsn(2));
+        assert_eq!(log.append(&commit(1)), Lsn(1));
+        assert_eq!(log.append(&commit(2)), Lsn(2));
         assert_eq!(log.next_lsn(), Lsn(3));
     }
 
     #[test]
     fn read_round_trips() {
         let log = LogManager::new();
-        let lsn = log.append(&begin(9));
-        assert_eq!(log.read(lsn).unwrap(), Some(begin(9)));
+        let lsn = log.append(&commit(9));
+        assert_eq!(log.read(lsn).unwrap(), Some(commit(9)));
         assert_eq!(log.read(Lsn(99)).unwrap(), None);
         assert_eq!(log.read(Lsn::ZERO).unwrap(), None);
     }
@@ -905,22 +905,22 @@ mod tests {
     #[test]
     fn crash_loses_unflushed_tail() {
         let log = LogManager::new();
-        log.append(&begin(1));
-        let l2 = log.append(&begin(2));
-        log.append(&begin(3));
+        log.append(&commit(1));
+        let l2 = log.append(&commit(2));
+        log.append(&commit(3));
         log.flush_to(l2).unwrap();
         let dropped = log.simulate_crash();
         assert_eq!(dropped, 1);
         assert_eq!(log.read(Lsn(3)).unwrap(), None);
-        assert_eq!(log.read(l2).unwrap(), Some(begin(2)));
+        assert_eq!(log.read(l2).unwrap(), Some(commit(2)));
         // New appends reuse the freed LSN space.
-        assert_eq!(log.append(&begin(4)), Lsn(3));
+        assert_eq!(log.append(&commit(4)), Lsn(3));
     }
 
     #[test]
     fn append_force_is_durable() {
         let log = LogManager::new();
-        let lsn = log.append_force(&begin(1)).unwrap();
+        let lsn = log.append_force(&commit(1)).unwrap();
         assert_eq!(log.durable_lsn(), lsn);
         assert_eq!(log.simulate_crash(), 0);
     }
@@ -928,7 +928,7 @@ mod tests {
     #[test]
     fn flush_to_never_goes_backwards_or_past_end() {
         let log = LogManager::new();
-        let l1 = log.append(&begin(1));
+        let l1 = log.append(&commit(1));
         log.flush_to(Lsn(50)).unwrap(); // clamped to the last real record
         assert_eq!(log.durable_lsn(), l1);
         log.flush_to(Lsn::ZERO).unwrap();
@@ -940,9 +940,9 @@ mod tests {
         // Group commit batches *requested* targets — it must not silently
         // drag unrequested tail records across the durability line.
         let log = LogManager::new();
-        log.append(&begin(1));
-        let l2 = log.append(&begin(2));
-        log.append(&begin(3)); // appended, never requested durable
+        log.append(&commit(1));
+        let l2 = log.append(&commit(2));
+        log.append(&commit(3)); // appended, never requested durable
         log.flush_to(l2).unwrap();
         assert_eq!(log.durable_lsn(), l2);
         assert_eq!(log.simulate_crash(), 1);
@@ -951,40 +951,40 @@ mod tests {
     #[test]
     fn poisoned_log_fails_new_flushes_but_keeps_durable_prefix() {
         let log = LogManager::new();
-        let l1 = log.append(&begin(1));
+        let l1 = log.append(&commit(1));
         log.flush_to(l1).unwrap();
         log.poison();
         assert!(log.is_poisoned());
-        let l2 = log.append(&begin(2));
+        let l2 = log.append(&commit(2));
         let err = log.flush_to(l2).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "unexpected: {err}");
         assert_eq!(log.durable_lsn(), l1, "watermark must not move");
         // Already-durable targets still answer Ok; appends stay available.
         log.flush_to(l1).unwrap();
-        assert!(log.append_force(&begin(3)).is_err());
+        assert!(log.append_force(&commit(3)).is_err());
     }
 
     #[test]
     fn records_from_returns_suffix() {
         let log = LogManager::new();
         for i in 1..=5 {
-            log.append(&begin(i));
+            log.append(&commit(i));
         }
         let recs = log.records_from(Lsn(3)).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].0, Lsn(3));
-        assert_eq!(recs[0].1, begin(3));
+        assert_eq!(recs[0].1, commit(3));
     }
 
     #[test]
     fn last_checkpoint_found_below_durable_watermark() {
         let log = LogManager::new();
-        log.append(&begin(1));
+        log.append(&commit(1));
         let ckpt = LogRecord::Checkpoint {
             data: CheckpointData::default(),
         };
         let cl = log.append(&ckpt);
-        log.append(&begin(2));
+        log.append(&commit(2));
         // Not durable yet: invisible.
         log.flush_to(Lsn(1)).unwrap();
         assert!(log.last_checkpoint().unwrap().is_none());
@@ -1001,7 +1001,7 @@ mod tests {
         let (t, p, u) = (TxnId(3), PageId(4), UnitId(5));
         let image = || Box::new([17u8; PAGE_SIZE]);
         let others = vec![
-            begin(1),
+            commit(1),
             LogRecord::TxnCommit { txn: t },
             LogRecord::TxnAbort { txn: t },
             LogRecord::TxnInsert {
@@ -1101,13 +1101,13 @@ mod tests {
     fn truncation_honours_low_water_mark() {
         let log = LogManager::new();
         for i in 1..=5 {
-            log.append(&begin(i));
+            log.append(&commit(i));
         }
         log.flush_all().unwrap();
         log.truncate_before(Lsn(4));
         assert_eq!(log.len(), 2);
         assert_eq!(log.read(Lsn(3)).unwrap(), None);
-        assert_eq!(log.read(Lsn(4)).unwrap(), Some(begin(4)));
+        assert_eq!(log.read(Lsn(4)).unwrap(), Some(commit(4)));
         // records_from still works over the truncated log.
         let recs = log.records_from(Lsn(1)).unwrap();
         assert_eq!(recs.first().unwrap().0, Lsn(4));
@@ -1118,7 +1118,7 @@ mod tests {
         use crate::record::{MovePayload, UnitId};
         use obr_storage::PageId;
         let log = LogManager::new();
-        let l1 = log.append(&begin(1));
+        let l1 = log.append(&commit(1));
         log.flush_to(l1).unwrap();
         log.flush_to(l1).unwrap(); // already durable: no new batch
         let mv = LogRecord::ReorgMove {
@@ -1138,7 +1138,7 @@ mod tests {
         assert_eq!(s.counter("wal_appends"), 2);
         assert_eq!(
             s.counter("wal_append_bytes"),
-            (begin(1).encode().len() + mv.encode().len()) as u64
+            (commit(1).encode().len() + mv.encode().len()) as u64
         );
     }
 
@@ -1158,7 +1158,7 @@ mod tests {
         {
             let log = LogManager::open_dir(&dir, 64).unwrap();
             for i in 1..=20 {
-                log.append_force(&begin(i)).unwrap();
+                log.append_force(&commit(i)).unwrap();
             }
             let cat = log.segment_catalog();
             assert!(cat.len() >= 2, "20 forced records must cross one seal");
@@ -1174,10 +1174,10 @@ mod tests {
         assert_eq!(log.len(), 20);
         assert_eq!(log.durable_lsn(), Lsn(20));
         for i in 1..=20u64 {
-            assert_eq!(log.read(Lsn(i)).unwrap(), Some(begin(i)));
+            assert_eq!(log.read(Lsn(i)).unwrap(), Some(commit(i)));
         }
         // Appends continue from the recovered position.
-        assert_eq!(log.append(&begin(21)), Lsn(21));
+        assert_eq!(log.append(&commit(21)), Lsn(21));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1186,7 +1186,7 @@ mod tests {
         let dir = seg_dir("recycle");
         let log = LogManager::open_dir(&dir, 48).unwrap();
         for i in 1..=24 {
-            log.append_force(&begin(i)).unwrap();
+            log.append_force(&commit(i)).unwrap();
         }
         let cat = log.segment_catalog();
         assert!(cat.len() >= 3, "need several segments to recycle");
@@ -1216,7 +1216,7 @@ mod tests {
         {
             let log = LogManager::open_dir(&dir, 48).unwrap();
             for i in 1..=24 {
-                log.append_force(&begin(i)).unwrap();
+                log.append_force(&commit(i)).unwrap();
             }
             assert!(log.segment_catalog().len() >= 3);
         }
@@ -1240,7 +1240,7 @@ mod tests {
         {
             let log = LogManager::open_dir(&dir, 48).unwrap();
             for i in 1..=total {
-                log.append_force(&begin(i)).unwrap();
+                log.append_force(&commit(i)).unwrap();
             }
             // Make sure the active segment holds at least one record (the
             // last append may itself have sealed, leaving it empty).
@@ -1248,7 +1248,7 @@ mod tests {
                 < log.segment_catalog().last().unwrap().first_lsn
             {
                 total += 1;
-                log.append_force(&begin(total)).unwrap();
+                log.append_force(&commit(total)).unwrap();
             }
         }
         let segs = crate::segment::list_segments(&dir).unwrap();
@@ -1295,7 +1295,7 @@ mod tests {
         {
             let log = LogManager::open_dir(&dir, 48).unwrap();
             for i in 1..=12 {
-                log.append_force(&begin(i)).unwrap();
+                log.append_force(&commit(i)).unwrap();
             }
             assert!(log.segment_catalog().len() >= 2);
         }
@@ -1314,7 +1314,7 @@ mod tests {
         }
         let log = LogManager::open_dir(&dir, 48).unwrap();
         assert_eq!(log.durable_lsn(), Lsn(12));
-        assert_eq!(log.append(&begin(13)), Lsn(13));
+        assert_eq!(log.append(&commit(13)), Lsn(13));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1322,12 +1322,12 @@ mod tests {
     fn flush_error_releases_baton_and_surfaces() {
         let dir = seg_dir("ioerr");
         let log = LogManager::open_dir(&dir, 1 << 20).unwrap();
-        log.append_force(&begin(1)).unwrap();
+        log.append_force(&commit(1)).unwrap();
         // Destroy the backing directory out from under the log: the next
         // seal-free append flush still writes into the (unlinked) active
         // file handle, so force an error by sealing into a missing dir.
         std::fs::remove_dir_all(&dir).unwrap();
-        let l2 = log.append(&begin(2));
+        let l2 = log.append(&commit(2));
         // Writing to an unlinked file succeeds on POSIX; the point of this
         // test is the *protocol*: an error (if any) must not wedge the
         // flusher baton. Simulate the worst case by a recycle on a missing
@@ -1346,7 +1346,7 @@ mod tests {
             let log = std::sync::Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
                 (0..100)
-                    .map(|i| log.append(&begin(i)).0)
+                    .map(|i| log.append(&commit(i)).0)
                     .collect::<Vec<_>>()
             }));
         }

@@ -131,7 +131,7 @@ mod tests {
 
     fn sample_frames(n: u64) -> Vec<Vec<u8>> {
         (1..=n)
-            .map(|i| LogRecord::TxnBegin { txn: TxnId(i) }.encode())
+            .map(|i| LogRecord::TxnCommit { txn: TxnId(i) }.encode())
             .collect()
     }
 

@@ -124,11 +124,6 @@ pub struct CheckpointData {
 /// A write-ahead log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LogRecord {
-    /// A user transaction started.
-    TxnBegin {
-        /// The transaction.
-        txn: TxnId,
-    },
     /// A user transaction committed.
     TxnCommit {
         /// The transaction.
@@ -290,7 +285,7 @@ pub enum LogRecord {
     },
 }
 
-const TAG_TXN_BEGIN: u8 = 1;
+// Tag 1 was the transaction-begin record; it stays unassigned.
 const TAG_TXN_COMMIT: u8 = 2;
 const TAG_TXN_ABORT: u8 = 3;
 const TAG_TXN_INSERT: u8 = 4;
@@ -377,10 +372,6 @@ impl LogRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(64);
         match self {
-            LogRecord::TxnBegin { txn } => {
-                w.put_u8(TAG_TXN_BEGIN);
-                w.put_u64(txn.0);
-            }
             LogRecord::TxnCommit { txn } => {
                 w.put_u8(TAG_TXN_COMMIT);
                 w.put_u64(txn.0);
@@ -587,9 +578,6 @@ impl LogRecord {
         let mut r = Reader::new(bytes);
         let tag = r.get_u8()?;
         let rec = match tag {
-            TAG_TXN_BEGIN => LogRecord::TxnBegin {
-                txn: TxnId(r.get_u64()?),
-            },
             TAG_TXN_COMMIT => LogRecord::TxnCommit {
                 txn: TxnId(r.get_u64()?),
             },
@@ -794,7 +782,6 @@ mod tests {
 
     #[test]
     fn round_trip_txn_records() {
-        round_trip(LogRecord::TxnBegin { txn: TxnId(7) });
         round_trip(LogRecord::TxnCommit { txn: TxnId(7) });
         round_trip(LogRecord::TxnAbort { txn: TxnId(7) });
         round_trip(LogRecord::TxnInsert {
@@ -903,6 +890,26 @@ mod tests {
     }
 
     #[test]
+    fn retired_begin_tag_does_not_decode() {
+        // Tag 1 belonged to the transaction-begin record; its neighbours
+        // keep their numbers.
+        assert_eq!((TAG_TXN_COMMIT, TAG_TXN_ABORT), (2, 3));
+        // A whole begin record as it was written: tag, transaction id.
+        let mut w = Writer::new();
+        w.put_u8(1);
+        w.put_u64(7);
+        assert!(LogRecord::decode(&w.into_bytes()).is_err());
+        // The same bytes under the commit tag still decode.
+        let mut w = Writer::new();
+        w.put_u8(TAG_TXN_COMMIT);
+        w.put_u64(7);
+        assert_eq!(
+            LogRecord::decode(&w.into_bytes()).unwrap(),
+            LogRecord::TxnCommit { txn: TxnId(7) }
+        );
+    }
+
+    #[test]
     fn round_trip_smo_and_pass3() {
         let img = Box::new([7u8; PAGE_SIZE]);
         round_trip(LogRecord::Smo {
@@ -950,7 +957,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_tag_and_trailing_bytes() {
         assert!(LogRecord::decode(&[200]).is_err());
-        let mut bytes = LogRecord::TxnBegin { txn: TxnId(1) }.encode();
+        let mut bytes = LogRecord::TxnCommit { txn: TxnId(1) }.encode();
         bytes.push(0);
         assert!(LogRecord::decode(&bytes).is_err());
     }
@@ -994,7 +1001,7 @@ mod tests {
         };
         assert_eq!(rec.unit(), Some(UnitId(9)));
         assert_eq!(rec.prev_lsn(), Some(Lsn(44)));
-        assert_eq!(LogRecord::TxnBegin { txn: TxnId(1) }.unit(), None);
+        assert_eq!(LogRecord::TxnCommit { txn: TxnId(1) }.unit(), None);
     }
 
     fn arb_payload() -> impl Strategy<Value = MovePayload> {
@@ -1018,7 +1025,6 @@ mod tests {
             },
         );
         prop_oneof![
-            any::<u64>().prop_map(|t| LogRecord::TxnBegin { txn: TxnId(t) }),
             any::<u64>().prop_map(|t| LogRecord::TxnCommit { txn: TxnId(t) }),
             (
                 any::<u64>(),

@@ -214,7 +214,6 @@ proptest! {
         let log = LogManager::new();
         for (i, (key, value)) in ops.iter().enumerate() {
             let txn = TxnId(i as u64 + 1);
-            log.append(&LogRecord::TxnBegin { txn });
             log.append(&LogRecord::TxnInsert {
                 txn,
                 page: obr::storage::PageId(1),

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use obr::btree::{LeafRef, SidePointerMode};
+use obr::btree::{LeafView, SidePointerMode};
 use obr::core::{CoreError, Database, ReorgConfig, Reorganizer};
 use obr::lock::{LockMode, OwnerId, ResourceId};
 use obr::storage::{DiskManager, InMemoryDisk, Lsn, PageId};
@@ -42,7 +42,7 @@ fn loaded(n: u64, fill: f64) -> Arc<Database> {
 fn last_key_of(db: &Database, leaf: PageId) -> u64 {
     let g = db.pool().fetch(leaf).expect("fetch leaf");
     let page = g.read();
-    LeafRef::new(&page).last_key().expect("leaf holds records")
+    LeafView::of(&page).last_key().expect("leaf holds records")
 }
 
 /// A structure modification re-routes the key between the reader's descent
