@@ -12,6 +12,7 @@ fn move_keys(n: u64) -> LogRecord {
         org: PageId(1),
         dest: PageId(2),
         payload: MovePayload::Keys((0..n).collect()),
+        fresh_dest: None,
         prev_lsn: Lsn(5),
     }
 }
@@ -22,6 +23,7 @@ fn move_records(n: u64, vlen: usize) -> LogRecord {
         org: PageId(1),
         dest: PageId(2),
         payload: MovePayload::Records((0..n).map(|k| (k, vec![0u8; vlen])).collect()),
+        fresh_dest: None,
         prev_lsn: Lsn(5),
     }
 }

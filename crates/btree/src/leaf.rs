@@ -89,10 +89,13 @@ impl<P: Deref<Target = Page>> LeafView<P> {
         LEAF_BODY - self.used_bytes()
     }
 
-    /// Walk the records, yielding `(offset, key, value_range)`.
+    /// Walk the records, yielding `(offset, key, value)`. The walk stops
+    /// early at a record that would cross the free pointer or the page
+    /// end, so a damaged header cannot make it read out of bounds.
     fn walk(&self) -> Walk<'_> {
+        let end = (self.page.free_ptr() as usize).clamp(HEADER_SIZE, PAGE_SIZE);
         Walk {
-            bytes: self.page.bytes(),
+            bytes: &self.page.bytes()[..end],
             off: HEADER_SIZE,
             remaining: self.count(),
         }
@@ -146,7 +149,14 @@ impl<P: Deref<Target = Page>> LeafView<P> {
     }
 
     /// Structural self-check: sorted keys, header consistent with body.
+    /// A header that points outside the page is reported, never followed.
     pub fn validate(&self) -> StorageResult<()> {
+        let free_ptr = self.page.free_ptr() as usize;
+        if !(HEADER_SIZE..=PAGE_SIZE).contains(&free_ptr) {
+            return Err(StorageError::Corrupt(format!(
+                "free pointer {free_ptr} outside the page body"
+            )));
+        }
         let mut prev: Option<u64> = None;
         let mut n = 0usize;
         let mut end = HEADER_SIZE;
@@ -254,8 +264,36 @@ impl<P: DerefMut<Target = Page>> LeafView<P> {
         Some(value)
     }
 
-    /// Remove and return every record, leaving the leaf empty (used by
-    /// compaction MOVEs).
+    /// Remove the records whose keys are in `keys` (sorted) in one walk and
+    /// return them in key order; the kept records close up behind them.
+    /// Keys the leaf does not hold are skipped.
+    // protocol: page-mutation
+    pub fn take_keys(&mut self, keys: &[u64]) -> Vec<(u64, Vec<u8>)> {
+        let slots: Vec<(usize, u64, usize)> =
+            self.walk().map(|(off, k, v)| (off, k, v.len())).collect();
+        let mut want = keys.iter().copied().peekable();
+        let mut taken = Vec::with_capacity(keys.len());
+        let mut write = HEADER_SIZE;
+        let page = &mut *self.page;
+        for (off, key, len) in slots {
+            while want.next_if(|&k| k < key).is_some() {}
+            let rec_len = REC_OVERHEAD + len;
+            if want.next_if_eq(&key).is_some() {
+                taken.push((
+                    key,
+                    page.bytes()[off + REC_OVERHEAD..off + rec_len].to_vec(),
+                ));
+            } else {
+                page.bytes_mut().copy_within(off..off + rec_len, write);
+                write += rec_len;
+            }
+        }
+        page.set_slot_count(page.slot_count() - taken.len() as u16);
+        page.set_free_ptr(write as u16);
+        taken
+    }
+
+    /// Remove and return every record, leaving the leaf empty.
     // protocol: page-mutation
     pub fn take_all(&mut self) -> Vec<(u64, Vec<u8>)> {
         let recs = self.records();
@@ -312,6 +350,7 @@ fn put_record(page: &mut Page, off: usize, key: u64, value: &[u8]) {
 }
 
 struct Walk<'a> {
+    /// The page up to its free pointer, clamped to the page.
     bytes: &'a [u8],
     off: usize,
     remaining: usize,
@@ -324,11 +363,14 @@ impl<'a> Iterator for Walk<'a> {
         if self.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
         let off = self.off;
-        let key = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
-        let len = u16::from_le_bytes(self.bytes[off + 8..off + 10].try_into().unwrap()) as usize;
-        let val = &self.bytes[off + 10..off + 10 + len];
+        let head = self.bytes.get(off..off + REC_OVERHEAD)?;
+        let key = u64::from_le_bytes(head[..8].try_into().unwrap());
+        let len = u16::from_le_bytes(head[8..].try_into().unwrap()) as usize;
+        let val = self
+            .bytes
+            .get(off + REC_OVERHEAD..off + REC_OVERHEAD + len)?;
+        self.remaining -= 1;
         self.off = off + REC_OVERHEAD + len;
         Some((off, key, val))
     }
@@ -432,6 +474,39 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.used_bytes(), 0);
         v.validate().unwrap();
+    }
+
+    #[test]
+    fn take_keys_removes_a_sorted_subset_in_one_walk() {
+        let mut p = leaf();
+        let mut v = LeafView::new(&mut p);
+        for k in [1u64, 3, 5, 7, 9] {
+            v.insert(k, &[k as u8; 3]).unwrap();
+        }
+        let taken = v.take_keys(&[2, 3, 7, 8]);
+        assert_eq!(taken, vec![(3, vec![3; 3]), (7, vec![7; 3])]);
+        assert_eq!(v.keys(), vec![1, 5, 9]);
+        v.validate().unwrap();
+        assert_eq!(v.take_keys(&[1, 5, 9]).len(), 3);
+        assert!(v.is_empty());
+        v.validate().unwrap();
+    }
+
+    #[test]
+    fn damaged_headers_are_reported_not_followed() {
+        let mut p = leaf();
+        LeafView::new(&mut p).insert(1, b"a").unwrap();
+        p.set_slot_count(u16::MAX);
+        assert_eq!(LeafView::of(&p).keys(), vec![1]);
+        assert!(LeafView::of(&p).validate().is_err());
+        p.set_slot_count(1);
+        p.set_free_ptr(u16::MAX);
+        assert!(LeafView::of(&p).validate().is_err());
+        // A record length that runs past the free pointer ends the walk.
+        p.set_free_ptr((HEADER_SIZE + REC_OVERHEAD + 1) as u16);
+        p.bytes_mut()[HEADER_SIZE + 8..HEADER_SIZE + 10].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(LeafView::of(&p).records().is_empty());
+        assert!(LeafView::of(&p).validate().is_err());
     }
 
     #[test]

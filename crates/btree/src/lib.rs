@@ -14,9 +14,13 @@
 //! free-at-empty deallocations, root growth) are logged as atomic [`Smo`]
 //! records carrying full page images; record inserts, deletes and in-place
 //! updates are logged logically with per-transaction prev-LSN chains.
+//! Every record changes its pages through the one [`apply`] of its kind,
+//! whether the writer runs live, compensates, finishes a unit after a
+//! crash, or replays the log.
 //!
 //! [`Smo`]: obr_wal::LogRecord::Smo
 
+pub mod apply;
 pub mod builder;
 pub mod cursor;
 pub mod error;

@@ -71,9 +71,11 @@ impl<P: Deref<Target = Page>> NodeView<P> {
         &self.page
     }
 
-    /// Number of entries.
+    /// Number of entries. A damaged count above [`NODE_CAPACITY`] reads
+    /// as the capacity, so no accessor indexes past the page;
+    /// [`Self::validate`] reports it.
     pub fn count(&self) -> usize {
-        self.page.slot_count() as usize
+        (self.page.slot_count() as usize).min(NODE_CAPACITY)
     }
 
     /// True when the node has no entries.
@@ -161,6 +163,12 @@ impl<P: Deref<Target = Page>> NodeView<P> {
 
     /// Structural self-check.
     pub fn validate(&self) -> StorageResult<()> {
+        if self.page.slot_count() as usize > NODE_CAPACITY {
+            return Err(StorageError::Corrupt(format!(
+                "node count {} exceeds capacity {NODE_CAPACITY}",
+                self.page.slot_count()
+            )));
+        }
         let mut prev: Option<u64> = None;
         for i in 0..self.count() {
             let (k, c) = self.entry_at(i);
@@ -293,6 +301,16 @@ mod tests {
         let mut p = Page::new();
         p.format(PageType::Internal, 1);
         p
+    }
+
+    #[test]
+    fn a_count_above_capacity_is_reported_not_followed() {
+        let mut p = node();
+        NodeView::new(&mut p).insert_entry(1, PageId(4)).unwrap();
+        p.set_slot_count(NODE_CAPACITY as u16 + 1);
+        let view = NodeView::of(&p);
+        assert_eq!(view.entries().len(), NODE_CAPACITY);
+        assert!(view.validate().is_err());
     }
 
     #[test]

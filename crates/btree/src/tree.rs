@@ -27,6 +27,7 @@ use obr_sync::{RwLock, RwLockWriteGuard};
 use obr_storage::{BufferPool, FreeSpaceMap, Lsn, Page, PageId, PageType, StorageError, PAGE_SIZE};
 use obr_wal::{LogManager, LogRecord, TxnId};
 
+use crate::apply::{shadow_before, shadow_check};
 use crate::error::{BTreeError, BTreeResult};
 use crate::leaf::LeafView;
 use crate::meta::MetaView;
@@ -196,8 +197,8 @@ impl BTree {
         Ok((meta.root(), meta.height()))
     }
 
-    /// Point the tree at a new root (used by recovery and the pass-3
-    /// switch). The caller is responsible for logging.
+    /// Point the tree at a new root (when the root grows, and after a bulk
+    /// load). The caller is responsible for logging.
     pub fn set_anchor(&self, root: PageId, height: u8, lsn: Lsn) -> BTreeResult<()> {
         let mg = self.pool.fetch(self.meta_id)?;
         let mut page = mg.write();
@@ -216,14 +217,6 @@ impl BTree {
         let mg = self.pool.fetch(self.meta_id)?;
         let page = mg.read();
         Ok(MetaView::of(&page)?.generation())
-    }
-
-    /// Bump the generation (on switch).
-    pub fn set_generation(&self, g: u32) -> BTreeResult<()> {
-        let mg = self.pool.fetch(self.meta_id)?;
-        let mut page = mg.write();
-        MetaView::new(&mut page)?.set_generation(g);
-        Ok(())
     }
 
     /// The §7.2 reorganization bit.
@@ -454,6 +447,7 @@ impl BTree {
         }
         for _ in 0..64 {
             let written = self.with_leaf_write(key, |leaf_id, page| {
+                let before = shadow_before(&[&*page]);
                 let mut leaf = LeafView::new(page);
                 let (at, old) = leaf.locate(key);
                 let rec = record(leaf_id, old.as_deref())?;
@@ -463,6 +457,7 @@ impl BTree {
                 }
                 let lsn = self.log.append(&rec);
                 page.set_lsn(lsn);
+                shadow_check(before, &rec, lsn, &[&*page]);
                 Ok(Some((lsn, old)))
             })?;
             match written {
@@ -520,19 +515,22 @@ impl BTree {
     /// merged). Returns the delete record's LSN and the old value.
     pub fn delete(&self, txn: TxnId, prev: Lsn, key: u64) -> BTreeResult<(Lsn, Vec<u8>)> {
         let (lsn, old, emptied) = self.with_leaf_write(key, |leaf_id, page| {
+            let before = shadow_before(&[&*page]);
             let mut leaf = LeafView::new(page);
             match leaf.remove(key) {
                 None => Ok((Lsn::ZERO, None, false)),
                 Some(old) => {
                     let emptied = leaf.is_empty();
-                    let lsn = self.log.append(&LogRecord::TxnDelete {
+                    let rec = LogRecord::TxnDelete {
                         txn,
                         page: leaf_id,
                         key,
                         old_value: old.clone(),
                         prev_lsn: prev,
-                    });
+                    };
+                    let lsn = self.log.append(&rec);
                     page.set_lsn(lsn);
+                    shadow_check(before, &rec, lsn, &[&*page]);
                     Ok((lsn, Some(old), emptied))
                 }
             }
@@ -550,17 +548,19 @@ impl BTree {
     /// now lives and log a redo-only compensation record.
     pub fn undo_insert(&self, txn: TxnId, key: u64, undo_next: Lsn) -> BTreeResult<Lsn> {
         self.with_leaf_write(key, |leaf_id, page| {
-            let mut leaf = LeafView::new(page);
-            leaf.remove(key); // absent is fine: the insert never reached disk
-            let lsn = self.log.append(&LogRecord::Clr {
+            let before = shadow_before(&[&*page]);
+            LeafView::new(page).remove(key); // absent is fine: the insert never reached disk
+            let rec = LogRecord::Clr {
                 txn,
                 page: leaf_id,
                 reinsert: false,
                 key,
                 value: Vec::new(),
                 undo_next,
-            });
+            };
+            let lsn = self.log.append(&rec);
             page.set_lsn(lsn);
+            shadow_check(before, &rec, lsn, &[&*page]);
             Ok(lsn)
         })
     }
@@ -1681,8 +1681,6 @@ mod tests {
     fn anchor_and_meta_flags_round_trip() {
         let t = setup(64);
         assert_eq!(t.generation().unwrap(), 0);
-        t.set_generation(5).unwrap();
-        assert_eq!(t.generation().unwrap(), 5);
         assert!(!t.reorg_bit().unwrap());
         t.set_reorg_bit(true).unwrap();
         assert!(t.reorg_bit().unwrap());

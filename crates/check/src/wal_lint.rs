@@ -198,6 +198,7 @@ impl<'a> Linter<'a> {
                 dest,
                 payload,
                 prev_lsn,
+                ..
             } => {
                 self.reorg_lsns.insert(lsn);
                 let in_unit = self.chain(lsn, *unit, *prev_lsn, "MOVE");
@@ -626,6 +627,7 @@ mod tests {
             org: PageId(org),
             dest: PageId(dest),
             payload: MovePayload::Keys(vec![1, 2, 3]),
+            fresh_dest: None,
             prev_lsn: Lsn(prev),
         }
     }
@@ -688,6 +690,7 @@ mod tests {
                 org: PageId(10),
                 dest: PageId(20),
                 payload: MovePayload::Records(vec![(1, vec![0xaa])]),
+                fresh_dest: None,
                 prev_lsn: Lsn(1),
             },
             end(1),
@@ -721,6 +724,7 @@ mod tests {
                     org: PageId(20),
                     dest: PageId(10),
                     payload: MovePayload::Records(vec![(1, vec![0xaa])]),
+                    fresh_dest: None,
                     prev_lsn: Lsn(2),
                 },
                 end(1),
@@ -936,7 +940,6 @@ mod tests {
                             recent_lsn: Some(Lsn(4)),
                         },
                         active_txns: vec![(TxnId(7), Lsn(4))],
-                        pass3: None,
                     },
                 },
             ]),

@@ -174,23 +174,20 @@ fn edit_page(bytes: &mut [u8], i: usize, edit: impl FnOnce(&mut obr_storage::Pag
     bytes[range].copy_from_slice(page.bytes());
 }
 
-/// fsck's per-page self-checks fire on header damage: a leaf whose slot
-/// count no longer matches its records (`leaf-invalid`) and an internal
-/// page whose free pointer no longer ends its entries (`node-invalid`).
-#[test]
-fn header_damage_is_caught_by_the_per_page_checks() {
-    let scratch = Scratch::new("header");
+fn page_at(bytes: &[u8], i: usize) -> obr_storage::Page {
+    obr_storage::Page::from_bytes(
+        bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]
+            .try_into()
+            .unwrap(),
+    )
+}
+
+/// A reorganized database's page file, with a leaf holding two records
+/// and the root internal page picked out for damage.
+fn damage_targets(scratch: &Scratch) -> (PathBuf, Vec<u8>, usize, usize) {
     build_reorganized_db(scratch.path());
     let pages_db = scratch.path().join("pages.db");
-    let mut bytes = fs::read(&pages_db).unwrap();
-
-    let page_at = |bytes: &[u8], i: usize| {
-        obr_storage::Page::from_bytes(
-            bytes[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]
-                .try_into()
-                .unwrap(),
-        )
-    };
+    let bytes = fs::read(&pages_db).unwrap();
     let leaf = *leaf_pages(&bytes)
         .iter()
         .find(|&&i| page_at(&bytes, i).slot_count() >= 2)
@@ -201,13 +198,12 @@ fn header_damage_is_caught_by_the_per_page_checks() {
         .expect("the file holds a meta page");
     let root = obr_btree::MetaView::of(&meta).unwrap().root().0 as usize;
     assert_eq!(page_at(&bytes, root).page_type(), Some(PageType::Internal));
-    // One record fewer than the body holds; a free pointer one byte past
-    // the last entry.
-    edit_page(&mut bytes, leaf, |p| p.set_slot_count(p.slot_count() - 1));
-    edit_page(&mut bytes, root, |p| p.set_free_ptr(p.free_ptr() + 1));
-    fs::write(&pages_db, &bytes).unwrap();
+    (pages_db, bytes, leaf, root)
+}
 
-    let fsck = fsck_file(&pages_db, &FsckOptions::default()).unwrap();
+/// fsck names `leaf-invalid` on `leaf` and `node-invalid` on `root`.
+fn assert_both_invalid(pages_db: &Path, leaf: usize, root: usize) {
+    let fsck = fsck_file(pages_db, &FsckOptions::default()).unwrap();
     for (code, victim) in [("leaf-invalid", leaf), ("node-invalid", root)] {
         let page = Some(obr_storage::PageId(victim as u32));
         assert!(
@@ -219,6 +215,37 @@ fn header_damage_is_caught_by_the_per_page_checks() {
             fsck.report
         );
     }
+}
+
+/// fsck's per-page self-checks fire on header damage: a leaf whose slot
+/// count no longer matches its records (`leaf-invalid`) and an internal
+/// page whose free pointer no longer ends its entries (`node-invalid`).
+#[test]
+fn header_damage_is_caught_by_the_per_page_checks() {
+    let scratch = Scratch::new("header");
+    let (pages_db, mut bytes, leaf, root) = damage_targets(&scratch);
+    // One record fewer than the body holds; a free pointer one byte past
+    // the last entry.
+    edit_page(&mut bytes, leaf, |p| p.set_slot_count(p.slot_count() - 1));
+    edit_page(&mut bytes, root, |p| p.set_free_ptr(p.free_ptr() + 1));
+    fs::write(&pages_db, &bytes).unwrap();
+    assert_both_invalid(&pages_db, leaf, root);
+}
+
+/// Counts that point past the page are reported by the same checks,
+/// without a panic: a leaf slot count of 65 535 would walk records off
+/// the end of the page, and an internal count one past `NODE_CAPACITY`
+/// would read entries beyond it.
+#[test]
+fn out_of_page_counts_are_reported_not_panicked() {
+    let scratch = Scratch::new("counts");
+    let (pages_db, mut bytes, leaf, root) = damage_targets(&scratch);
+    edit_page(&mut bytes, leaf, |p| p.set_slot_count(u16::MAX));
+    edit_page(&mut bytes, root, |p| {
+        p.set_slot_count(obr_btree::node::NODE_CAPACITY as u16 + 1)
+    });
+    fs::write(&pages_db, &bytes).unwrap();
+    assert_both_invalid(&pages_db, leaf, root);
 }
 
 /// The active (highest-first-LSN) segment of a segmented WAL directory.

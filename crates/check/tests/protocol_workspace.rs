@@ -115,6 +115,46 @@ fn sabotage_dropping_create_audit_is_caught() {
     );
 }
 
+/// R1 teeth through the one apply per record: an unannotated function
+/// that changes a page through `obr_btree::apply::apply` and appends no
+/// log record must be flagged, with the chain ending in that apply. This
+/// proves the rule still sees mutations made through the apply module.
+#[test]
+fn sabotage_unlogged_apply_is_caught() {
+    let mut files = sources();
+    let (apply_file, apply_src) = files
+        .iter()
+        .find(|(_, src)| src.contains("\npub fn apply<"))
+        .expect("the apply module is scanned");
+    assert!(apply_file.ends_with("crates/btree/src/apply.rs"));
+    assert!(
+        apply_src.contains("// protocol: page-mutation\npub fn apply<"),
+        "apply is a page-mutation primitive"
+    );
+    files.push((
+        "crates/core/src/unlogged.rs".into(),
+        "use obr_btree::apply::apply;\n\
+         pub fn unlogged_apply(rec: &LogRecord, page: &mut Page) {\n\
+         \x20   let _ = apply(rec, &mut [Some(page)]);\n\
+         }\n"
+        .into(),
+    ));
+
+    let m = parse_manifest(&manifest_text()).expect("manifest parses");
+    let refs = as_refs(&files);
+    let report = obr_check::check_sources(&refs, Some(&m));
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.code == "wal-unlogged-path" && f.detail.contains("unlogged_apply"))
+        .unwrap_or_else(|| panic!("an unlogged apply must be flagged:\n{report}"));
+    assert!(
+        f.detail.contains("unlogged.rs:2 unlogged_apply")
+            && f.detail.contains(": unlogged_apply -> apply (annotate"),
+        "the chain ends in the apply module's apply: {f:?}"
+    );
+}
+
 /// R2 teeth: removing the replica replay-state edges from the manifest
 /// must flag the replica's hold-replay-state-across-redo nesting as
 /// undeclared.

@@ -415,7 +415,6 @@ impl Database {
     /// anchor).
     pub fn checkpoint(&self) -> CoreResult<obr_storage::Lsn> {
         self.pool.flush_all()?;
-        let pass3 = self.pass3_state();
         let active: Vec<(TxnId, obr_storage::Lsn)> = self
             .active_txns
             .lock()
@@ -426,18 +425,9 @@ impl Database {
             data: CheckpointData {
                 reorg: self.reorg_table.snapshot(),
                 active_txns: active,
-                pass3,
             },
         };
         Ok(self.log.append_force(&rec)?)
-    }
-
-    fn pass3_state(&self) -> Option<obr_wal::Pass3State> {
-        // Pass-3 restart state is logged explicitly at stable points; the
-        // checkpoint carries only the "is pass 3 running" hint through the
-        // reorg bit in the (durable) meta page. Returning None here keeps
-        // the checkpoint small; recovery finds the newest Pass3Stable.
-        None
     }
 
     /// §5: the log low-water mark — "the lowest LSN that must be kept

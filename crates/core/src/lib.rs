@@ -32,7 +32,7 @@ pub use daemon::{DaemonOptions, ReorgDaemon};
 pub use db::{Database, EngineConfig};
 pub use error::{CoreError, CoreResult};
 pub use pass3::{NewTreeEditor, Pass3Observer, STABLE_ALL_READ};
-pub use recovery::{recover, RecoveryReport};
+pub use recovery::{recover, roll_back, RecoveryReport};
 pub use reorg::{
     FailPoint, FailSite, LogStrategy, PlacementPolicy, ReorgConfig, ReorgDecision, ReorgStats,
     ReorgTrigger, Reorganizer,

@@ -18,6 +18,7 @@
 use obr_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use obr_btree::apply::{apply, shadow_before, shadow_check};
 use obr_btree::builder::UpperBuilder;
 use obr_btree::node::NODE_CAPACITY;
 use obr_btree::{NodeView, SmoObserver};
@@ -28,6 +29,7 @@ use obr_wal::{LogRecord, Pass3State, TxnId};
 
 use crate::db::{Database, CK_IDLE};
 use crate::error::{CoreError, CoreResult};
+use crate::recovery::upper_levels;
 use crate::reorg::{FailSite, Reorganizer};
 use crate::sidefile::{SideEntry, SideOp};
 
@@ -94,49 +96,40 @@ impl SmoObserver for Pass3Observer {
     }
 
     fn base_entry_upserted(&self, key: u64, leaf: PageId) {
-        if key < self.db.get_current() {
-            // Record-level locking on the side-file entry key (§7.2). This
-            // runs inside the SMO, and a transaction holding the same key
-            // number may be waiting for the SMO latch (a scan, a descent
-            // that fell back to it): take the lock only if it is free.
-            let owner = self.db.new_owner();
-            let _ = self
-                .db
-                .locks()
-                .try_lock(owner, ResourceId::Key(key), LockMode::X);
-            self.db.side_file().append(
-                TxnId::SYSTEM,
-                SideEntry {
-                    key,
-                    op: SideOp::Upsert(leaf),
-                },
-            );
-            self.db
-                .tracer()
-                .emit(TraceKind::SideEnqueue, 0, 3, u64::from(leaf.0), key, 1);
-            self.db.locks().unlock(owner, ResourceId::Key(key));
-        }
+        self.enqueue(key, SideOp::Upsert(leaf));
     }
 
     fn base_entry_removed(&self, key: u64) {
-        if key < self.db.get_current() {
-            let owner = self.db.new_owner();
-            let _ = self
-                .db
-                .locks()
-                .try_lock(owner, ResourceId::Key(key), LockMode::X);
-            self.db.side_file().append(
-                TxnId::SYSTEM,
-                SideEntry {
-                    key,
-                    op: SideOp::Remove,
-                },
-            );
-            self.db
-                .tracer()
-                .emit(TraceKind::SideEnqueue, 0, 3, 0, key, 0);
-            self.db.locks().unlock(owner, ResourceId::Key(key));
+        self.enqueue(key, SideOp::Remove);
+    }
+}
+
+impl Pass3Observer {
+    /// Queue a base-entry change behind the read frontier in the side file
+    /// under record-level locking on its key (§7.2). This runs inside the
+    /// SMO, and a transaction holding the same key number may be waiting
+    /// for the SMO latch (a scan, a descent that fell back to it): take the
+    /// lock only if it is free.
+    fn enqueue(&self, key: u64, op: SideOp) {
+        if key >= self.db.get_current() {
+            return;
         }
+        let owner = self.db.new_owner();
+        let _ = self
+            .db
+            .locks()
+            .try_lock(owner, ResourceId::Key(key), LockMode::X);
+        let (leaf, upsert) = match op {
+            SideOp::Upsert(leaf) => (u64::from(leaf.0), 1),
+            SideOp::Remove => (0, 0),
+        };
+        self.db
+            .side_file()
+            .append(TxnId::SYSTEM, SideEntry { key, op });
+        self.db
+            .tracer()
+            .emit(TraceKind::SideEnqueue, 0, 3, leaf, key, upsert);
+        self.db.locks().unlock(owner, ResourceId::Key(key));
     }
 }
 
@@ -187,25 +180,6 @@ impl<'a> NewTreeEditor<'a> {
         Ok(path)
     }
 
-    fn log_images(&self, pages: &[PageId]) -> CoreResult<()> {
-        let pool = self.db.pool();
-        let mut images = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let g = pool.fetch(p)?;
-            let page = g.read();
-            images.push((p, page.image()));
-        }
-        let lsn = self.db.log().append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        for &p in pages {
-            let g = pool.fetch(p)?;
-            g.write().set_lsn(lsn);
-        }
-        Ok(())
-    }
-
     /// Apply one side-file entry.
     pub fn apply(&mut self, entry: SideEntry) -> CoreResult<()> {
         let path = self.descend_to_base(entry.key)?;
@@ -243,7 +217,7 @@ impl<'a> NewTreeEditor<'a> {
                 node.insert_entry(key, child).map_err(CoreError::Storage)?;
             }
             drop(page);
-            self.log_images(&[page_id])?;
+            log_images(self.db, &[page_id])?;
             return Ok(());
         }
         // Full: split this node, then retry the insert from the (possibly
@@ -308,9 +282,9 @@ impl<'a> NewTreeEditor<'a> {
             }
             self.root = root_id;
             self.height = level + 1;
-            self.log_images(&[node_id, new_id, root_id])?;
+            log_images(self.db, &[node_id, new_id, root_id])?;
         } else {
-            self.log_images(&[node_id, new_id])?;
+            log_images(self.db, &[node_id, new_id])?;
             self.upsert_at(path, idx - 1, sib_low, new_id)?;
         }
         Ok(())
@@ -332,32 +306,10 @@ impl<'a> NewTreeEditor<'a> {
             }
             node.is_empty()
         };
-        self.log_images(&[page_id])?;
+        log_images(self.db, &[page_id])?;
         if now_empty && idx > 0 {
             // Free-at-empty cascade on the new tree.
-            let parent_id = path[idx - 1];
-            let removed = {
-                let g = pool.fetch(parent_id)?;
-                let mut page = g.write();
-                let mut node = NodeView::new(&mut page);
-                node.low_key_of(page_id).inspect(|&low| {
-                    node.remove_entry(low);
-                })
-            };
-            if removed.is_some() {
-                self.log_images(&[parent_id])?;
-                self.db.pool().discard(page_id);
-                self.db.fsm().free(page_id);
-                // Continue the cascade if the parent emptied too.
-                let parent_empty = {
-                    let g = pool.fetch(parent_id)?;
-                    let page = g.read();
-                    NodeView::of(&page).is_empty()
-                };
-                if parent_empty && idx - 1 > 0 {
-                    return self.remove_cascade(path, idx - 1);
-                }
-            }
+            return self.remove_cascade(path, idx);
         }
         Ok(())
     }
@@ -375,7 +327,7 @@ impl<'a> NewTreeEditor<'a> {
             })
         };
         if removed.is_some() {
-            self.log_images(&[parent_id])?;
+            log_images(self.db, &[parent_id])?;
             self.db.pool().discard(page_id);
             self.db.fsm().free(page_id);
             let parent_empty = {
@@ -447,12 +399,8 @@ impl Reorganizer {
                     },
                 }
             }
-            Some(state) => {
-                self.pass3_read_loop(&db, &mut builder, Some(state.stable_key))?;
-                self.pass3_finish_build(&db, builder)?
-            }
-            None => {
-                self.pass3_read_loop(&db, &mut builder, None)?;
+            _ => {
+                self.pass3_read_loop(&db, &mut builder, resume.map(|s| s.stable_key))?;
                 self.pass3_finish_build(&db, builder)?
             }
         };
@@ -543,35 +491,9 @@ impl Reorganizer {
         Ok(())
     }
 
-    /// Log full images of freshly built new-tree pages as one `Smo`
-    /// record. The primary's own recovery never needs it (the pages are
-    /// force-written before the stable record), but a log-shipping replica
-    /// has no access to this disk: the log must carry everything, and
-    /// redo's page-LSN gate makes the images free on the primary.
-    fn log_built_images(db: &Arc<Database>, pages: &[PageId]) -> CoreResult<()> {
-        if pages.is_empty() {
-            return Ok(());
-        }
-        let pool = db.pool();
-        let mut images = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let g = pool.fetch(p)?;
-            images.push((p, g.read().image()));
-        }
-        let lsn = db.log().append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        for &p in pages {
-            let g = pool.fetch(p)?;
-            g.write().set_lsn(lsn);
-        }
-        Ok(())
-    }
-
     fn pass3_stable_point(&self, db: &Arc<Database>, builder: &mut UpperBuilder) -> CoreResult<()> {
         let touched = builder.take_touched();
-        Self::log_built_images(db, &touched)?;
+        log_images(db, &touched)?;
         // Pages the pool already evicted were written (and will be synced
         // just below); the skipped set distinguishes them from typos in the
         // touched bookkeeping, which would name pages never dirtied at all.
@@ -603,7 +525,7 @@ impl Reorganizer {
         // Make the whole new upper level durable before catch-up (§7.3).
         let pages = builder.pages_allocated();
         let built = builder.finish()?;
-        Self::log_built_images(db, &pages)?;
+        log_images(db, &pages)?;
         let _already_durable = db.pool().flush_pages(&pages)?;
         db.disk().sync()?;
         db.log().append_force(&LogRecord::Pass3Stable {
@@ -615,24 +537,27 @@ impl Reorganizer {
         Ok(built)
     }
 
-    /// Every internal page reachable from `root` (the old tree's upper
-    /// levels, collected right before disposal so base pages created by
-    /// concurrent splits during pass 3 are included).
-    fn collect_internal_pages(db: &Arc<Database>, root: PageId) -> CoreResult<Vec<PageId>> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(p) = stack.pop() {
-            let g = db.pool().fetch(p)?;
-            let page = g.read();
-            if page.page_type() != Some(PageType::Internal) {
-                continue;
-            }
-            out.push(p);
-            if page.level() > 1 {
-                stack.extend(NodeView::of(&page).children());
-            }
+    /// Apply every side-file entry queued so far to the new tree, and
+    /// return how many there were; `last` marks the final drain, made
+    /// under the switch lock, in the trace.
+    fn drain_side_file(
+        &self,
+        db: &Arc<Database>,
+        editor: &mut NewTreeEditor,
+        last: u64,
+    ) -> CoreResult<u64> {
+        let mut applied = 0u64;
+        while let Some((_, entry)) = db.side_file().pop_front(TxnId::SYSTEM) {
+            editor.apply(entry)?;
+            applied += 1;
         }
-        Ok(out)
+        self.stats.lock().side_entries_applied += applied;
+        db.core_metrics().side_entries_applied.add(applied);
+        if applied > 0 {
+            db.tracer()
+                .emit(TraceKind::SideDrain, 0, 3, 0, applied, last);
+        }
+        Ok(applied)
     }
 
     fn pass3_catchup_and_switch(
@@ -648,51 +573,33 @@ impl Reorganizer {
         let mut editor = NewTreeEditor::new(db, built.root, built.height, cfg.node_fill);
         // Catch-up: drain the side file; new entries may keep arriving, but
         // leaf splits are rare so this converges (§7.1).
-        loop {
-            let mut applied = 0u64;
-            while let Some((_, entry)) = db.side_file().pop_front(TxnId::SYSTEM) {
-                editor.apply(entry)?;
-                applied += 1;
-            }
-            self.stats.lock().side_entries_applied += applied;
-            db.core_metrics().side_entries_applied.add(applied);
-            if applied > 0 {
-                db.tracer().emit(TraceKind::SideDrain, 0, 3, 0, applied, 0);
-            }
-            if db.side_file().is_empty() {
-                break;
-            }
-        }
+        while self.drain_side_file(db, &mut editor, 0)? > 0 {}
         self.check_fail(FailSite::Pass3BeforeSwitch)?;
         // --- The switch (§7.4). ---
         locks.lock(self.owner(), ResourceId::SideFile, LockMode::X)?;
         // Base-page-changing SMOs are gated now: the old tree's upper
-        // levels are final, so this snapshot misses nothing.
-        let old_internal = Self::collect_internal_pages(db, old_root)?;
+        // levels are final, so this snapshot, taken right before disposal,
+        // includes the base pages concurrent splits created.
+        let (old_internal, _) = upper_levels(db, old_root)?;
         // Final catch-up: the few entries appended while we waited.
-        let mut applied = 0u64;
-        while let Some((_, entry)) = db.side_file().pop_front(TxnId::SYSTEM) {
-            editor.apply(entry)?;
-            applied += 1;
-        }
-        self.stats.lock().side_entries_applied += applied;
-        db.core_metrics().side_entries_applied.add(applied);
-        if applied > 0 {
-            db.tracer().emit(TraceKind::SideDrain, 0, 3, 0, applied, 1);
-        }
+        self.drain_side_file(db, &mut editor, 1)?;
         // Editor changes after the final stable record: force them so the
         // switch lands on a durable new tree.
         db.pool().flush_all()?;
         {
             let _g = tree.smo_guard();
-            let lsn = db.log().append_force(&LogRecord::Pass3Switch {
+            let rec = LogRecord::Pass3Switch {
                 old_root,
                 new_root: editor.root,
                 new_height: editor.height,
-            })?;
-            tree.set_anchor(editor.root, editor.height, lsn)?;
-            tree.set_generation(old_gen + 1)?;
-            tree.set_reorg_bit(false)?;
+            };
+            let lsn = db.log().append_force(&rec)?;
+            let mg = db.pool().fetch(tree.meta_id())?;
+            let mut meta = mg.write();
+            let before = shadow_before(&[&*meta]);
+            apply(&rec, &mut [Some(&mut *meta)])?;
+            meta.set_lsn(lsn);
+            shadow_check(before, &rec, lsn, &[&*meta]);
             db.tracer().emit(
                 TraceKind::TreeSwitch,
                 0,
@@ -726,4 +633,30 @@ impl Reorganizer {
         locks.release_all(self.owner());
         Ok(())
     }
+}
+
+/// Log full images of new-tree pages as one `Smo` record. The primary's
+/// own recovery never needs them (the pages are force-written before the
+/// stable record or the switch), but a log-shipping replica has no access
+/// to this disk: the log must carry everything, and redo's page-LSN gate
+/// makes the images free on the primary.
+fn log_images(db: &Database, pages: &[PageId]) -> CoreResult<()> {
+    if pages.is_empty() {
+        return Ok(());
+    }
+    let pool = db.pool();
+    let mut images = Vec::with_capacity(pages.len());
+    for &p in pages {
+        let g = pool.fetch(p)?;
+        images.push((p, g.read().image()));
+    }
+    let lsn = db.log().append(&LogRecord::Smo {
+        images,
+        new_anchor: None,
+    });
+    for &p in pages {
+        let g = pool.fetch(p)?;
+        g.write().set_lsn(lsn);
+    }
+    Ok(())
 }

@@ -1,29 +1,31 @@
 //! Crash recovery: ARIES-style redo and transaction undo, plus the paper's
 //! **Forward Recovery** (§5.1) and pass-3 resumption (§7.3).
 //!
-//! Redo starts at the last (sharp) checkpoint and replays every logged
-//! action whose page LSN shows it never reached disk. Loser transactions
-//! are rolled back logically with compensation records.
+//! Redo starts at the last (sharp) checkpoint. For each record it applies
+//! `obr_btree::apply::apply` to every page the record names whose LSN is
+//! behind the record, then stamps that LSN. That apply is the one the
+//! record's writer called when it logged the record, so redo repeats the
+//! writer's page change byte for byte. The same replay loop feeds a
+//! replica.
 //!
 //! A transaction is in the log from its first update record to its commit
 //! or abort record, and nowhere else: there is no begin record, and one
-//! that only read never appears. Loser analysis follows from that. The
-//! candidates are the checkpoint's active list — transactions that had
-//! logged an update and not ended when it was taken, each with its most
-//! recent LSN — plus every transaction whose update or CLR the redo scan
-//! meets; a commit or abort record takes its transaction out again, and one
-//! naming an id the scan never saw (a reader that committed through the raw
-//! log API) takes out nothing. What is left is undone by walking each
-//! loser's `prev_lsn` chain from its newest record until the chain reaches
-//! zero at its first one. No record marks a transaction's begin.
+//! that only read never appears. The loser candidates are the checkpoint's
+//! active list (transactions with an update and no end, each with its most
+//! recent LSN) plus every transaction whose update or CLR the redo scan
+//! meets. A commit or abort record takes its transaction out again; one
+//! naming an id the scan never saw takes out nothing. Each loser left is
+//! undone by [`roll_back`], the walk an aborting transaction also uses:
+//! down its `prev_lsn` chain from the newest record to zero, one CLR per
+//! change.
 //!
-//! An interrupted
-//! reorganization unit, however, is *not* rolled back: its BEGIN record
-//! names the pages involved, the already-logged MOVEs are redone, and the
-//! remaining moves / base-page MODIFY / side-pointer repairs are performed
-//! forward before a fresh END record closes the unit — "the reorganization
-//! unit will be able to finish the work instead of rolling back and wasting
-//! the work that has already been done."
+//! An interrupted reorganization unit is *not* rolled back. Its BEGIN
+//! record names the pages involved, and redo has replayed its MOVEs. The
+//! remaining moves, the base-page MODIFY and the side-pointer repairs are
+//! then logged and applied forward, exactly as the live unit writes them,
+//! and a fresh END closes the unit: "the reorganization unit will be able
+//! to finish the work instead of rolling back and wasting the work that
+//! has already been done."
 //!
 //! If pass 3 was in flight, the newest `Pass3Stable` record (after any
 //! switch) yields the restart state. The side file is rebuilt by
@@ -33,9 +35,10 @@
 //! the catch-up work that remains (§7.3). The free-space map rebuild then
 //! reclaims new-tree pages allocated after the last force-write.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
+use obr_btree::apply::{apply, roles};
 use obr_btree::{LeafView, NodeView};
 use obr_storage::{Lsn, PageId, PageType};
 use obr_wal::{LogRecord, MovePayload, Pass3State, ReorgKind, TxnId, UnitId};
@@ -43,7 +46,7 @@ use obr_wal::{LogRecord, MovePayload, Pass3State, ReorgKind, TxnId, UnitId};
 use crate::db::Database;
 use crate::error::{CoreError, CoreResult};
 use crate::pass3::Pass3Observer;
-use crate::reorg::{modify_base, set_siblings};
+use crate::reorg::{last_key_of, log_and_apply, modify_base, set_siblings};
 use crate::sidefile::{SideEntry, SideOp, SIDE_FILE_PAGE};
 
 /// What recovery did — the E5 metrics.
@@ -76,6 +79,8 @@ struct UnitInfo {
     kind: ReorgKind,
     base_pages: Vec<PageId>,
     leaf_pages: Vec<PageId>,
+    /// LSN of the unit's BEGIN record.
+    begin: Lsn,
 }
 
 /// Test-only sabotage switch: when `OBR_BUG_SKIP_SIDE_RESTORE=1`, recovery
@@ -187,6 +192,7 @@ impl Replay {
                         kind: *kind,
                         base_pages: base_pages.clone(),
                         leaf_pages: leaf_pages.clone(),
+                        begin: lsn,
                     },
                 );
             }
@@ -242,7 +248,8 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
     let mut loser_list: Vec<(TxnId, Lsn)> = replay.losers.into_iter().collect();
     loser_list.sort();
     for (txn, last) in loser_list {
-        undo_txn(db, txn, last, &mut report)?;
+        report.clrs_written += roll_back(db, txn, last)?;
+        report.losers_undone += 1;
     }
     // --- Forward recovery (§5.1). ---
     let mut units: Vec<UnitInfo> = replay.open_units.into_values().collect();
@@ -264,19 +271,17 @@ pub fn recover(db: &Arc<Database>) -> CoreResult<RecoveryReport> {
     }
     // --- Free-space map rebuild from reachability. ---
     let mut reachable: HashSet<PageId> = db.tree().reachable_pages()?.into_iter().collect();
-    if let Some(state) = &report.pass3_resume {
-        if state.new_root.is_valid() {
-            collect_new_tree_pages(db, state.new_root, &mut reachable)?;
-        }
+    if let Some(state) = report.pass3_resume.filter(|s| s.new_root.is_valid()) {
+        // The partial new tree shares its leaves with the old one.
+        reachable.extend(upper_levels(db, state.new_root)?.0);
     }
     let fsm = db.fsm();
-    let total = fsm.num_pages();
-    for i in 0..total {
-        let p = PageId(i);
-        if !reachable.contains(&p) {
-            fsm.free(p);
-            report.pages_reclaimed += 1;
-        }
+    for p in (0..fsm.num_pages())
+        .map(PageId)
+        .filter(|p| !reachable.contains(p))
+    {
+        fsm.free(p);
+        report.pages_reclaimed += 1;
     }
     let cm = db.core_metrics();
     cm.recovery_redo_applied.add(report.redo_applied as u64);
@@ -322,333 +327,112 @@ fn rebuild_side_file(
     // `STABLE_ALL_READ` the frontier covers every key.)
     let frontier = state.stable_key;
     let (root, _) = db.tree().anchor()?;
-    let base = level1_entries(db, root)?;
+    let base = upper_levels(db, root)?.1;
     let new = if state.new_root.is_valid() {
-        level1_entries(db, state.new_root)?
+        upper_levels(db, state.new_root)?.1
     } else {
-        std::collections::BTreeMap::new()
+        BTreeMap::new()
     };
-    for (k, c) in base.range(..frontier) {
-        if new.get(k) != Some(c) {
-            db.side_file().append(
-                TxnId::SYSTEM,
-                SideEntry {
-                    key: *k,
-                    op: SideOp::Upsert(*c),
-                },
-            );
-            report.side_entries_restored += 1;
+    let mut append = |key, op| {
+        db.side_file().append(TxnId::SYSTEM, SideEntry { key, op });
+        report.side_entries_restored += 1;
+    };
+    for (&k, &c) in base.range(..frontier) {
+        if new.get(&k) != Some(&c) {
+            append(k, SideOp::Upsert(c));
         }
     }
-    for k in new.range(..frontier).map(|(k, _)| *k) {
+    for &k in new.range(..frontier).map(|(k, _)| k) {
         if !base.contains_key(&k) {
-            db.side_file().append(
-                TxnId::SYSTEM,
-                SideEntry {
-                    key: k,
-                    op: SideOp::Remove,
-                },
-            );
-            report.side_entries_restored += 1;
+            append(k, SideOp::Remove);
         }
     }
     Ok(())
 }
 
-/// Collect the `(low key -> leaf)` entries of every level-1 internal page
-/// reachable from `root`.
-fn level1_entries(
-    db: &Arc<Database>,
+/// The internal pages reachable from `root`, in depth-first order, and
+/// the `(low key -> leaf)` entries of the level-1 ones among them.
+pub(crate) fn upper_levels(
+    db: &Database,
     root: PageId,
-) -> CoreResult<std::collections::BTreeMap<u64, PageId>> {
-    let mut out = std::collections::BTreeMap::new();
-    let mut seen = HashSet::new();
+) -> CoreResult<(Vec<PageId>, BTreeMap<u64, PageId>)> {
+    let (mut pages, mut entries) = (Vec::new(), BTreeMap::new());
     let mut stack = vec![root];
     while let Some(p) = stack.pop() {
-        if !seen.insert(p) {
-            continue;
-        }
         let g = db.pool().fetch(p)?;
         let page = g.read();
-        if page.page_type() != Some(PageType::Internal) {
+        if page.page_type() != Some(PageType::Internal) || pages.contains(&p) {
             continue;
         }
+        pages.push(p);
         if page.level() == 1 {
-            for (k, c) in NodeView::of(&page).entries() {
-                out.insert(k, c);
-            }
+            entries.extend(NodeView::of(&page).entries());
         } else {
             stack.extend(NodeView::of(&page).children());
         }
     }
-    Ok(out)
+    Ok((pages, entries))
 }
 
-fn collect_new_tree_pages(
-    db: &Arc<Database>,
-    root: PageId,
-    out: &mut HashSet<PageId>,
-) -> CoreResult<()> {
-    // The partial new tree shares its leaves with the old tree; collect the
-    // internal pages reachable from its (stable) root.
-    let mut stack = vec![root];
-    while let Some(p) = stack.pop() {
-        if !out.insert(p) {
-            continue;
-        }
-        let g = db.pool().fetch(p)?;
-        let page = g.read();
-        if page.page_type() != Some(PageType::Internal) || page.level() <= 1 {
-            continue;
-        }
-        stack.extend(NodeView::of(&page).children());
-    }
-    Ok(())
-}
-
-/// Apply one log record's redo action. Returns true when something changed.
-///
-/// Page-LSN gated, so replaying a record twice is harmless. Its one caller
-/// is [`Replay::feed`], the loop restart recovery and a replica share.
+/// Redo one log record: apply it, through the one [`apply`] of its
+/// kind, to each page it names whose LSN is behind the record, and stamp
+/// those pages with its LSN. Returns true when a page changed. Its one
+/// caller is [`Replay::feed`], the loop restart recovery and a replica
+/// share.
 // protocol: no-wal redo replays mutations from already-durable log records; re-appending them would double-log
 fn redo_one(db: &Arc<Database>, lsn: Lsn, rec: &LogRecord) -> CoreResult<bool> {
-    let pool = db.pool();
-    let behind = |p: PageId| -> CoreResult<bool> {
-        let g = pool.fetch(p)?;
-        let page = g.read();
-        Ok(page.lsn() < lsn)
-    };
-    match rec {
-        LogRecord::TxnInsert {
-            page, key, value, ..
-        } if *page != SIDE_FILE_PAGE && behind(*page)? => {
-            let g = pool.fetch(*page)?;
-            let mut pg = g.write();
-            if pg.page_type() == Some(PageType::Leaf) {
-                LeafView::new(&mut pg).upsert(*key, value)?;
-            }
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::TxnDelete { page, key, .. } if *page != SIDE_FILE_PAGE && behind(*page)? => {
-            let g = pool.fetch(*page)?;
-            let mut pg = g.write();
-            if pg.page_type() == Some(PageType::Leaf) {
-                LeafView::new(&mut pg).remove(*key);
-            }
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::TxnUpdate {
-            page,
-            key,
-            new_value,
-            ..
-        } if behind(*page)? => {
-            let g = pool.fetch(*page)?;
-            let mut pg = g.write();
-            if pg.page_type() == Some(PageType::Leaf) {
-                LeafView::new(&mut pg).upsert(*key, new_value)?;
-            }
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::Clr {
-            page,
-            reinsert,
-            key,
-            value,
-            ..
-        } if behind(*page)? => {
-            let g = pool.fetch(*page)?;
-            let mut pg = g.write();
-            if pg.page_type() == Some(PageType::Leaf) {
-                if *reinsert {
-                    LeafView::new(&mut pg).upsert(*key, value)?;
-                } else {
-                    LeafView::new(&mut pg).remove(*key);
-                }
-            }
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::Smo { images, new_anchor } => {
-            let mut any = false;
-            for (p, image) in images {
-                if behind(*p)? {
-                    let g = pool.fetch(*p)?;
-                    let mut pg = g.write();
-                    pg.bytes_mut().copy_from_slice(&image[..]);
-                    pg.set_lsn(lsn);
-                    any = true;
-                }
-            }
-            if let Some((root, height)) = new_anchor {
-                if behind(db.tree().meta_id())? {
-                    db.tree().set_anchor(*root, *height, lsn)?;
-                    any = true;
-                }
-            }
-            return Ok(any);
-        }
-        LogRecord::ReorgMove {
-            org, dest, payload, ..
-        } => {
-            return redo_move(db, lsn, *org, *dest, payload);
-        }
-        LogRecord::ReorgModify {
-            base_page,
-            old_entries,
-            new_entries,
-            ..
-        } if behind(*base_page)? => {
-            let g = pool.fetch(*base_page)?;
-            let mut pg = g.write();
-            if pg.page_type() == Some(PageType::Internal) {
-                let mut node = NodeView::new(&mut pg);
-                for (k, _) in old_entries {
-                    node.remove_entry(*k);
-                }
-                for (k, c) in new_entries {
-                    if node.set_child(*k, *c).is_err() {
-                        node.insert_entry(*k, *c)?;
-                    }
-                }
-            }
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::ReorgSidePtr {
-            page,
-            new_left,
-            new_right,
-            ..
-        } if behind(*page)? => {
-            let g = pool.fetch(*page)?;
-            let mut pg = g.write();
-            pg.set_left_sibling(*new_left);
-            pg.set_right_sibling(*new_right);
-            pg.set_lsn(lsn);
-            return Ok(true);
-        }
-        LogRecord::Pass3Switch {
-            new_root,
-            new_height,
-            ..
-        } => {
-            let meta = db.tree().meta_id();
-            if behind(meta)? {
-                let old_gen = db.tree().generation()?;
-                db.tree().set_anchor(*new_root, *new_height, lsn)?;
-                db.tree().set_generation(old_gen + 1)?;
-                db.tree().set_reorg_bit(false)?;
-                return Ok(true);
-            }
-        }
-        _ => {}
+    let meta = db.tree().meta_id();
+    // Most records name one page: redo it without collecting guards. A
+    // side-file record names none that redo changes (see `Replay::analyse`).
+    let (mut single, mut n) = (None, 0);
+    for id in roles(rec, meta).filter(|&p| p != SIDE_FILE_PAGE) {
+        (single, n) = (Some(id), n + 1);
     }
-    Ok(false)
-}
-
-/// Redo a MOVE: capture values (from the log or, under careful writing,
-/// from the still-intact source page), install them in the destination,
-/// then remove them from the source.
-fn redo_move(
-    db: &Arc<Database>,
-    lsn: Lsn,
-    org: PageId,
-    dest: PageId,
-    payload: &MovePayload,
-) -> CoreResult<bool> {
-    let pool = db.pool();
-    let (need_org, need_dest) = {
-        let og = pool.fetch(org)?;
-        let dg = pool.fetch(dest)?;
-        let o = og.read();
-        let d = dg.read();
-        (o.lsn() < lsn, d.lsn() < lsn)
-    };
-    if !need_org && !need_dest {
+    if n == 0 {
         return Ok(false);
     }
-    let records: Vec<(u64, Vec<u8>)> = if need_dest {
-        match payload {
-            MovePayload::Records(rs) => rs.clone(),
-            MovePayload::Keys(ks) => {
-                // Careful writing guarantees org still holds the bodies.
-                if !need_org {
-                    return Err(CoreError::Recovery(format!(
-                        "careful-writing violation: dest {dest} not durable but org {org} already cleaned"
-                    )));
-                }
-                let og = pool.fetch(org)?;
-                let opage = og.read();
-                if opage.page_type() != Some(PageType::Leaf) {
-                    return Err(CoreError::Recovery(format!(
-                        "careful-writing violation: org {org} overwritten before dest {dest} durable"
-                    )));
-                }
-                let leaf = LeafView::of(&opage);
-                let mut rs = Vec::with_capacity(ks.len());
-                for k in ks {
-                    let v = leaf.get(*k).ok_or_else(|| {
-                        CoreError::Recovery(format!(
-                            "careful-writing violation: key {k} missing from org {org}"
-                        ))
-                    })?;
-                    rs.push((*k, v));
-                }
-                rs
-            }
+    if let (1, Some(id)) = (n, single) {
+        let g = db.pool().fetch(id)?;
+        let behind = g.read().lsn() < lsn;
+        if behind {
+            let mut page = g.write();
+            apply(rec, &mut [Some(&mut *page)])?;
+            page.set_lsn(lsn);
         }
-    } else {
-        Vec::new()
-    };
-    if need_dest {
-        let dg = pool.fetch(dest)?;
-        let mut dpage = dg.write();
-        if dpage.page_type() != Some(PageType::Leaf) {
-            // Crash before the new-place destination was initialized.
-            let mut leaf = LeafView::init(&mut dpage);
-            if let Some((k, _)) = records.first() {
-                leaf.page_mut().set_low_mark(*k);
-            }
-        }
-        let mut leaf = LeafView::new(&mut dpage);
-        for (k, v) in &records {
-            leaf.upsert(*k, v)?;
-        }
-        dpage.set_lsn(lsn);
+        return Ok(behind);
     }
-    if need_org {
-        let keys = payload.keys();
-        let og = pool.fetch(org)?;
-        let mut opage = og.write();
-        if opage.page_type() == Some(PageType::Leaf) {
-            let mut leaf = LeafView::new(&mut opage);
-            for k in keys {
-                leaf.remove(k);
-            }
-        }
-        opage.set_lsn(lsn);
+    let guards = roles(rec, meta)
+        .map(|p| db.pool().fetch(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Write-latch (and so dirty) only the pages that are behind.
+    let mut behind: Vec<_> = guards
+        .iter()
+        .map(|g| {
+            let behind = g.read().lsn() < lsn;
+            behind.then(|| g.write())
+        })
+        .collect();
+    apply(rec, &mut behind)?;
+    for page in behind.iter_mut().flatten() {
+        page.set_lsn(lsn);
     }
-    Ok(true)
+    Ok(behind.iter().any(Option::is_some))
 }
 
-/// Roll back one loser transaction by walking its prev-LSN chain from
-/// `last` down to zero, which is what its first update record carries.
-fn undo_txn(
-    db: &Arc<Database>,
-    txn: TxnId,
-    last: Lsn,
-    report: &mut RecoveryReport,
-) -> CoreResult<()> {
+/// Roll back `txn` by walking its prev-LSN chain from `last` down to zero,
+/// which is what its first update record carries, writing one CLR per
+/// change undone; then log its abort. Returns the number of CLRs written.
+/// Shared by a transaction that aborts and by restart recovery's loser
+/// undo.
+pub fn roll_back(db: &Database, txn: TxnId, last: Lsn) -> CoreResult<usize> {
     let tree = db.tree();
-    let log = db.log();
+    let mut clrs = 0;
     let mut cur = last;
     while cur != Lsn::ZERO {
-        let Some(rec) = log.read(cur)? else { break };
-        match rec {
+        let Some(rec) = db.log().read(cur)? else {
+            break;
+        };
+        cur = match rec {
             LogRecord::TxnInsert {
                 txn: t,
                 page,
@@ -658,9 +442,9 @@ fn undo_txn(
             } if t == txn => {
                 if page != SIDE_FILE_PAGE {
                     tree.undo_insert(txn, key, prev_lsn)?;
-                    report.clrs_written += 1;
+                    clrs += 1;
                 }
-                cur = prev_lsn;
+                prev_lsn
             }
             LogRecord::TxnDelete {
                 txn: t,
@@ -671,9 +455,9 @@ fn undo_txn(
             } if t == txn => {
                 if page != SIDE_FILE_PAGE {
                     tree.undo_delete(txn, key, &old_value, prev_lsn)?;
-                    report.clrs_written += 1;
+                    clrs += 1;
                 }
-                cur = prev_lsn;
+                prev_lsn
             }
             LogRecord::TxnUpdate {
                 txn: t,
@@ -683,25 +467,26 @@ fn undo_txn(
                 ..
             } if t == txn => {
                 tree.undo_update(txn, key, &old_value, prev_lsn)?;
-                report.clrs_written += 1;
-                cur = prev_lsn;
+                clrs += 1;
+                prev_lsn
             }
             LogRecord::Clr {
                 txn: t, undo_next, ..
-            } if t == txn => {
-                cur = undo_next;
-            }
+            } if t == txn => undo_next,
             // An old log's begin record, or anything that is not this
             // transaction's: the chain ends here.
             _ => break,
-        }
+        };
     }
-    log.append(&LogRecord::TxnAbort { txn });
-    report.losers_undone += 1;
-    Ok(())
+    db.log().append(&LogRecord::TxnAbort { txn });
+    Ok(clrs)
 }
 
-/// Forward-complete one interrupted reorganization unit (§5.1).
+/// Forward-complete one interrupted reorganization unit (§5.1): move what
+/// the sources still hold into the destination, MODIFY the base, repair
+/// the side-pointer chain, and END the unit. Each step logs its record and
+/// applies it exactly as the live unit does, so the unit ends in the pages
+/// it would have left had it not crashed.
 fn complete_unit(
     db: &Arc<Database>,
     info: &UnitInfo,
@@ -721,65 +506,46 @@ fn complete_unit(
         .filter(|&p| p != dest)
         .collect();
     let smo = tree.smo_guard();
-    // Count work already durable: records that reached dest.
-    {
+    // A Move unit whose dest holds none of its records logged no MOVE: the
+    // first forward MOVE formats dest, under the low mark the live unit
+    // gives it, the base's entry key for the first source.
+    let dest_lsn = pool.fetch(dest)?.read().lsn();
+    let mut fresh_dest = None;
+    if info.kind == ReorgKind::Move && dest_lsn < info.begin {
+        let bg = pool.fetch(info.base_pages[0])?;
+        let entry_key = NodeView::of(&bg.read()).low_key_of(info.leaf_pages[0]);
+        fresh_dest = Some(entry_key.unwrap_or(0));
+    } else {
+        // Count work already durable: records that reached dest.
         let dg = pool.fetch(dest)?;
-        let dpage = dg.read();
-        if dpage.page_type() == Some(PageType::Leaf) {
-            report.records_preserved += LeafView::of(&dpage).count() as u64;
-        }
+        report.records_preserved += LeafView::of(&dg.read()).count() as u64;
     }
     // Finish outstanding moves.
     for org in sources.iter().copied() {
+        let og = pool.fetch(org)?;
         let records = {
-            let og = pool.fetch(org)?;
             let opage = og.read();
             if opage.page_type() != Some(PageType::Leaf) {
                 continue;
             }
             LeafView::of(&opage).records()
         };
-        if records.is_empty() {
+        if records.is_empty() && fresh_dest.is_none() {
             continue;
         }
-        let lsn = db
-            .reorg_table()
-            .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+        let dg = pool.fetch(dest)?;
+        log_and_apply(db, &mut [&mut og.write(), &mut dg.write()], |prev_lsn| {
+            LogRecord::ReorgMove {
                 unit: info.unit,
                 org,
                 dest,
-                payload: MovePayload::Records(records.clone()),
+                payload: MovePayload::Records(records),
+                fresh_dest: fresh_dest.take(),
                 prev_lsn,
-            });
-        {
-            let dg = pool.fetch(dest)?;
-            let mut dpage = dg.write();
-            if dpage.page_type() != Some(PageType::Leaf) {
-                let mut leaf = LeafView::init(&mut dpage);
-                leaf.page_mut().set_low_mark(records[0].0);
             }
-            let mut leaf = LeafView::new(&mut dpage);
-            for (k, v) in &records {
-                leaf.upsert(*k, v)?;
-            }
-            dpage.set_lsn(lsn);
-        }
-        {
-            let og = pool.fetch(org)?;
-            let mut opage = og.write();
-            LeafView::new(&mut opage).take_all();
-            opage.set_lsn(lsn);
-        }
+        })?;
     }
-    let largest_key = {
-        let dg = pool.fetch(dest)?;
-        let dpage = dg.read();
-        if dpage.page_type() == Some(PageType::Leaf) {
-            LeafView::of(&dpage).last_key().unwrap_or(0)
-        } else {
-            0
-        }
-    };
+    let largest_key = last_key_of(db, dest)?;
     // Finish the MODIFY on each base page. One whose entries name no source
     // has it durable already, or is not the unit's base.
     for &base in &info.base_pages {

@@ -19,21 +19,22 @@
 //! locks to X for the short MODIFY, release. Units log
 //! BEGIN/MOVE/MODIFY/END per §5; at a deadlock the reorganizer is the
 //! victim and the unit is undone via compensating moves (§5.2), then
-//! retried. Each step is written once: every unit record is chained by
-//! [`obr_wal::ReorgStateTable::append_to_unit`], every side-pointer change
-//! goes through `set_siblings`, and the Compact/Move MODIFY is
-//! `modify_base`, which Forward Recovery shares.
+//! retried. Each step is written once, and Forward Recovery shares it:
+//! every unit record is appended and then applied by `log_and_apply`
+//! through the record's one `obr_btree::apply::apply`, every side-pointer
+//! change goes through `set_siblings`, and the MODIFY is `modify_base`.
 
 use obr_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obr_sync::Mutex;
 
+use obr_btree::apply::{apply, shadow_before, shadow_check};
 use obr_btree::leaf::LEAF_BODY;
 use obr_btree::{LeafView, NodeView, SmoGuard};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
-use obr_storage::{Page, PageId, PageType};
+use obr_storage::{Lsn, Page, PageId, PageType};
 use obr_wal::{LogRecord, MovePayload, ReorgKind, UnitId};
 
 use crate::db::Database;
@@ -543,7 +544,7 @@ impl Reorganizer {
                 let Some(&(last_key, _)) = entries.last() else {
                     return Ok(None);
                 };
-                let (_, tree_last) = self.tree_key_bounds()?;
+                let tree_last = self.tree_last_key()?;
                 if probe >= tree_last {
                     return Ok(None);
                 }
@@ -590,7 +591,7 @@ impl Reorganizer {
                 let Some(&(last_key, _)) = entries.last() else {
                     return Ok(None);
                 };
-                let (_, tree_last) = self.tree_key_bounds()?;
+                let tree_last = self.tree_last_key()?;
                 if cur_key > tree_last {
                     return Ok(None);
                 }
@@ -602,25 +603,13 @@ impl Reorganizer {
         Err(CoreError::TooManyRetries("plan_group probing".into()))
     }
 
-    fn tree_key_bounds(&self) -> CoreResult<(u64, u64)> {
-        let tree = self.db.tree();
-        let leaves = tree.leaves_in_key_order()?;
-        let pool = self.db.pool();
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for l in leaves {
-            let g = pool.fetch(l)?;
-            let page = g.read();
-            if page.page_type() != Some(PageType::Leaf) {
-                continue;
-            }
-            let r = LeafView::of(&page);
-            if let (Some(f), Some(la)) = (r.first_key(), r.last_key()) {
-                lo = lo.min(f);
-                hi = hi.max(la);
-            }
+    /// The largest key in the tree; 0 when it is empty.
+    fn tree_last_key(&self) -> CoreResult<u64> {
+        let mut last = 0u64;
+        for l in self.db.tree().leaves_in_key_order()? {
+            last = last.max(last_key_of(&self.db, l)?);
         }
-        Ok((lo, hi))
+        Ok(last)
     }
 
     /// Run `unit` until it gets through without losing a deadlock. The
@@ -779,9 +768,7 @@ impl Reorganizer {
             // Nothing left worth moving under this base right now.
             let mut largest_key = group.iter().map(|&(k, _)| k).max().unwrap_or(0);
             if kept > 0 {
-                let g = pool.fetch(group[0].1)?;
-                let last = LeafView::of(&g.read()).last_key();
-                largest_key = largest_key.max(last.unwrap_or(0));
+                largest_key = largest_key.max(last_key_of(db, group[0].1)?);
             }
             locks.release_all(owner);
             if !in_place {
@@ -839,24 +826,20 @@ impl Reorganizer {
         let mut largest_key = 0u64;
         let move_result: CoreResult<()> = (|| {
             let _g = tree.smo_guard();
-            if !in_place {
-                // Initialize the destination as a fresh leaf.
-                let dg = pool.fetch_new(dest)?;
-                let mut dpage = dg.write();
-                LeafView::init(&mut dpage);
-                dpage.set_low_mark(group[0].0);
-            }
             for &(_, org) in group {
                 if org == dest {
-                    let g = pool.fetch(org)?;
-                    let page = g.read();
-                    if let Some(k) = LeafView::of(&page).last_key() {
-                        largest_key = largest_key.max(k);
-                    }
+                    largest_key = largest_key.max(last_key_of(db, org)?);
                     continue;
                 }
                 let og = pool.fetch(org)?;
-                let dg = pool.fetch(dest)?;
+                // The first MOVE formats a new-place dest: its old bytes
+                // need not be read.
+                let fresh = !in_place && journal.is_empty();
+                let dg = if fresh {
+                    pool.fetch_new(dest)?
+                } else {
+                    pool.fetch(dest)?
+                };
                 let mut opage = og.write();
                 let mut dpage = dg.write();
                 let records = LeafView::of(&opage).records();
@@ -869,19 +852,16 @@ impl Reorganizer {
                     }
                     LogStrategy::FullRecords => MovePayload::Records(records.clone()),
                 };
-                let lsn =
-                    db.reorg_table()
-                        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
-                            unit,
-                            org,
-                            dest,
-                            payload,
-                            prev_lsn,
-                        });
-                LeafView::new(&mut dpage).extend(&records)?;
-                LeafView::new(&mut opage).take_all();
-                opage.set_lsn(lsn);
-                dpage.set_lsn(lsn);
+                log_and_apply(db, &mut [&mut opage, &mut dpage], |prev_lsn| {
+                    LogRecord::ReorgMove {
+                        unit,
+                        org,
+                        dest,
+                        payload,
+                        fresh_dest: fresh.then_some(group[0].0),
+                        prev_lsn,
+                    }
+                })?;
                 if self.cfg.log_strategy == LogStrategy::KeysOnly {
                     // Careful writing: org may not reach disk before dest.
                     pool.add_write_dependency(org, dest);
@@ -1036,29 +1016,16 @@ impl Reorganizer {
             let dg = pool.fetch(m.dest)?;
             let mut opage = og.write();
             let mut dpage = dg.write();
-            let lsn = db
-                .reorg_table()
-                .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgMove {
+            log_and_apply(db, &mut [&mut dpage, &mut opage], |prev_lsn| {
+                LogRecord::ReorgMove {
                     unit,
                     org: m.dest,
                     dest: m.org,
                     payload: MovePayload::Records(m.records.clone()),
+                    fresh_dest: None,
                     prev_lsn,
-                });
-            {
-                let mut dleaf = LeafView::new(&mut dpage);
-                for (k, _) in &m.records {
-                    dleaf.remove(*k);
                 }
-            }
-            {
-                let mut oleaf = LeafView::new(&mut opage);
-                for (k, v) in &m.records {
-                    oleaf.upsert(k.to_owned(), v)?;
-                }
-            }
-            opage.set_lsn(lsn);
-            dpage.set_lsn(lsn);
+            })?;
         }
         Ok(())
     }
@@ -1263,22 +1230,30 @@ pub(crate) fn set_siblings(
     let (old_left, old_right) = (p.left_sibling(), p.right_sibling());
     let (new_left, new_right) = links(old_left, old_right);
     if (old_left, old_right) != (new_left, new_right) {
-        let lsn = db
-            .reorg_table()
-            .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgSidePtr {
-                unit,
-                page,
-                old_left,
-                old_right,
-                new_left,
-                new_right,
-                prev_lsn,
-            });
-        p.set_left_sibling(new_left);
-        p.set_right_sibling(new_right);
-        p.set_lsn(lsn);
+        log_and_apply(db, &mut [&mut p], |prev_lsn| LogRecord::ReorgSidePtr {
+            unit,
+            page,
+            old_left,
+            old_right,
+            new_left,
+            new_right,
+            prev_lsn,
+        })?;
     }
     Ok(())
+}
+
+/// The largest key on `page`; 0 when it is empty or not a leaf.
+pub(crate) fn last_key_of(db: &Database, page: PageId) -> CoreResult<u64> {
+    let g = db.pool().fetch(page)?;
+    let p = g.read();
+    let is_leaf = p.page_type() == Some(PageType::Leaf);
+    Ok(if is_leaf {
+        LeafView::of(&p).last_key()
+    } else {
+        None
+    }
+    .unwrap_or(0))
 }
 
 /// The MODIFY of a Compact or Move unit (§5), shared by the live unit and
@@ -1309,22 +1284,51 @@ pub(crate) fn modify_base(
     } else {
         vec![(entry_key, dest)]
     };
-    let lsn = db
-        .reorg_table()
-        .append_to_unit(db.log(), |prev_lsn| LogRecord::ReorgModify {
-            unit,
-            base_page: base,
-            old_entries: old_entries.clone(),
-            new_entries: new_entries.clone(),
-            prev_lsn,
-        });
-    let mut node = NodeView::new(bpage);
-    for &(k, _) in &old_entries {
-        node.remove_entry(k);
+    let counts = (old_entries.len(), new_entries.len());
+    log_and_apply(db, &mut [bpage], |prev_lsn| LogRecord::ReorgModify {
+        unit,
+        base_page: base,
+        old_entries,
+        new_entries,
+        prev_lsn,
+    })?;
+    Ok(Some(counts))
+}
+
+/// The one way a reorganization unit changes pages, live, in compensation
+/// or in Forward Recovery: append the record `record` builds from the
+/// unit's prev-LSN, apply it to `pages` (its roles, in
+/// [`obr_btree::apply::roles`] order), and stamp them with its LSN.
+pub(crate) fn log_and_apply(
+    db: &Database,
+    pages: &mut [&mut Page],
+    record: impl FnOnce(Lsn) -> LogRecord,
+) -> CoreResult<Lsn> {
+    let before = shadow_before(pages);
+    let (lsn, rec) = db.reorg_table().append_to_unit(db.log(), |prev_lsn| {
+        let mut rec = record(prev_lsn);
+        if let LogRecord::ReorgMove { fresh_dest, .. } = &mut rec {
+            if let Some(low) = fresh_dest.take_if(|_| old_move_dest()) {
+                LeafView::init(pages[1]).page_mut().set_low_mark(low);
+            }
+        }
+        rec
+    });
+    let mut slots: Vec<Option<&mut Page>> = pages.iter_mut().map(|p| Some(&mut **p)).collect();
+    apply(&rec, &mut slots)?;
+    for p in pages.iter_mut() {
+        p.set_lsn(lsn);
     }
-    for &(k, c) in &new_entries {
-        node.insert_entry(k, c)?;
-    }
-    bpage.set_lsn(lsn);
-    Ok(Some((old_entries.len(), new_entries.len())))
+    shadow_check(before, &rec, lsn, pages);
+    Ok(lsn)
+}
+
+/// Test-only sabotage switch: when `OBR_BUG_OLD_MOVE_DEST=1` in a debug
+/// build, a unit handles its new-place destination as it did before the
+/// MOVE record named it fresh: the unit formats the page itself, under the
+/// base entry key, and logs the MOVE without `fresh_dest`. The apply
+/// shadow check must catch it (`tests/apply_teeth.rs`); release builds
+/// never read the switch.
+fn old_move_dest() -> bool {
+    cfg!(debug_assertions) && std::env::var_os("OBR_BUG_OLD_MOVE_DEST").is_some_and(|v| v == "1")
 }

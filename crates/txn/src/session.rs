@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use obr_btree::{BTree, BTreeError};
-use obr_core::{CoreError, Database};
+use obr_core::{roll_back, CoreError, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_storage::Lsn;
 use obr_wal::{LogRecord, TxnId};
@@ -372,52 +372,7 @@ impl Txn {
     /// `TxnAbort`, then release locks. Shared by [`Self::abort`] and the
     /// commit path when the commit-record force fails.
     fn rollback(&mut self) -> TxnResult<()> {
-        let mut cur = self.prev_lsn;
-        while cur != Lsn::ZERO {
-            let Some(rec) = self.db.log().read(cur).map_err(CoreError::Storage)? else {
-                break;
-            };
-            cur = match rec {
-                LogRecord::TxnInsert {
-                    txn, key, prev_lsn, ..
-                } if txn == self.id => {
-                    self.db
-                        .tree()
-                        .undo_insert(self.id, key, prev_lsn)
-                        .map_err(CoreError::Tree)?;
-                    prev_lsn
-                }
-                LogRecord::TxnDelete {
-                    txn,
-                    key,
-                    old_value,
-                    prev_lsn,
-                    ..
-                } if txn == self.id => {
-                    self.db
-                        .tree()
-                        .undo_delete(self.id, key, &old_value, prev_lsn)
-                        .map_err(CoreError::Tree)?;
-                    prev_lsn
-                }
-                LogRecord::TxnUpdate {
-                    txn,
-                    key,
-                    old_value,
-                    prev_lsn,
-                    ..
-                } if txn == self.id => {
-                    self.db
-                        .tree()
-                        .undo_update(self.id, key, &old_value, prev_lsn)
-                        .map_err(CoreError::Tree)?;
-                    prev_lsn
-                }
-                LogRecord::Clr { txn, undo_next, .. } if txn == self.id => undo_next,
-                _ => break,
-            };
-        }
-        self.db.log().append(&LogRecord::TxnAbort { txn: self.id });
+        roll_back(&self.db, self.id, self.prev_lsn)?;
         self.db.end_txn(self.id);
         self.db.locks().release_all(self.owner);
         self.finished = true;

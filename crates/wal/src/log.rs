@@ -1049,6 +1049,7 @@ mod tests {
                 org: p,
                 dest: p,
                 payload: MovePayload::Keys(vec![17]),
+                fresh_dest: None,
                 prev_lsn: Lsn(17),
             },
             LogRecord::ReorgModify {
@@ -1126,6 +1127,7 @@ mod tests {
             org: PageId(1),
             dest: PageId(2),
             payload: MovePayload::Keys(vec![1, 2, 3]),
+            fresh_dest: None,
             prev_lsn: Lsn::ZERO,
         };
         log.append(&mv); // appended, never forced

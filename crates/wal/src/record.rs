@@ -117,8 +117,6 @@ pub struct CheckpointData {
     pub reorg: ReorgTableSnapshot,
     /// Active transactions and their most recent LSNs.
     pub active_txns: Vec<(TxnId, Lsn)>,
-    /// In-flight internal-page reorganization, if any.
-    pub pass3: Option<Pass3State>,
 }
 
 /// A write-ahead log record.
@@ -222,6 +220,10 @@ pub enum LogRecord {
         dest: PageId,
         /// Moved records (keys-only or full bodies).
         payload: MovePayload,
+        /// `Some(low mark)` when this MOVE first formats `dest` as an empty
+        /// leaf with that low mark: the first MOVE into a new-place
+        /// destination, whatever the page held before.
+        fresh_dest: Option<u64>,
         /// Previous LSN of this unit.
         prev_lsn: Lsn,
     },
@@ -473,12 +475,14 @@ impl LogRecord {
                 org,
                 dest,
                 payload,
+                fresh_dest,
                 prev_lsn,
             } => {
                 w.put_u8(TAG_REORG_MOVE);
                 w.put_u64(unit.0);
                 w.put_u32(org.0);
                 w.put_u32(dest.0);
+                put_opt_u64(&mut w, *fresh_dest);
                 match payload {
                     MovePayload::Keys(ks) => {
                         w.put_u8(0);
@@ -560,14 +564,6 @@ impl LogRecord {
                     w.put_u64(t.0);
                     w.put_u64(l.0);
                 }
-                match &data.pass3 {
-                    Some(s) => {
-                        w.put_u8(1);
-                        w.put_u64(s.stable_key);
-                        w.put_u32(s.new_root.0);
-                    }
-                    None => w.put_u8(0),
-                }
             }
         }
         w.into_bytes()
@@ -640,6 +636,7 @@ impl LogRecord {
                 let unit = UnitId(r.get_u64()?);
                 let org = PageId(r.get_u32()?);
                 let dest = PageId(r.get_u32()?);
+                let fresh_dest = get_opt_u64(&mut r)?;
                 let payload = match r.get_u8()? {
                     0 => {
                         let n = r.get_u32()? as usize;
@@ -666,6 +663,7 @@ impl LogRecord {
                     org,
                     dest,
                     payload,
+                    fresh_dest,
                     prev_lsn: Lsn(r.get_u64()?),
                 }
             }
@@ -711,14 +709,6 @@ impl LogRecord {
                     let l = Lsn(r.get_u64()?);
                     active_txns.push((t, l));
                 }
-                let pass3 = if r.get_u8()? == 1 {
-                    Some(Pass3State {
-                        stable_key: r.get_u64()?,
-                        new_root: PageId(r.get_u32()?),
-                    })
-                } else {
-                    None
-                };
                 LogRecord::Checkpoint {
                     data: CheckpointData {
                         reorg: ReorgTableSnapshot {
@@ -727,7 +717,6 @@ impl LogRecord {
                             recent_lsn,
                         },
                         active_txns,
-                        pass3,
                     },
                 }
             }
@@ -829,6 +818,7 @@ mod tests {
             org: PageId(10),
             dest: PageId(11),
             payload: MovePayload::Keys(vec![1, 2, 3]),
+            fresh_dest: Some(1),
             prev_lsn: Lsn(5),
         });
         round_trip(LogRecord::ReorgMove {
@@ -836,6 +826,7 @@ mod tests {
             org: PageId(10),
             dest: PageId(11),
             payload: MovePayload::Records(vec![(1, vec![9, 9]), (2, vec![])]),
+            fresh_dest: None,
             prev_lsn: Lsn(5),
         });
         round_trip(LogRecord::ReorgModify {
@@ -946,12 +937,29 @@ mod tests {
                     recent_lsn: Some(Lsn(8)),
                 },
                 active_txns: vec![(TxnId(1), Lsn(3)), (TxnId(2), Lsn(5))],
-                pass3: Some(Pass3State {
-                    stable_key: 7,
-                    new_root: PageId(20),
-                }),
             },
         });
+    }
+
+    #[test]
+    fn checkpoint_with_the_retired_pass3_byte_does_not_decode() {
+        // Checkpoints used to end in a pass-3 state that was always written
+        // as `None` (one zero byte) and never read; recovery finds the
+        // newest `Pass3Stable` record instead. A body that still carries
+        // the byte is rejected as trailing bytes.
+        let rec = LogRecord::Checkpoint {
+            data: CheckpointData {
+                reorg: ReorgTableSnapshot {
+                    lk: Some(10),
+                    ..ReorgTableSnapshot::default()
+                },
+                active_txns: vec![(TxnId(1), Lsn(3))],
+            },
+        };
+        let mut bytes = rec.encode();
+        assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
+        bytes.push(0);
+        assert!(LogRecord::decode(&bytes).is_err());
     }
 
     #[test]
@@ -969,6 +977,7 @@ mod tests {
             org: PageId(1),
             dest: PageId(2),
             payload: MovePayload::Keys((0..50).collect()),
+            fresh_dest: None,
             prev_lsn: Lsn(0),
         };
         let recs = LogRecord::ReorgMove {
@@ -976,6 +985,7 @@ mod tests {
             org: PageId(1),
             dest: PageId(2),
             payload: MovePayload::Records((0..50).map(|k| (k, vec![0u8; 64])).collect()),
+            fresh_dest: None,
             prev_lsn: Lsn(0),
         };
         assert!(recs.encode().len() > keys.encode().len() * 5);
@@ -997,6 +1007,7 @@ mod tests {
             org: PageId(1),
             dest: PageId(2),
             payload: MovePayload::Keys(vec![]),
+            fresh_dest: None,
             prev_lsn: Lsn(44),
         };
         assert_eq!(rec.unit(), Some(UnitId(9)));
@@ -1061,13 +1072,15 @@ mod tests {
                 any::<u32>(),
                 any::<u32>(),
                 arb_payload(),
+                (any::<bool>(), any::<u64>()),
                 any::<u64>()
             )
-                .prop_map(|(u, o, d, pl, l)| LogRecord::ReorgMove {
+                .prop_map(|(u, o, d, pl, (fresh, low), l)| LogRecord::ReorgMove {
                     unit: UnitId(u),
                     org: PageId(o),
                     dest: PageId(d),
                     payload: pl,
+                    fresh_dest: fresh.then_some(low),
                     prev_lsn: Lsn(l),
                 }),
             (any::<u32>(), img, any::<bool>(), any::<u32>(), any::<u8>()).prop_map(
@@ -1123,6 +1136,7 @@ mod tests {
                 org: PageId(org),
                 dest: PageId(dest),
                 payload: MovePayload::Keys(keys),
+                fresh_dest: None,
                 prev_lsn: Lsn(prev),
             });
         }

@@ -56,11 +56,16 @@ impl ReorgStateTable {
 
     /// Append one record of the in-flight unit to `log`: `record` receives
     /// the `prev_lsn` it must carry, and the unit's chain advances to the
-    /// new record, whose LSN is returned.
-    pub fn append_to_unit(&self, log: &LogManager, record: impl FnOnce(Lsn) -> LogRecord) -> Lsn {
-        let lsn = log.append(&record(self.recent_lsn()));
+    /// new record. Returns its LSN and the record, for the caller to apply.
+    pub fn append_to_unit(
+        &self,
+        log: &LogManager,
+        record: impl FnOnce(Lsn) -> LogRecord,
+    ) -> (Lsn, LogRecord) {
+        let rec = record(self.recent_lsn());
+        let lsn = log.append(&rec);
         self.advance(lsn);
-        lsn
+        (lsn, rec)
     }
 
     /// The unit finished; its entry is deleted and LK advances.
@@ -161,8 +166,8 @@ mod tests {
             new_entries: Vec::new(),
             prev_lsn,
         };
-        let first = t.append_to_unit(&log, modify);
-        let second = t.append_to_unit(&log, modify);
+        let (first, _) = t.append_to_unit(&log, modify);
+        let (second, _) = t.append_to_unit(&log, modify);
         assert_eq!(t.recent_lsn(), second);
         let prev = |lsn| log.read(lsn).unwrap().unwrap().prev_lsn();
         assert_eq!(prev(first), Some(begin));

@@ -58,17 +58,17 @@ fn primary_and_replica(tag: &str) -> (Scratch, Arc<Database>, Replica) {
     (scratch, db, replica)
 }
 
-/// Every page reachable from `db`'s tree, with its LSN and its bytes less
-/// the low mark. Redo of a MOVE into a reused leaf keeps the low mark the
-/// page had before, where the primary set a fresh one (the record does not
-/// carry it), so that header field alone may differ.
+/// Every page reachable from `db`'s tree, with its LSN and all its bytes,
+/// header included. Every writer and every replay change a page through
+/// the one apply of the record's kind, so no byte may differ: a MOVE
+/// formats a fresh destination the same way whatever the page held
+/// before.
 fn reachable_pages(db: &Database) -> BTreeMap<PageId, (Lsn, Box<[u8; PAGE_SIZE]>)> {
     let mut out = BTreeMap::new();
     for p in db.tree().reachable_pages().unwrap() {
         let g = db.pool().fetch(p).unwrap();
-        let mut page = g.read().clone();
-        page.set_low_mark(u64::MAX);
-        out.insert(p, (page.lsn(), Box::new(*page.bytes())));
+        let page = g.read();
+        out.insert(p, (page.lsn(), page.image()));
     }
     out
 }
@@ -79,7 +79,7 @@ fn reachable_pages(db: &Database) -> BTreeMap<PageId, (Lsn, Box<[u8; PAGE_SIZE]>
 /// SHIP over loopback, a page-file snapshot plus the segment files), and
 /// replayed by the primary's own restart from a copy of its files. All four
 /// must land on the same LSN, the same records, and the same reachable
-/// pages, LSN for LSN and byte for byte but for the low mark.
+/// pages, LSN for LSN and byte for byte.
 #[test]
 fn every_feed_and_restart_recovery_replay_to_the_same_pages() {
     let (scratch, db, via_sync) = primary_and_replica("oracle");
