@@ -84,10 +84,26 @@ pub fn apply<P: DerefMut<Target = Page>>(
             // §5: the payload's records leave `org` and are appended to
             // `dest`, which the record may name fresh. A keys-only
             // payload's values come from the walk that takes them out of
-            // the source's before-image.
+            // the source's before-image; when `dest` needs no values (it is
+            // up to date, or the payload carries them) the walk only
+            // removes.
+            let dest_behind = matches!(pages.get(1), Some(Some(_)));
             let taken = match role(pages, 0, PageType::Leaf) {
-                Some(org) => LeafView::new(org).take_keys(&payload.keys()),
                 None => Vec::new(),
+                Some(org) => {
+                    let mut org = LeafView::new(org);
+                    match payload {
+                        MovePayload::Keys(ks) if dest_behind => org.take_keys(ks),
+                        MovePayload::Keys(ks) => {
+                            org.remove_keys(ks.iter().copied());
+                            Vec::new()
+                        }
+                        MovePayload::Records(rs) => {
+                            org.remove_keys(rs.iter().map(|r| r.0));
+                            Vec::new()
+                        }
+                    }
+                }
             };
             let Some(Some(dest)) = pages.get_mut(1) else {
                 return Ok(());
@@ -285,6 +301,23 @@ mod tests {
         apply_move(&recs, &mut o2, &mut d2);
         assert_eq!((o1.bytes(), d1.bytes()), (o2.bytes(), d2.bytes()));
         assert_eq!(LeafView::of(&d1).keys(), vec![1, 7, 9]);
+    }
+
+    #[test]
+    fn a_source_only_move_leaves_the_source_as_the_whole_move_does() {
+        let records = [2u64, 5]
+            .iter()
+            .map(|&k| (k, k.to_le_bytes().to_vec()))
+            .collect();
+        for payload in [MovePayload::Keys(vec![2, 5]), MovePayload::Records(records)] {
+            let rec = mv(payload, None);
+            let (mut whole, mut dest) = (leaf_with(&[1, 2, 3, 5, 8]), leaf_with(&[]));
+            apply_move(&rec, &mut whole, &mut dest);
+            let mut org = leaf_with(&[1, 2, 3, 5, 8]);
+            apply(&rec, &mut [Some(&mut org), None]).unwrap();
+            assert_eq!(org.bytes(), whole.bytes());
+            assert_eq!(LeafView::of(&org).keys(), vec![1, 3, 8]);
+        }
     }
 
     #[test]

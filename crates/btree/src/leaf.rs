@@ -269,28 +269,57 @@ impl<P: DerefMut<Target = Page>> LeafView<P> {
     /// Keys the leaf does not hold are skipped.
     // protocol: page-mutation
     pub fn take_keys(&mut self, keys: &[u64]) -> Vec<(u64, Vec<u8>)> {
-        let slots: Vec<(usize, u64, usize)> =
-            self.walk().map(|(off, k, v)| (off, k, v.len())).collect();
-        let mut want = keys.iter().copied().peekable();
         let mut taken = Vec::with_capacity(keys.len());
-        let mut write = HEADER_SIZE;
-        let page = &mut *self.page;
-        for (off, key, len) in slots {
+        self.remove_sorted(keys.iter().copied(), |key, value| {
+            taken.push((key, value.to_vec()))
+        });
+        taken
+    }
+
+    /// [`Self::take_keys`] without the values: allocates nothing.
+    // protocol: page-mutation
+    pub fn remove_keys(&mut self, keys: impl IntoIterator<Item = u64>) {
+        self.remove_sorted(keys, |_, _| {})
+    }
+
+    /// The one walk of [`Self::take_keys`] and [`Self::remove_keys`]. It
+    /// compacts in place: a kept record only ever moves towards the header,
+    /// so the records still to read are intact, and `taken` sees each
+    /// removed record before anything overwrites it.
+    // protocol: page-mutation
+    fn remove_sorted(
+        &mut self,
+        keys: impl IntoIterator<Item = u64>,
+        mut taken: impl FnMut(u64, &[u8]),
+    ) {
+        let end = (self.page.free_ptr() as usize).clamp(HEADER_SIZE, PAGE_SIZE);
+        let mut want = keys.into_iter().peekable();
+        let (mut read, mut write, mut removed) = (HEADER_SIZE, HEADER_SIZE, 0);
+        for _ in 0..self.count() {
+            let mut at = Walk {
+                bytes: &self.page.bytes()[..end],
+                off: read,
+                remaining: 1,
+            };
+            let Some((_, key, value)) = at.next() else {
+                break;
+            };
+            let rec_len = REC_OVERHEAD + value.len();
             while want.next_if(|&k| k < key).is_some() {}
-            let rec_len = REC_OVERHEAD + len;
             if want.next_if_eq(&key).is_some() {
-                taken.push((
-                    key,
-                    page.bytes()[off + REC_OVERHEAD..off + rec_len].to_vec(),
-                ));
+                taken(key, value);
+                removed += 1;
             } else {
-                page.bytes_mut().copy_within(off..off + rec_len, write);
+                self.page
+                    .bytes_mut()
+                    .copy_within(read..read + rec_len, write);
                 write += rec_len;
             }
+            read += rec_len;
         }
-        page.set_slot_count(page.slot_count() - taken.len() as u16);
-        page.set_free_ptr(write as u16);
-        taken
+        let count = self.page.slot_count() - removed as u16;
+        self.page.set_slot_count(count);
+        self.page.set_free_ptr(write as u16);
     }
 
     /// Remove and return every record, leaving the leaf empty.

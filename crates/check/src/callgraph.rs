@@ -166,9 +166,33 @@ impl Workspace {
             mutates: Vec::new(),
             callers: Vec::new(),
         };
+        ws.type_opaque_returns();
         ws.resolve_calls();
         ws.summarize();
         ws
+    }
+
+    /// Type each `-> impl Trait` function by the call its body ends with.
+    /// The trait's name is no type: a call on such a value would fan out
+    /// to every impl of the trait (`next` on a `std` adapter chain to every
+    /// workspace `Iterator`). A tail that does not resolve leaves the
+    /// function untyped, and calls on its value resolve to nothing.
+    fn type_opaque_returns(&mut self) {
+        let mut typed = Vec::new();
+        for id in 0..self.fns.len() {
+            let file = self.fns[id].file;
+            let func = self.fn_info(id);
+            if let Some(call) = &func.tail_call {
+                let locals = self.type_locals(file, func);
+                if let Some(t) = self.call_ret(file, func, &locals, call) {
+                    typed.push((id, t));
+                }
+            }
+        }
+        for (id, t) in typed {
+            let n = &self.fns[id];
+            self.files[n.file].fns[n.fi].ret = Some(t);
+        }
     }
 
     /// The function's extracted facts.
@@ -428,19 +452,7 @@ impl Workspace {
                 TyperHint::Explicit(t) => Some(t.clone()),
                 TyperHint::StructLit(t) => Some(t.clone()),
                 TyperHint::FromCall(call) => {
-                    let ids = self.resolve_call(file, func, &locals, call);
-                    let mut ty = None;
-                    for id in ids {
-                        let f = self.fn_info(id);
-                        if let Some(r) = &f.ret {
-                            ty = if r == "Self" {
-                                f.impl_type.clone()
-                            } else {
-                                Some(r.clone())
-                            };
-                            break;
-                        }
-                    }
+                    let mut ty = self.call_ret(file, func, &locals, call);
                     // `let g = x.write()` on an unresolvable lock:
                     // identity typing via the chain.
                     if ty.is_none() {
@@ -458,6 +470,24 @@ impl Workspace {
             }
         }
         locals
+    }
+
+    /// The type `call` returns: the declared return type of its first
+    /// resolved callee that declares one, `Self` read as that callee's
+    /// impl type.
+    fn call_ret(
+        &self,
+        file: usize,
+        func: &FnInfo,
+        locals: &BTreeMap<String, String>,
+        call: &RawCall,
+    ) -> Option<String> {
+        let ids = self.resolve_call(file, func, locals, call);
+        let f = self.fn_info(ids.into_iter().find(|&id| self.fn_info(id).ret.is_some())?);
+        match f.ret.as_deref() {
+            Some("Self") => f.impl_type.clone(),
+            r => r.map(str::to_string),
+        }
     }
 
     /// Fixpoint summaries: may_acquire, appends, mutates.
@@ -785,6 +815,61 @@ mod tests {
             .static_edges(run)
             .iter()
             .any(|e| e.held == "h.state" && e.acquired == "disk.pages"));
+    }
+
+    /// A cursor type implementing `Iterator` whose `next` takes a latch, a
+    /// lock `a` held around the caller's `next`, and `body` as the
+    /// `-> impl Iterator` function the caller iterates.
+    fn opaque_iterator(body: &str) -> Workspace {
+        let src = format!(
+            r#"
+            pub struct RangeCursor {{ l: Mutex<u8> }}
+            impl RangeCursor {{
+                fn new() -> RangeCursor {{ RangeCursor {{ l: Mutex::named(0, "tree.page") }} }}
+            }}
+            impl Iterator for RangeCursor {{
+                type Item = u32;
+                fn next(&mut self) -> Option<u32> {{ let g = self.l.lock(); None }}
+            }}
+            pub struct S {{ a: Mutex<u8> }}
+            impl S {{
+                fn new() -> S {{ S {{ a: Mutex::named(0, "s.a") }} }}
+                pub fn replay(&self) {{
+                    let g = self.a.lock();
+                    let mut ids = ids();
+                    ids.next();
+                }}
+            }}
+            pub fn ids() -> impl Iterator<Item = u32> + 'static {{ {body} }}
+            "#
+        );
+        ws(&[("a.rs", &src)])
+    }
+
+    fn replay_edges(w: &Workspace) -> Vec<(String, String)> {
+        let replay = (0..w.fns.len())
+            .find(|i| w.fn_info(*i).name == "replay")
+            .unwrap();
+        w.static_edges(replay)
+            .into_iter()
+            .map(|e| (e.held, e.acquired))
+            .collect()
+    }
+
+    #[test]
+    fn next_on_a_std_adapter_chain_reaches_no_workspace_iterator() {
+        let w =
+            opaque_iterator("let pages = [Some(1), None]; pages.into_iter().flatten().chain(None)");
+        assert!(replay_edges(&w).is_empty(), "{:?}", replay_edges(&w));
+    }
+
+    #[test]
+    fn next_on_a_workspace_cursor_behind_impl_iterator_keeps_its_edge() {
+        let w = opaque_iterator("RangeCursor::new()");
+        assert_eq!(
+            replay_edges(&w),
+            vec![("s.a".to_string(), "tree.page".to_string())]
+        );
     }
 
     #[test]

@@ -210,8 +210,12 @@ pub struct FnInfo {
     pub has_self: bool,
     /// `(binding name, core type)` for typed parameters.
     pub params: Vec<(String, Option<String>)>,
-    /// Wrapper-stripped core return type ident.
+    /// Wrapper-stripped core return type ident; `None` for an `impl
+    /// Trait` return, which names no type.
     pub ret: Option<String>,
+    /// For an `impl Trait` return: the call the body ends with, whose
+    /// return type is the concrete type behind the trait.
+    pub tail_call: Option<RawCall>,
     /// True if the declared return type mentions a raw lock guard
     /// (`MutexGuard` / `RwLockReadGuard` / `RwLockWriteGuard`).
     pub returns_lock_guard: bool,
@@ -875,8 +879,10 @@ impl<'a, 't> Extractor<'a, 't> {
             ops: Vec::new(),
             locals: Vec::new(),
             protocol_comments: &self.protocol_comments,
+            tail: None,
         };
         body.scan(k + 1, body_close.saturating_sub(1));
+        let opaque = ret_toks.first() == Some(&"impl");
 
         self.fns.push(FnInfo {
             name,
@@ -885,7 +891,8 @@ impl<'a, 't> Extractor<'a, 't> {
             line: fn_line,
             has_self,
             params,
-            ret: strip_wrappers(&ret_toks),
+            ret: strip_wrappers(&ret_toks).filter(|_| !opaque),
+            tail_call: body.tail.filter(|_| opaque),
             returns_lock_guard: mentions_lock_guard(&ret_toks),
             anns,
             ops: body.ops,
@@ -1041,6 +1048,8 @@ struct BodyScanner<'a, 't> {
     ops: Vec<Op>,
     locals: Vec<(String, TyperHint)>,
     protocol_comments: &'a [Annotation],
+    /// The call whose value is the body's value, if the body ends with one.
+    tail: Option<RawCall>,
 }
 
 /// An active guard scope during the body walk.
@@ -1170,6 +1179,7 @@ impl<'a, 't> BodyScanner<'a, 't> {
                     let prev_is_fn = prev_sig.map(|p| toks[p].is_ident("fn")).unwrap_or(false);
                     if !prev_is_fn {
                         let args_close = self.skip_group_fwd(after, end, "(", ")");
+                        let ops_before = self.ops.len();
                         self.handle_call(
                             i,
                             name,
@@ -1181,6 +1191,11 @@ impl<'a, 't> BodyScanner<'a, 't> {
                             &mut active,
                             &mut next_scope,
                         );
+                        if depth == 0 && self.ends_body(args_close, end) {
+                            if let Some(Op::Call { call, .. }) = self.ops.get(ops_before) {
+                                self.tail = Some(call.clone());
+                            }
+                        }
                         // NOTE: we do not jump over the argument list —
                         // nested calls inside the arguments must also be
                         // scanned. Continue right after the name.
@@ -1397,6 +1412,18 @@ impl<'a, 't> BodyScanner<'a, 't> {
             }
         }
         j < end && self.toks[j].is_punct(".")
+    }
+
+    /// True when only an optional `?` follows `j` before the body's
+    /// closing brace at `end`: the call ending at `j` is the body's value.
+    fn ends_body(&self, j: usize, end: usize) -> bool {
+        let mut rest = self.toks[j.min(end)..end]
+            .iter()
+            .filter(|t| t.kind != TokKind::Comment);
+        match rest.next() {
+            None => true,
+            Some(t) => t.is_punct("?") && rest.next().is_none(),
+        }
     }
 
     /// A protocol `mixed-ordering` annotation on this line or the line

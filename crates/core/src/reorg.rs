@@ -6,7 +6,8 @@
 //! `Find-Free-Space` finds one, `In-Place-Reorg` otherwise. Pass 2
 //! (`Swapping-Moving`, optional) puts the compacted leaves into physically
 //! contiguous key order with one-leaf Move units — the very unit pass 1
-//! runs for copy-and-switch. Where the paper swaps two leaves, pass 2 moves
+//! runs for copy-and-switch. Long runs of leaves already on consecutive
+//! pages stay where they are; only the leaves between them move. Where the paper swaps two leaves, pass 2 moves
 //! a chain of them, each straight into its target, after parking one leaf
 //! past the leaf region when the chain is a cycle; no unit logs a page
 //! image. Pass 3 (§7) rebuilds the upper levels new-place behind a side
@@ -25,6 +26,8 @@
 //! change goes through `set_siblings`, and the MODIFY is `modify_base`.
 
 use obr_sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use obr_sync::Mutex;
@@ -1049,8 +1052,11 @@ impl Reorganizer {
     // Pass 2: Swapping-Moving (§6, Figure 2).
     // ------------------------------------------------------------------
 
-    /// Pass 2: place leaves contiguously in key order. A leaf whose target
-    /// is held by a later leaf starts a chain of occupants that ends at a
+    /// Pass 2: place leaves contiguously in key order. Runs of at least
+    /// `KEEP_RUN` leaves on consecutive pages stay where they are, and only
+    /// the leaves between them get new pages (`Placement::new`). A leaf
+    /// whose target is held by a later leaf starts a chain of occupants
+    /// (leaves whose target is not their page) that ends at a
     /// free page; the chain moves tail first, each leaf straight into its
     /// target. When the chain instead returns to the leaf (a cycle) or meets
     /// a page pass 2 cannot move, the leaf first parks past the leaf region
@@ -1069,7 +1075,7 @@ impl Reorganizer {
     fn pass2_swap_move_inner(&self) -> CoreResult<()> {
         let tree = self.db.tree();
         let fsm = self.db.fsm();
-        let mut leaves = tree.leaves_in_key_order()?;
+        let leaves = tree.leaves_in_key_order()?;
         if leaves.is_empty() {
             return Ok(());
         }
@@ -1081,21 +1087,25 @@ impl Reorganizer {
         } else {
             leaves.iter().min().copied().unwrap_or(PageId(0)).0
         };
-        let target = |i: usize| PageId(start + i as u32);
-        let region_end = target(leaves.len());
-        for i in 0..leaves.len() {
-            if leaves[i] == target(i) {
+        let mut free = vec![false; fsm.num_pages() as usize];
+        for p in fsm.free_pages() {
+            free[p.index()] = true;
+        }
+        let mut plan = Placement::new(leaves, start, boundary.0, &free);
+        let region_end = plan.target.iter().max().map_or(start, |t| t.0 + 1);
+        for i in 0..plan.at.len() {
+            if plan.at[i] == plan.target[i] {
                 continue;
             }
             // Follow the occupants: `chain[k + 1]` holds `chain[k]`'s
             // target, until a target is free (and now reserved).
             let mut chain = vec![i];
             let end = loop {
-                let want = target(chain[chain.len() - 1]);
+                let want = plan.target[chain[chain.len() - 1]];
                 if fsm.allocate_specific(want) {
                     break Some(want);
                 }
-                match self.occupant(want, &leaves)? {
+                match self.occupant(want, &plan)? {
                     Some(j) if j > i => chain.push(j),
                     // Back at leaf i (a cycle), or at a page pass 2 leaves
                     // where it is.
@@ -1109,13 +1119,13 @@ impl Reorganizer {
                 None if chain.len() == 1 => continue,
                 None => {
                     // Park leaf i past the region; its page ends the chain.
-                    let vacated = leaves[i];
-                    let Some(park) = fsm.allocate_in(PageId(region_end.0 - 1), PageId(u32::MAX))
+                    let vacated = plan.at[i];
+                    let Some(park) = fsm.allocate_in(PageId(region_end - 1), PageId(u32::MAX))
                     else {
                         self.stats.lock().skipped_placements += 1;
                         continue;
                     };
-                    if !self.place(&mut leaves, i, park)? {
+                    if !self.place(&mut plan, i, park)? {
                         continue;
                     }
                     self.stats.lock().swaps += 1;
@@ -1131,12 +1141,12 @@ impl Reorganizer {
             let mut dest = end;
             for (n, &c) in chain.iter().enumerate().rev() {
                 if n + 1 < chain.len() {
-                    dest = target(c);
+                    dest = plan.target[c];
                     if !fsm.allocate_specific(dest) {
                         break;
                     }
                 }
-                if !self.place(&mut leaves, c, dest)? {
+                if !self.place(&mut plan, c, dest)? {
                     break;
                 }
             }
@@ -1144,28 +1154,33 @@ impl Reorganizer {
         Ok(())
     }
 
-    /// The index in `leaves` of the leaf that occupies `page`, if any.
-    fn occupant(&self, page: PageId, leaves: &[PageId]) -> CoreResult<Option<usize>> {
+    /// The index of the leaf that occupies `page` while its target is
+    /// elsewhere, if any.
+    fn occupant(&self, page: PageId, plan: &Placement) -> CoreResult<Option<usize>> {
         let g = self.db.pool().fetch(page)?;
         if g.read().page_type() != Some(PageType::Leaf) {
             return Ok(None);
         }
-        Ok(leaves.iter().position(|&l| l == page))
+        Ok(plan
+            .index
+            .get(&page)
+            .copied()
+            .filter(|&j| plan.target[j] != page))
     }
 
-    /// Move leaf `leaves[i]` into the reserved page `dest` with a one-leaf
+    /// Move leaf `plan.at[i]` into the reserved page `dest` with a one-leaf
     /// Move unit. Returns whether it moved; when it did not, `dest` is free
     /// again and the leaf stays where it is — §3 allows "not necessarily a
     /// perfectly ordered" result.
-    fn place(&self, leaves: &mut [PageId], i: usize, dest: PageId) -> CoreResult<bool> {
-        let leaf = leaves[i];
+    fn place(&self, plan: &mut Placement, i: usize, dest: PageId) -> CoreResult<bool> {
+        let leaf = plan.at[i];
         let moved = self.with_retries(format_args!("move {leaf}->{dest}"), || {
             let (base, entry_key) = self.base_of_leaf(leaf)?;
             self.move_unit(2, base, &[(entry_key, leaf)], dest)
         });
         match moved {
             Ok(done) if done.freed > 0 => {
-                leaves[i] = dest;
+                plan.moved(i, dest);
                 self.stats.lock().moves += 1;
                 self.db.core_metrics().pass2_moves.inc();
                 Ok(true)
@@ -1206,6 +1221,134 @@ impl Reorganizer {
             .map_or(key, |(k, _)| k);
         Ok((base, entry_key))
     }
+}
+
+/// The shortest run of key-adjacent leaves on consecutive pages that pass 2
+/// leaves where it is. A scan pays one seek per run it crosses, so a kept
+/// run costs at most one seek per `KEEP_RUN` leaves; and a plan that keeps
+/// `R` runs ends with at most `2R + 1` runs over at least `9R + 1` leaves,
+/// a disorder of at most 2/9, under [`ReorgTrigger::max_disorder`]'s
+/// default 0.25 (DESIGN.md, "Which leaves move: runs, not slots").
+const KEEP_RUN: usize = 8;
+
+/// Pass 2's plan: for each leaf in key order, the page it is on and the
+/// page it goes to.
+struct Placement {
+    at: Vec<PageId>,
+    target: Vec<PageId>,
+    /// Page → index into `at`.
+    index: HashMap<PageId, usize>,
+}
+
+impl Placement {
+    /// Plan `leaves` (key order). A maximal run of at least [`KEEP_RUN`]
+    /// leaves on consecutive pages at or above `floor` (the leaf region)
+    /// keeps its pages. Each stretch of leaves between two kept runs gets
+    /// consecutive pages: right after the run on its left, else right
+    /// before the run on its right, else its own pages when they are
+    /// already consecutive, else the lowest extent at or above `floor`
+    /// that it can take; a stretch that fits nowhere stays where it is. A
+    /// stretch can take a page that `free` marks free or that a leaf of
+    /// itself or of an earlier stretch holds, since those leaves leave it.
+    /// Without a kept run, leaf `i` goes to `start + i`.
+    fn new(leaves: Vec<PageId>, start: u32, floor: u32, free: &[bool]) -> Placement {
+        let mut kept = Vec::new();
+        let mut from = 0;
+        for run in leaves.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0)) {
+            if run.len() >= KEEP_RUN && run[0].0 >= floor {
+                kept.push(from..from + run.len());
+            }
+            from += run.len();
+        }
+        let target: Vec<PageId> = if kept.is_empty() {
+            (0..leaves.len())
+                .map(|i| PageId(start + i as u32))
+                .collect()
+        } else {
+            plan_stretches(&leaves, &kept, floor, free)
+        };
+        let index = leaves.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+        Placement {
+            at: leaves,
+            target,
+            index,
+        }
+    }
+
+    /// Leaf `i` now lives on `dest`.
+    fn moved(&mut self, i: usize, dest: PageId) {
+        self.index.remove(&self.at[i]);
+        self.index.insert(dest, i);
+        self.at[i] = dest;
+    }
+}
+
+/// Targets for a plan that keeps the runs `kept` (ascending, disjoint):
+/// their leaves stay, and the stretches between them are placed as
+/// [`Placement::new`] says.
+fn plan_stretches(
+    leaves: &[PageId],
+    kept: &[Range<usize>],
+    floor: u32,
+    free: &[bool],
+) -> Vec<PageId> {
+    // Each stretch: its leaves, the last page of the kept run on its left
+    // and the first page of the one on its right.
+    let mut stretches = Vec::new();
+    let mut from = 0;
+    let mut left = None;
+    for r in kept {
+        if from < r.start {
+            stretches.push((from..r.start, left, Some(leaves[r.start].0)));
+        }
+        from = r.end;
+        left = Some(leaves[r.end - 1].0);
+    }
+    if from < leaves.len() {
+        stretches.push((from..leaves.len(), left, None));
+    }
+    let mut owner = vec![usize::MAX; free.len()];
+    for (s, (range, ..)) in stretches.iter().enumerate() {
+        for leaf in &leaves[range.clone()] {
+            owner[leaf.index()] = s;
+        }
+    }
+    let mut claimed = vec![false; free.len()];
+    for leaf in kept.iter().flat_map(|r| &leaves[r.clone()]) {
+        claimed[leaf.index()] = true;
+    }
+    let mut target = leaves.to_vec();
+    for (s, (range, left, right)) in stretches.into_iter().enumerate() {
+        let m = range.len() as u32;
+        let usable = |p: u32| {
+            let p = p as usize;
+            p >= floor as usize && p < free.len() && !claimed[p] && (free[p] || owner[p] <= s)
+        };
+        let fits = |base: u32| (base..base + m).all(usable);
+        let in_place = leaves[range.clone()]
+            .windows(2)
+            .all(|w| w[0].0 + 1 == w[1].0);
+        let lowest = || {
+            let mut run = 0;
+            (floor..free.len() as u32).find_map(|p| {
+                run = if usable(p) { run + 1 } else { 0 };
+                (run == m).then(|| p + 1 - m)
+            })
+        };
+        let base = left
+            .map(|l| l + 1)
+            .filter(|&b| fits(b))
+            .or_else(|| right.and_then(|r| r.checked_sub(m)).filter(|&b| fits(b)))
+            .or_else(|| Some(leaves[range.start].0).filter(|&b| in_place && fits(b)))
+            .or_else(lowest);
+        for (k, i) in range.enumerate() {
+            if let Some(b) = base {
+                target[i] = PageId(b + k as u32);
+            }
+            claimed[target[i].index()] = true;
+        }
+    }
+    target
 }
 
 /// Set `page`'s side pointers to `links(old_left, old_right)` inside
@@ -1331,4 +1474,51 @@ pub(crate) fn log_and_apply(
 /// never read the switch.
 fn old_move_dest() -> bool {
     cfg!(debug_assertions) && std::env::var_os("OBR_BUG_OLD_MOVE_DEST").is_some_and(|v| v == "1")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pass 2's targets for leaves on `leaves` (key order) over 64 pages of
+    /// which `free` are free.
+    fn plan(leaves: &[u32], start: u32, floor: u32, free: &[u32]) -> Vec<u32> {
+        let mut map = vec![false; 64];
+        for &p in free {
+            map[p as usize] = true;
+        }
+        let leaves = leaves.iter().map(|&p| PageId(p)).collect();
+        let plan = Placement::new(leaves, start, floor, &map);
+        plan.target.iter().map(|p| p.0).collect()
+    }
+
+    fn run(from: u32) -> Vec<u32> {
+        (from..from + KEEP_RUN as u32).collect()
+    }
+
+    #[test]
+    fn without_a_long_run_leaf_i_goes_to_start_plus_i() {
+        assert_eq!(plan(&[7, 3, 5, 4], 3, 0, &[]), vec![3, 4, 5, 6]);
+        // A long run below the leaf region is not kept.
+        assert_eq!(plan(&run(2), 10, 10, &[]), run(10));
+    }
+
+    #[test]
+    fn a_stretch_goes_after_its_left_run_else_before_its_right_run() {
+        let leaves = [run(10), vec![40, 41], run(21)].concat();
+        let placed = |pages: [u32; 2]| [run(10), pages.to_vec(), run(21)].concat();
+        assert_eq!(plan(&leaves, 10, 0, &[18, 19, 20]), placed([18, 19]));
+        assert_eq!(plan(&leaves, 10, 0, &[19, 20]), placed([19, 20]));
+        // Neither: a stretch on consecutive pages stays there, any other
+        // goes to the lowest extent at or above the floor.
+        assert_eq!(plan(&leaves, 10, 2, &[3, 4, 19]), leaves);
+        let scattered = [run(10), vec![40, 42], run(21)].concat();
+        assert_eq!(plan(&scattered, 10, 2, &[0, 1, 3, 4, 19]), placed([3, 4]));
+    }
+
+    #[test]
+    fn a_stretch_that_fits_nowhere_stays_where_it_is() {
+        let leaves = [run(10), vec![40, 42], run(21)].concat();
+        assert_eq!(plan(&leaves, 10, 0, &[19]), leaves);
+    }
 }

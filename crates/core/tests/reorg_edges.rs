@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
-use obr_btree::SidePointerMode;
-use obr_core::{Database, ReorgConfig, Reorganizer};
-use obr_storage::{DiskManager, InMemoryDisk};
+use obr_btree::{LeafView, SidePointerMode};
+use obr_core::{Database, ReorgConfig, ReorgTrigger, Reorganizer};
+use obr_storage::{DiskManager, InMemoryDisk, Lsn, PageId};
+use obr_wal::TxnId;
 
 fn db(pages: u32) -> Arc<Database> {
     let disk = Arc::new(InMemoryDisk::new(pages));
@@ -60,8 +61,6 @@ fn already_compact_tree_produces_no_units() {
 
 #[test]
 fn pass2_alone_orders_an_uncompacted_tree() {
-    use obr_storage::Lsn;
-    use obr_wal::TxnId;
     // §6 two-region layout: perfect ordering is only guaranteed when no
     // internal page can sit inside the leaf region.
     let disk = Arc::new(InMemoryDisk::new(8192));
@@ -113,4 +112,90 @@ fn pass2_alone_orders_an_uncompacted_tree() {
     let pass2_bytes = log_bytes() - bytes_before;
     assert!(pass2_bytes <= 34_200, "pass 2 logged {pass2_bytes} bytes");
     assert!(writes <= 83, "pass 2 wrote {writes} pages");
+}
+
+/// Pass 2's shortest kept run (`KEEP_RUN` in reorg.rs).
+const KEEP_RUN: usize = 8;
+
+/// Maximal runs of key-adjacent leaves on consecutive pages.
+fn runs(leaves: &[PageId]) -> Vec<&[PageId]> {
+    leaves.chunk_by(|a, b| b.0 == a.0 + 1).collect()
+}
+
+fn keys_of(d: &Database, leaf: PageId) -> Vec<u64> {
+    let g = d.pool().fetch(leaf).unwrap();
+    let page = g.read();
+    LeafView::of(&page).keys()
+}
+
+#[test]
+fn pass2_keeps_long_runs_and_places_the_leaves_between() {
+    let disk = Arc::new(InMemoryDisk::new(8192));
+    let d = Database::create_with_regions(
+        disk as Arc<dyn DiskManager>,
+        8192,
+        SidePointerMode::TwoWay,
+        512,
+    )
+    .unwrap();
+    let records: Vec<(u64, Vec<u8>)> = (0..2200u64).map(|k| (k * 2, vec![5; 64])).collect();
+    d.tree().bulk_load(&records, 0.85, 0.9).unwrap();
+    let loaded = d.tree().stats().unwrap().leaves_in_key_order;
+    assert_eq!(runs(&loaded).len(), 1, "{loaded:?}");
+    // Split leaves 15, 31 and the last one with odd keys: the new leaves
+    // land past the loaded ones. Then empty leaves 16, 17, 32 and 33, whose
+    // pages come free right after the first two long runs.
+    let last = loaded.len() - 1;
+    for pos in [15, 31, last] {
+        for k in keys_of(&d, loaded[pos]) {
+            d.tree()
+                .insert(TxnId(1), Lsn::ZERO, k + 1, &[6; 64])
+                .unwrap();
+        }
+    }
+    for pos in [16, 17, 32, 33] {
+        for k in keys_of(&d, loaded[pos]) {
+            d.tree().delete(TxnId(1), Lsn::ZERO, k).unwrap();
+        }
+    }
+    let before = d.tree().stats().unwrap().leaves_in_key_order;
+    let before_runs = runs(&before);
+    eprintln!("layout before pass 2: {before_runs:?}");
+    let kept: Vec<PageId> = before_runs
+        .iter()
+        .filter(|r| r.len() >= KEEP_RUN)
+        .flat_map(|r| r.iter().copied())
+        .collect();
+    let kept_runs = before_runs.iter().filter(|r| r.len() >= KEEP_RUN).count();
+    let short = before.len() - kept.len();
+    assert_eq!(kept_runs, 3, "{before_runs:?}");
+    assert!(short >= 3, "{before_runs:?}");
+    let kept_keys: Vec<Vec<u64>> = kept.iter().map(|&p| keys_of(&d, p)).collect();
+    let expected = d.tree().collect_all().unwrap();
+
+    let r = Reorganizer::new(Arc::clone(&d), ReorgConfig::default());
+    r.pass2_swap_move().unwrap();
+    d.tree().validate().unwrap();
+    assert_eq!(d.tree().collect_all().unwrap(), expected);
+    let after = d.tree().stats().unwrap().leaves_in_key_order;
+    eprintln!("layout after pass 2: {:?}", runs(&after));
+    // Every leaf of a kept run is where it was, holding what it held.
+    for (p, keys) in kept.iter().zip(&kept_keys) {
+        assert!(after.contains(p), "kept leaf {p} moved: {after:?}");
+        assert_eq!(&keys_of(&d, *p), keys, "kept leaf {p} changed");
+    }
+    // Only the short-run leaves moved, each once, plus one move per park.
+    let s = r.stats();
+    assert!(s.moves > 0, "{s:?}");
+    assert!(s.units <= short as u64 + s.swaps, "{short} short: {s:?}");
+    assert!(
+        runs(&after).len() <= 2 * kept_runs + 1,
+        "{:?}",
+        runs(&after)
+    );
+    // The result does not trigger pass 2 again.
+    let again = Reorganizer::new(Arc::clone(&d), ReorgConfig::default())
+        .run_if_needed(ReorgTrigger::default())
+        .unwrap();
+    assert!(!again.swapped, "{again:?}");
 }

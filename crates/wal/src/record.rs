@@ -68,14 +68,6 @@ pub enum MovePayload {
 }
 
 impl MovePayload {
-    /// Keys covered by this payload.
-    pub fn keys(&self) -> Vec<u64> {
-        match self {
-            MovePayload::Keys(ks) => ks.clone(),
-            MovePayload::Records(rs) => rs.iter().map(|(k, _)| *k).collect(),
-        }
-    }
-
     /// Number of records moved.
     pub fn len(&self) -> usize {
         match self {
@@ -994,7 +986,6 @@ mod tests {
     #[test]
     fn payload_helpers() {
         let p = MovePayload::Records(vec![(3, vec![1]), (1, vec![2])]);
-        assert_eq!(p.keys(), vec![3, 1]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert!(MovePayload::Keys(vec![]).is_empty());
