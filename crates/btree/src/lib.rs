@@ -22,7 +22,6 @@
 
 pub mod apply;
 pub mod builder;
-pub mod cursor;
 pub mod error;
 pub mod leaf;
 pub mod meta;
@@ -31,7 +30,6 @@ pub mod stats;
 pub mod tree;
 
 pub use builder::UpperBuilder;
-pub use cursor::RangeCursor;
 pub use error::{BTreeError, BTreeResult};
 pub use leaf::LeafView;
 pub use meta::MetaView;

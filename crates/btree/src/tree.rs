@@ -381,17 +381,6 @@ impl BTree {
         Ok(*self.path_for(key)?.last().expect("path never empty"))
     }
 
-    /// The base page (parent-of-leaf) for `key`, `None` when the root is a
-    /// leaf.
-    pub fn base_for(&self, key: u64) -> BTreeResult<Option<PageId>> {
-        let path = self.path_for(key)?;
-        Ok(if path.len() >= 2 {
-            Some(path[path.len() - 2])
-        } else {
-            None
-        })
-    }
-
     /// Latch the leaf for `key` with a shared latch and run `f` on it,
     /// retrying around SMOs. The epoch is validated *while the latch is
     /// held*, so `f` never observes a leaf whose key range has moved.

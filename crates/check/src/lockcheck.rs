@@ -184,12 +184,10 @@ pub fn check_conflict_actions() -> Report {
             );
         }
     }
-    // Metric-value assertions are meaningless when the observability layer
-    // is compiled to no-ops; the behavioural check above still ran.
     let reg = obr_obs::Registry::new();
     m.register_metrics(&reg);
     let forgone = reg.snapshot().counter("lock_forgone_rx");
-    if !obr_obs::is_noop() && forgone != 1 {
+    if forgone != 1 {
         report.error(
             CHECKER,
             "forgone-uncounted",

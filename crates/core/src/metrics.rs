@@ -5,11 +5,13 @@
 //! and register them directly; what remains — everything the reorganizer,
 //! the recovery driver and the daemon count — lives here, owned by the
 //! [`crate::Database`] so it accumulates across reorganizer instances
-//! (each daemon cycle constructs a fresh `Reorganizer`, whose
-//! [`crate::ReorgStats`] is therefore per-run; these counters are the
-//! database-lifetime view of the same events).
+//! (each daemon cycle constructs a fresh `Reorganizer`). A
+//! [`crate::ReorgStats`] is no tally of its own: it is these counters minus
+//! their values when the reorganizer was built.
 
 use obr_obs::{Counter, Gauge, Registry};
+
+use crate::ReorgStats;
 
 /// Database-lifetime counters and gauges for the reorganization machinery.
 /// Field-per-metric: the hot paths clone nothing and format nothing.
@@ -27,6 +29,9 @@ pub(crate) struct CoreMetrics {
     // Pass 2 (§6.2) and pass 3 (§7).
     pub pass2_parks: Counter,
     pub pass2_moves: Counter,
+    /// Placements given up after repeated deadlocks or with no page to
+    /// park on.
+    pub pass2_skipped: Counter,
     pub base_pages_read: Counter,
     pub stable_points: Counter,
     pub side_entries_applied: Counter,
@@ -67,6 +72,7 @@ impl CoreMetrics {
         reg.register_counter("reorg_pages_freed", &self.pages_freed);
         reg.register_counter("reorg_pass2_parks", &self.pass2_parks);
         reg.register_counter("reorg_pass2_moves", &self.pass2_moves);
+        reg.register_counter("reorg_pass2_skipped", &self.pass2_skipped);
         reg.register_counter("reorg_base_pages_read", &self.base_pages_read);
         reg.register_counter("reorg_stable_points", &self.stable_points);
         reg.register_counter("reorg_side_entries_applied", &self.side_entries_applied);
@@ -86,6 +92,26 @@ impl CoreMetrics {
         reg.register_gauge("tree_height", &self.tree_height);
         reg.register_gauge("tree_fill_permille", &self.tree_fill_permille);
         reg.register_gauge("tree_discontinuities", &self.tree_discontinuities);
+    }
+
+    /// The reorganizer counters as a [`ReorgStats`], each minus `base`'s
+    /// field.
+    pub(crate) fn reorg_stats_since(&self, base: &ReorgStats) -> ReorgStats {
+        ReorgStats {
+            units: self.units_completed.get() - base.units,
+            inplace_units: self.units_inplace.get() - base.inplace_units,
+            copy_switch_units: self.units_copy_switch.get() - base.copy_switch_units,
+            swaps: self.pass2_parks.get() - base.swaps,
+            moves: self.pass2_moves.get() - base.moves,
+            records_moved: self.records_moved.get() - base.records_moved,
+            pages_freed: self.pages_freed.get() - base.pages_freed,
+            deadlock_retries: self.deadlock_retries.get() - base.deadlock_retries,
+            units_undone: self.units_undone.get() - base.units_undone,
+            base_pages_read: self.base_pages_read.get() - base.base_pages_read,
+            stable_points: self.stable_points.get() - base.stable_points,
+            side_entries_applied: self.side_entries_applied.get() - base.side_entries_applied,
+            skipped_placements: self.pass2_skipped.get() - base.skipped_placements,
+        }
     }
 
     /// Refresh the tree-shape gauges from a fresh [`obr_btree::TreeStats`].

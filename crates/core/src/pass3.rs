@@ -15,7 +15,6 @@
 //! X-locks the *old* tree lock to drain old-tree transactions before
 //! deallocating the old upper levels.
 
-use obr_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obr_btree::apply::{apply, shadow_before, shadow_check};
@@ -41,22 +40,12 @@ pub const STABLE_ALL_READ: u64 = u64::MAX;
 /// frontier (`key < Get_Current()`) into the side file.
 pub struct Pass3Observer {
     db: Arc<Database>,
-    /// SMOs gated so far (diagnostics).
-    gates: AtomicU64,
 }
 
 impl Pass3Observer {
     /// Create an observer bound to `db`.
     pub fn new(db: Arc<Database>) -> Pass3Observer {
-        Pass3Observer {
-            db,
-            gates: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of structure modifications that passed through the gate.
-    pub fn gates_entered(&self) -> u64 {
-        self.gates.load(Ordering::Relaxed)
+        Pass3Observer { db }
     }
 }
 
@@ -72,7 +61,6 @@ impl SmoObserver for Pass3Observer {
         // anchor; by then the reorganization bit is off and Get_Current()
         // reports nothing behind the frontier, so no side entry is written.
         let owner = self.db.new_owner();
-        self.gates.fetch_add(1, Ordering::Relaxed);
         match self
             .db
             .locks()
@@ -475,10 +463,6 @@ impl Reorganizer {
                 }
                 builder.push(k, leaf)?;
             }
-            {
-                let mut st = self.stats.lock();
-                st.base_pages_read += 1;
-            }
             db.core_metrics().base_pages_read.inc();
             last_low = Some(low);
             since_stable += 1;
@@ -504,7 +488,6 @@ impl Reorganizer {
             new_root: builder.top_page().unwrap_or(PageId::INVALID),
         };
         db.log().append_force(&LogRecord::Pass3Stable { state })?;
-        self.stats.lock().stable_points += 1;
         db.core_metrics().stable_points.inc();
         db.tracer().emit(
             TraceKind::Pass3Stable,
@@ -551,7 +534,6 @@ impl Reorganizer {
             editor.apply(entry)?;
             applied += 1;
         }
-        self.stats.lock().side_entries_applied += applied;
         db.core_metrics().side_entries_applied.add(applied);
         if applied > 0 {
             db.tracer()

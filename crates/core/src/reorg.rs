@@ -194,7 +194,8 @@ pub struct ReorgDecision {
     pub shrunk: bool,
 }
 
-/// Counters the experiments report.
+/// Counters the experiments report: a read of the registry's `reorg_*`
+/// counters (see [`Reorganizer::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgStats {
     /// Reorganization units completed.
@@ -276,7 +277,8 @@ pub struct Reorganizer {
     next_unit: AtomicU64,
     fail: Option<FailPoint>,
     rng: Mutex<u64>,
-    pub(crate) stats: Mutex<ReorgStats>,
+    /// The database's reorganizer counters when this instance was built.
+    base: ReorgStats,
 }
 
 impl Drop for Reorganizer {
@@ -293,6 +295,7 @@ impl Reorganizer {
     pub fn new(db: Arc<Database>, cfg: ReorgConfig) -> Reorganizer {
         let owner = db.new_owner();
         db.locks().register_reorganizer(owner);
+        let base = db.core_metrics().reorg_stats_since(&ReorgStats::default());
         Reorganizer {
             db,
             cfg,
@@ -300,7 +303,7 @@ impl Reorganizer {
             next_unit: AtomicU64::new(1),
             fail: None,
             rng: Mutex::named(0x9E37_79B9_7F4A_7C15, "reorg.rng"),
-            stats: Mutex::named(ReorgStats::default(), "reorg.stats"),
+            base,
         }
     }
 
@@ -310,9 +313,13 @@ impl Reorganizer {
         self
     }
 
-    /// Counters so far.
+    /// What the database did since this reorganizer was built: the
+    /// registry's reorganizer counters minus their values at
+    /// [`Reorganizer::new`]. A second reorganizer running on the same
+    /// database at the same time would be counted here too; no reader does
+    /// that (the daemon and the server's `REORG` discard their stats).
     pub fn stats(&self) -> ReorgStats {
-        *self.stats.lock()
+        self.db.core_metrics().reorg_stats_since(&self.base)
     }
 
     /// The reorganizer's lock-owner id.
@@ -467,10 +474,8 @@ impl Reorganizer {
             if done.freed > 0 {
                 let cm = self.db.core_metrics();
                 if done.in_place {
-                    self.stats.lock().inplace_units += 1;
                     cm.units_inplace.inc();
                 } else {
-                    self.stats.lock().copy_switch_units += 1;
                     cm.units_copy_switch.inc();
                 }
             }
@@ -630,7 +635,6 @@ impl Reorganizer {
             match unit() {
                 Err(CoreError::Lock(LockError::Deadlock | LockError::Timeout)) => {
                     attempt += 1;
-                    self.stats.lock().deadlock_retries += 1;
                     self.db.core_metrics().deadlock_retries.inc();
                     self.db.locks().release_all(self.owner);
                     if attempt > self.cfg.max_unit_retries {
@@ -869,7 +873,6 @@ impl Reorganizer {
                     // Careful writing: org may not reach disk before dest.
                     pool.add_write_dependency(org, dest);
                 }
-                self.stats.lock().records_moved += records.len() as u64;
                 db.core_metrics().records_moved.add(records.len() as u64);
                 db.tracer().emit(
                     TraceKind::UnitMove,
@@ -955,11 +958,6 @@ impl Reorganizer {
         db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
         db.reorg_table().finish_unit(largest_key);
         locks.release_all(owner);
-        {
-            let mut st = self.stats.lock();
-            st.units += 1;
-            st.pages_freed += freed;
-        }
         let cm = db.core_metrics();
         cm.units_completed.inc();
         cm.pages_freed.add(freed);
@@ -1041,7 +1039,6 @@ impl Reorganizer {
             largest_key: 0,
         });
         self.db.reorg_table().abandon_unit();
-        self.stats.lock().units_undone += 1;
         self.db.core_metrics().units_undone.inc();
         self.db
             .tracer()
@@ -1122,13 +1119,12 @@ impl Reorganizer {
                     let vacated = plan.at[i];
                     let Some(park) = fsm.allocate_in(PageId(region_end - 1), PageId(u32::MAX))
                     else {
-                        self.stats.lock().skipped_placements += 1;
+                        self.db.core_metrics().pass2_skipped.inc();
                         continue;
                     };
                     if !self.place(&mut plan, i, park)? {
                         continue;
                     }
-                    self.stats.lock().swaps += 1;
                     self.db.core_metrics().pass2_parks.inc();
                     if !fsm.allocate_specific(vacated) {
                         continue; // a split took it: leaf i stays parked
@@ -1181,7 +1177,6 @@ impl Reorganizer {
         match moved {
             Ok(done) if done.freed > 0 => {
                 plan.moved(i, dest);
-                self.stats.lock().moves += 1;
                 self.db.core_metrics().pass2_moves.inc();
                 Ok(true)
             }
@@ -1190,7 +1185,7 @@ impl Reorganizer {
             Ok(_) => Ok(false),
             Err(CoreError::TooManyRetries(_)) => {
                 self.db.fsm().free(dest);
-                self.stats.lock().skipped_placements += 1;
+                self.db.core_metrics().pass2_skipped.inc();
                 Ok(false)
             }
             Err(e) => Err(e),

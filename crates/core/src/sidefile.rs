@@ -80,11 +80,10 @@ pub struct SideFile {
     log: Arc<LogManager>,
     seq: AtomicU64,
     entries: Mutex<BTreeMap<u64, SideEntry>>,
-    appended_total: AtomicU64,
     /// Current queue depth with its high-watermark: the backlog pass-3
     /// catch-up must drain. Registered as `side_file_depth`.
     depth: obr_obs::Gauge,
-    /// Same as `appended_total`, as a registry handle (`side_file_appends`).
+    /// Entries ever appended. Registered as `side_file_appends`.
     appends: obr_obs::Counter,
 }
 
@@ -95,7 +94,6 @@ impl SideFile {
             log,
             seq: AtomicU64::new(1),
             entries: Mutex::named(BTreeMap::new(), "side.entries"),
-            appended_total: AtomicU64::new(0),
             depth: obr_obs::Gauge::new(),
             appends: obr_obs::Counter::new(),
         }
@@ -123,7 +121,6 @@ impl SideFile {
             g.insert(seq, entry);
             g.len()
         };
-        self.appended_total.fetch_add(1, Ordering::Relaxed);
         self.appends.inc();
         self.depth.set(depth as u64);
         seq
@@ -159,7 +156,7 @@ impl SideFile {
 
     /// Total entries ever appended (E7 metric).
     pub fn appended_total(&self) -> u64 {
-        self.appended_total.load(Ordering::Relaxed)
+        self.appends.get()
     }
 
     /// Recovery: re-install an entry replayed from the log.

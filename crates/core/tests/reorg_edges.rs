@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use obr_btree::{LeafView, SidePointerMode};
-use obr_core::{Database, ReorgConfig, ReorgTrigger, Reorganizer};
+use obr_core::{Database, ReorgConfig, ReorgDecision, ReorgStats, ReorgTrigger, Reorganizer};
 use obr_storage::{DiskManager, InMemoryDisk, Lsn, PageId};
 use obr_wal::TxnId;
 
@@ -198,4 +198,56 @@ fn pass2_keeps_long_runs_and_places_the_leaves_between() {
         .run_if_needed(ReorgTrigger::default())
         .unwrap();
     assert!(!again.swapped, "{again:?}");
+}
+
+#[test]
+fn stats_count_only_what_happened_since_the_reorganizer_was_built() {
+    let disk = Arc::new(InMemoryDisk::new(8192));
+    let d = Database::create_with_regions(
+        disk as Arc<dyn DiskManager>,
+        8192,
+        SidePointerMode::TwoWay,
+        512,
+    )
+    .unwrap();
+    // Odd-key inserts split the loaded leaves onto scattered pages. Deletes
+    // then leave the keys below 2000 sparse (pass 1 compacts them) and the
+    // rest at about 0.6 fill (pass 2 only moves them).
+    let records: Vec<(u64, Vec<u8>)> = (0..3000u64).map(|k| (k * 2, vec![7; 64])).collect();
+    d.tree().bulk_load(&records, 0.85, 0.9).unwrap();
+    for k in 0..3000u64 {
+        d.tree()
+            .insert(TxnId(1), Lsn::ZERO, k * 2 + 1, &[8; 64])
+            .unwrap();
+    }
+    for k in (0..6000u64).filter(|&k| k % 4 == 1 || (k < 2000 && k % 8 != 0)) {
+        d.tree().delete(TxnId(1), Lsn::ZERO, k).unwrap();
+    }
+
+    let expected = d.tree().collect_all().unwrap();
+    let before = d.metrics().snapshot();
+    let first = Reorganizer::new(Arc::clone(&d), ReorgConfig::default());
+    first.run().unwrap();
+    let after = d.metrics().snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let s = first.stats();
+    assert!(
+        s.copy_switch_units + s.inplace_units > 0 && s.moves > 0,
+        "{s:?}"
+    );
+    assert_eq!(s.units, delta("reorg_units_completed"), "{s:?}");
+    assert_eq!(s.moves, delta("reorg_pass2_moves"), "{s:?}");
+    assert_eq!(s.records_moved, delta("reorg_records_moved"), "{s:?}");
+
+    // A second reorganizer over the now-compact, ordered tree moves nothing
+    // in pass 2, finds no pass called for, and counts none of what the
+    // first one did.
+    let second = Reorganizer::new(Arc::clone(&d), ReorgConfig::default());
+    second.pass2_swap_move().unwrap();
+    let decision = second.run_if_needed(ReorgTrigger::default()).unwrap();
+    assert_eq!(decision, ReorgDecision::default());
+    assert_eq!(second.stats(), ReorgStats::default());
+    assert_eq!(first.stats(), s);
+    d.tree().validate().unwrap();
+    assert_eq!(d.tree().collect_all().unwrap(), expected);
 }

@@ -24,9 +24,9 @@
 //! them into the database's registry under the canonical names listed in
 //! DESIGN.md's "Observability" chapter.
 //!
-//! The `noop` cargo feature compiles every record/emit call to a no-op so
-//! the cost of the default (instrumented) build can be measured; see
-//! EXPERIMENTS.md.
+//! The `noop` cargo feature compiles histogram records and trace emission
+//! to no-ops so the cost of the default (instrumented) build can be
+//! measured; see EXPERIMENTS.md. Counters and gauges count in every build.
 //!
 //! ```
 //! use obr_obs::Registry;
@@ -44,10 +44,26 @@ mod trace;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
 pub use trace::{TraceEvent, TraceKind, Tracer};
 
-/// True when this build was compiled with the `noop` feature, i.e. every
-/// counter/gauge/histogram/trace operation is a stub. Checkers that assert
-/// on *metric values* (rather than behaviour) should skip under no-op.
-#[must_use]
-pub const fn is_noop() -> bool {
-    cfg!(feature = "noop")
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counters and gauges count in every build; `noop` leaves histograms
+    /// and the tracer's ring empty.
+    #[test]
+    fn noop_gates_only_histograms_and_traces() {
+        let reg = Registry::new();
+        reg.counter("c").add(2);
+        reg.gauge("g").inc();
+        let h = reg.histogram("h");
+        h.record(5);
+        let t = Tracer::new();
+        t.emit(TraceKind::UnitBegin, 1, 1, 1, 0, 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("c"), 2);
+        assert_eq!((snap.gauge("g"), snap.gauge_peak("g")), (1, 1));
+        let recorded = usize::from(cfg!(not(feature = "noop")));
+        assert_eq!(h.count(), recorded as u64);
+        assert_eq!(t.events().len(), recorded);
+    }
 }

@@ -3,7 +3,6 @@
 
 use std::fmt;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use obr_btree::SidePointerMode;
 use obr_core::Replica;
@@ -122,15 +121,6 @@ impl Client {
             Response::HelloOk { .. } => Ok(c),
             _ => Err(ClientError::Unexpected("HELLO")),
         }
-    }
-
-    /// Bound every read with `timeout` so a hung server cannot hang the
-    /// client forever.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> ClientResult<()> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(ProtoError::Io)?;
-        Ok(())
     }
 
     fn call(&mut self, req: &Request, what: &'static str) -> ClientResult<Response> {

@@ -288,11 +288,6 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Total page flushes performed by this pool.
-    pub fn flush_count(&self) -> u64 {
-        self.metrics.flushes.get()
-    }
-
     fn touch(&self, frame: &Frame) {
         // relaxed: the clock is only a monotonic recency source and
         // last_used an eviction hint; a stale read picks a slightly

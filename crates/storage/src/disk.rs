@@ -33,11 +33,6 @@ pub struct DiskStats {
 }
 
 impl DiskStats {
-    /// Total page transfers.
-    pub fn total_io(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Difference against an earlier snapshot.
     pub fn since(&self, earlier: &DiskStats) -> DiskStats {
         DiskStats {
