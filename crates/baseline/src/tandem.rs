@@ -6,11 +6,10 @@ use std::sync::Arc;
 use obr_sync::Mutex;
 
 use obr_btree::leaf::LEAF_BODY;
-use obr_btree::{LeafView, NodeView};
+use obr_btree::{log_smo, LeafView, NodeView};
 use obr_core::{CoreError, CoreResult, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
 use obr_storage::{PageId, PageType};
-use obr_wal::LogRecord;
 
 /// Baseline configuration.
 #[derive(Clone, Debug)]
@@ -165,62 +164,44 @@ impl TandemReorganizer {
 
     fn do_merge(&self, base: PageId, _ka: u64, a: PageId, kb: u64, b: PageId) -> CoreResult<u64> {
         let pool = self.db.pool();
-        let moved;
-        let b_right;
-        {
+        let moved = {
+            // Every page the transaction touches stays latched until the record
+            // stamps it; the file X lock and the SMO guard keep other
+            // multi-page latchers out.
             let ga = pool.fetch(a)?;
             let gb = pool.fetch(b)?;
+            let gbase = pool.fetch(base)?;
             let mut pa = ga.write();
             let mut pb = gb.write();
+            let mut pbase = gbase.write();
             let records = {
                 let mut lb = LeafView::new(&mut pb);
                 lb.take_all()
             };
-            moved = records.len() as u64;
+            let moved = records.len() as u64;
             {
                 let mut la = LeafView::new(&mut pa);
                 la.extend(&records).map_err(CoreError::Storage)?;
             }
-            b_right = pb.right_sibling();
+            let b_right = pb.right_sibling();
             pa.set_right_sibling(b_right);
             pb.format(PageType::Free, 0);
-        }
-        {
-            let gbase = pool.fetch(base)?;
-            let mut pbase = gbase.write();
-            let mut node = NodeView::new(&mut pbase);
-            node.remove_entry(kb);
-        }
-        if b_right.is_valid() {
-            let g = pool.fetch(b_right)?;
-            let mut p = g.write();
-            p.set_left_sibling(a);
-        }
-        // [Smi90]-style logging: full images of every page the transaction
-        // touched.
-        let mut images = Vec::new();
-        for p in [a, b, base] {
-            let g = pool.fetch(p)?;
-            let page = g.read();
-            images.push((p, page.image()));
-        }
-        if b_right.is_valid() {
-            let g = pool.fetch(b_right)?;
-            let page = g.read();
-            images.push((b_right, page.image()));
-        }
-        let lsn = self.db.log().append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        for p in [a, b, base] {
-            let g = pool.fetch(p)?;
-            g.write().set_lsn(lsn);
-        }
-        if b_right.is_valid() {
-            let g = pool.fetch(b_right)?;
-            g.write().set_lsn(lsn);
-        }
+            NodeView::new(&mut pbase).remove_entry(kb);
+            let gr = b_right
+                .is_valid()
+                .then(|| pool.fetch(b_right))
+                .transpose()?;
+            let mut pr = gr.as_ref().map(|g| g.write());
+            if let Some(p) = &mut pr {
+                p.set_left_sibling(a);
+            }
+            // [Smi90]-style logging: full images of every page the transaction
+            // touched.
+            let mut pages = vec![(a, &mut *pa), (b, &mut *pb), (base, &mut *pbase)];
+            pages.extend(pr.as_mut().map(|p| (b_right, &mut **p)));
+            log_smo(self.db.log(), &mut pages, None);
+            moved
+        };
         self.db.pool().flush_page(b)?; // the freed image must reach disk
         self.db.pool().discard(b);
         self.db.fsm().free(b);
@@ -275,24 +256,28 @@ impl TandemReorganizer {
         let tree = self.db.tree();
         let pool = self.db.pool();
         let _g = tree.smo_guard();
+        // The target will hold src's bytes, so both route through one base.
+        let base = self.base_of(src)?;
         let (left, right, moved) = {
             let gs = pool.fetch(src)?;
             let gt = pool.fetch_new(target)?;
+            let gb = pool.fetch(base)?;
             let mut ps = gs.write();
             let mut pt = gt.write();
+            let mut pb = gb.write();
             pt.bytes_mut().copy_from_slice(&ps.bytes()[..]);
             let (l, r) = (ps.left_sibling(), ps.right_sibling());
             let n = ps.slot_count() as u64;
             ps.format(PageType::Free, 0);
+            NodeView::new(&mut pb).repoint_child(src, target);
+            log_smo(
+                self.db.log(),
+                &mut [(src, &mut *ps), (target, &mut *pt), (base, &mut *pb)],
+                None,
+            );
             (l, r, n)
         };
-        // Repoint the parent and the chain.
-        let base = self.base_of(target)?;
-        {
-            let g = pool.fetch(base)?;
-            let mut p = g.write();
-            NodeView::new(&mut p).repoint_child(src, target);
-        }
+        // Repoint the chain. The neighbours are not in the record above.
         for (n, setter_right) in [(left, true), (right, false)] {
             if n.is_valid() {
                 let g = pool.fetch(n)?;
@@ -303,20 +288,6 @@ impl TandemReorganizer {
                     p.set_left_sibling(target);
                 }
             }
-        }
-        let mut images = Vec::new();
-        for p in [src, target, base] {
-            let g = pool.fetch(p)?;
-            let page = g.read();
-            images.push((p, page.image()));
-        }
-        let lsn = self.db.log().append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        for p in [src, target, base] {
-            let g = pool.fetch(p)?;
-            g.write().set_lsn(lsn);
         }
         self.pool_flush_free(src, target)?;
         self.stats.lock().records_moved += moved;
@@ -341,34 +312,6 @@ impl TandemReorganizer {
         let _g = tree.smo_guard();
         let base_a = self.base_of(a)?;
         let base_b = self.base_of(b)?;
-        let (al, ar, bl, br) = {
-            let ga = pool.fetch(a)?;
-            let gb = pool.fetch(b)?;
-            let mut pa = ga.write();
-            let mut pb = gb.write();
-            let pre = (
-                pa.left_sibling(),
-                pa.right_sibling(),
-                pb.left_sibling(),
-                pb.right_sibling(),
-            );
-            std::mem::swap(pa.bytes_mut(), pb.bytes_mut());
-            let remap = |p: PageId| {
-                if p == a {
-                    b
-                } else if p == b {
-                    a
-                } else {
-                    p
-                }
-            };
-            for page in [&mut pa, &mut pb] {
-                let (l, r) = (page.left_sibling(), page.right_sibling());
-                page.set_left_sibling(remap(l));
-                page.set_right_sibling(remap(r));
-            }
-            pre
-        };
         let remap = |p: PageId| {
             if p == a {
                 b
@@ -378,26 +321,43 @@ impl TandemReorganizer {
                 p
             }
         };
-        let mut seen: Vec<PageId> = Vec::with_capacity(4);
-        for n in [al, ar, bl, br] {
-            if n.is_valid() && n != a && n != b && !seen.contains(&n) {
-                seen.push(n);
-                let g = pool.fetch(n)?;
-                let mut p = g.write();
-                let (l, r) = (p.left_sibling(), p.right_sibling());
-                p.set_left_sibling(remap(l));
-                p.set_right_sibling(remap(r));
+        let ga = pool.fetch(a)?;
+        let gb = pool.fetch(b)?;
+        let mut pa = ga.write();
+        let mut pb = gb.write();
+        // The other pages the swap changes: both parents, then the
+        // neighbours. All stay latched until the record stamps them; the
+        // file X lock and the SMO guard keep other multi-page latchers out.
+        let mut others = vec![base_a];
+        if base_b != base_a {
+            others.push(base_b);
+        }
+        let n_bases = others.len();
+        for n in [
+            pa.left_sibling(),
+            pa.right_sibling(),
+            pb.left_sibling(),
+            pb.right_sibling(),
+        ] {
+            if n.is_valid() && n != a && n != b && !others.contains(&n) {
+                others.push(n);
             }
         }
-        let bases = if base_a == base_b {
-            vec![base_a]
-        } else {
-            vec![base_a, base_b]
-        };
-        for &base in &bases {
-            let g = pool.fetch(base)?;
-            let mut p = g.write();
-            let mut node = NodeView::new(&mut p);
+        let guards = others
+            .iter()
+            .map(|&p| pool.fetch(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut latches: Vec<_> = guards.iter().map(|g| g.write()).collect();
+        std::mem::swap(pa.bytes_mut(), pb.bytes_mut());
+        let (bases, neighbours) = latches.split_at_mut(n_bases);
+        let neighbours = neighbours.iter_mut().map(|l| &mut **l);
+        for page in [&mut *pa, &mut *pb].into_iter().chain(neighbours) {
+            let (l, r) = (page.left_sibling(), page.right_sibling());
+            page.set_left_sibling(remap(l));
+            page.set_right_sibling(remap(r));
+        }
+        for page in bases {
+            let mut node = NodeView::new(page);
             for (k, c) in node.entries() {
                 if c == a {
                     node.set_child(k, b).map_err(CoreError::Storage)?;
@@ -408,27 +368,14 @@ impl TandemReorganizer {
         }
         // Log full images of both pages, both parents, and the neighbours —
         // the [Smi90] way.
-        let mut pages = vec![a, b];
-        pages.extend(bases.iter().copied());
-        for n in [al, ar, bl, br] {
-            if n.is_valid() && n != a && n != b && !pages.contains(&n) {
-                pages.push(n);
-            }
-        }
-        let mut images = Vec::new();
-        for &p in &pages {
-            let g = pool.fetch(p)?;
-            let page = g.read();
-            images.push((p, page.image()));
-        }
-        let lsn = self.db.log().append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        for &p in &pages {
-            let g = pool.fetch(p)?;
-            g.write().set_lsn(lsn);
-        }
+        let mut pages = vec![(a, &mut *pa), (b, &mut *pb)];
+        pages.extend(
+            others
+                .iter()
+                .copied()
+                .zip(latches.iter_mut().map(|l| &mut **l)),
+        );
+        log_smo(self.db.log(), &mut pages, None);
         Ok(())
     }
 

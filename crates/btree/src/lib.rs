@@ -12,7 +12,7 @@
 //! protocols of §4.1 (lock-coupling, RX fallback, safe-node restarts) are
 //! implemented by `obr-txn` on top. Structure modifications (splits,
 //! free-at-empty deallocations, root growth) are logged as atomic [`Smo`]
-//! records carrying full page images; record inserts, deletes and in-place
+//! records carrying full page images, all built by [`log_smo`]; record inserts, deletes and in-place
 //! updates are logged logically with per-transaction prev-LSN chains.
 //! Every record changes its pages through the one [`apply`] of its kind,
 //! whether the writer runs live, compensates, finishes a unit after a
@@ -35,4 +35,4 @@ pub use leaf::LeafView;
 pub use meta::MetaView;
 pub use node::NodeView;
 pub use stats::TreeStats;
-pub use tree::{BTree, SidePointerMode, SmoGuard, SmoObserver};
+pub use tree::{log_smo, BTree, SidePointerMode, SmoGuard, SmoObserver};

@@ -24,7 +24,9 @@ use std::sync::Arc;
 
 use obr_sync::{RwLock, RwLockWriteGuard};
 
-use obr_storage::{BufferPool, FreeSpaceMap, Lsn, Page, PageId, PageType, StorageError, PAGE_SIZE};
+use obr_storage::{
+    BufferPool, FrameGuard, FreeSpaceMap, Lsn, Page, PageId, PageType, StorageError,
+};
 use obr_wal::{LogManager, LogRecord, TxnId};
 
 use crate::apply::{shadow_before, shadow_check};
@@ -451,7 +453,7 @@ impl BTree {
             })?;
             match written {
                 Some(done) => return Ok(done),
-                None => self.split_one(key, value.len())?,
+                None => self.gated(|| self.split_one(key, value.len()))?,
             }
         }
         Err(BTreeError::Inconsistent(format!(
@@ -528,7 +530,7 @@ impl BTree {
             return Err(BTreeError::KeyNotFound(key));
         };
         if emptied {
-            self.free_at_empty(key)?;
+            self.gated(|| self.free_at_empty(key))?;
         }
         Ok((lsn, old))
     }
@@ -587,21 +589,23 @@ impl BTree {
         self.undo_delete(txn, key, old_value, undo_next)
     }
 
-    /// One structure modification round for `key`: grows the root, splits
-    /// the shallowest full node on the path, or splits the leaf.
-    fn split_one(&self, key: u64, value_len: usize) -> BTreeResult<()> {
+    /// Run the structure modification `smo` between the pass-3 observer's
+    /// gate and ungate (§7.2), both outside the SMO latch.
+    fn gated(&self, smo: impl FnOnce() -> BTreeResult<()>) -> BTreeResult<()> {
         let gate = self.observer().map(|o| {
             let t = o.gate();
             (o, t)
         });
-        let result = self.split_one_gated(key, value_len);
+        let result = smo();
         if let Some((o, t)) = gate {
             o.ungate(t);
         }
         result
     }
 
-    fn split_one_gated(&self, key: u64, value_len: usize) -> BTreeResult<()> {
+    /// One structure modification round for `key`: grows the root, splits
+    /// the shallowest full node on the path, or splits the leaf.
+    fn split_one(&self, key: u64, value_len: usize) -> BTreeResult<()> {
         let _g = self.smo_guard();
         let (root, height) = self.anchor()?;
         // Root is a leaf that is full: grow the tree first.
@@ -700,11 +704,11 @@ impl BTree {
             let mut node = NodeView::init(&mut npage, height + 1);
             node.insert_entry(low, old_root)?;
         }
-        let lsn = self.log.append(&LogRecord::Smo {
-            images: vec![(new_root, npage.image())],
-            new_anchor: Some((new_root, height + 1)),
-        });
-        npage.set_lsn(lsn);
+        let lsn = log_smo(
+            &self.log,
+            &mut [(new_root, &mut *npage)],
+            Some((new_root, height + 1)),
+        );
         #[cfg(debug_assertions)]
         Self::debug_assert_smo_pages(Some((&npage, &[old_root])), &[]);
         drop(npage);
@@ -750,17 +754,15 @@ impl BTree {
             let mut parent = NodeView::new(&mut ppage);
             parent.insert_entry(sib_low, new_id)?;
         }
-        let lsn = self.log.append(&LogRecord::Smo {
-            images: vec![
-                (node_id, npage.image()),
-                (new_id, spage.image()),
-                (parent_id, ppage.image()),
+        log_smo(
+            &self.log,
+            &mut [
+                (node_id, &mut *npage),
+                (new_id, &mut *spage),
+                (parent_id, &mut *ppage),
             ],
-            new_anchor: None,
-        });
-        npage.set_lsn(lsn);
-        spage.set_lsn(lsn);
-        ppage.set_lsn(lsn);
+            None,
+        );
         #[cfg(debug_assertions)]
         Self::debug_assert_smo_pages(Some((&ppage, &[node_id, new_id])), &[&npage, &spage]);
         Ok(())
@@ -814,8 +816,18 @@ impl BTree {
         } else {
             return Ok(()); // empty leaf always fits; nothing to do
         };
-        let mut images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = Vec::with_capacity(4);
-        let mut extra_lsn_pages: Vec<PageId> = Vec::new();
+        // The side-pointer neighbour the split re-links: the right one when
+        // the new sibling goes right, the left one (or the one-way
+        // predecessor) when it goes left. It stays latched until the record
+        // stamps it.
+        let neighbour = match (&plan, self.side) {
+            (_, SidePointerMode::None) | (Plan::Right(..), SidePointerMode::OneWay) => None,
+            (Plan::Right(..), SidePointerMode::TwoWay) => Some(old_right),
+            (Plan::Left, SidePointerMode::OneWay) => one_way_prev,
+            (Plan::Left, SidePointerMode::TwoWay) => Some(old_left),
+        };
+        let ng = self.fetch_side(neighbour)?;
+        let mut neighbour = ng.as_ref().map(|g| (g.id(), g.write()));
         let mut base_upserts: Vec<(u64, PageId)> = Vec::new();
         match plan {
             Plan::Right(moved, sib_low) => {
@@ -842,12 +854,8 @@ impl BTree {
                         lpage.set_right_sibling(new_id);
                         spage.set_left_sibling(leaf_id);
                         spage.set_right_sibling(old_right);
-                        if old_right.is_valid() {
-                            let rg = self.pool.fetch(old_right)?;
-                            let mut rpage = rg.write();
+                        if let Some((_, rpage)) = &mut neighbour {
                             rpage.set_left_sibling(new_id);
-                            images.push((old_right, rpage.image()));
-                            extra_lsn_pages.push(old_right);
                         }
                     }
                 }
@@ -877,28 +885,15 @@ impl BTree {
                 }
                 match self.side {
                     SidePointerMode::None => {}
-                    SidePointerMode::OneWay => {
-                        spage.set_right_sibling(leaf_id);
-                        if let Some(prev) = one_way_prev {
-                            let ng = self.pool.fetch(prev)?;
-                            let mut npage = ng.write();
-                            npage.set_right_sibling(new_id);
-                            images.push((prev, npage.image()));
-                            extra_lsn_pages.push(prev);
-                        }
-                    }
+                    SidePointerMode::OneWay => spage.set_right_sibling(leaf_id),
                     SidePointerMode::TwoWay => {
                         spage.set_left_sibling(old_left);
                         spage.set_right_sibling(leaf_id);
                         lpage.set_left_sibling(new_id);
-                        if old_left.is_valid() {
-                            let lg2 = self.pool.fetch(old_left)?;
-                            let mut l2 = lg2.write();
-                            l2.set_right_sibling(new_id);
-                            images.push((old_left, l2.image()));
-                            extra_lsn_pages.push(old_left);
-                        }
                     }
+                }
+                if let Some((_, lnpage)) = &mut neighbour {
+                    lnpage.set_right_sibling(new_id);
                 }
                 let mut parent = NodeView::new(&mut ppage);
                 if l_entry_key <= key {
@@ -917,23 +912,19 @@ impl BTree {
                 }
             }
         }
-        images.push((leaf_id, lpage.image()));
-        images.push((new_id, spage.image()));
-        images.push((parent_id, ppage.image()));
-        let lsn = self.log.append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        lpage.set_lsn(lsn);
-        spage.set_lsn(lsn);
-        ppage.set_lsn(lsn);
+        let mut pages: Vec<(PageId, &mut Page)> = neighbour
+            .iter_mut()
+            .map(|(id, page)| (*id, &mut **page))
+            .collect();
+        pages.extend([
+            (leaf_id, &mut *lpage),
+            (new_id, &mut *spage),
+            (parent_id, &mut *ppage),
+        ]);
+        log_smo(&self.log, &mut pages, None);
         #[cfg(debug_assertions)]
         Self::debug_assert_smo_pages(Some((&ppage, &[leaf_id, new_id])), &[&lpage, &spage]);
         let parent_level = ppage.level();
-        for p in extra_lsn_pages {
-            let g = self.pool.fetch(p)?;
-            g.write().set_lsn(lsn);
-        }
         for (k, c) in base_upserts {
             self.notify_upsert(parent_level, k, c);
         }
@@ -944,18 +935,6 @@ impl BTree {
     /// `key`, removing its parent entry and patching side pointers; cascade
     /// upward through emptied internal nodes.
     fn free_at_empty(&self, key: u64) -> BTreeResult<()> {
-        let gate = self.observer().map(|o| {
-            let t = o.gate();
-            (o, t)
-        });
-        let result = self.free_at_empty_gated(key);
-        if let Some((o, t)) = gate {
-            o.ungate(t);
-        }
-        result
-    }
-
-    fn free_at_empty_gated(&self, key: u64) -> BTreeResult<()> {
         let _g = self.smo_guard();
         let path = self.path_for_locked(key)?;
         if path.len() < 2 {
@@ -984,36 +963,22 @@ impl BTree {
             return Ok(()); // raced: someone inserted meanwhile
         }
         let (left, right) = (lpage.left_sibling(), lpage.right_sibling());
-        let mut images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = Vec::new();
-        // Unlink from the side-pointer chain.
-        let mut neighbour_lsns: Vec<PageId> = Vec::new();
-        match self.side {
-            SidePointerMode::None => {}
-            SidePointerMode::OneWay => {
-                if let Some(prev) = one_way_prev {
-                    let ng = self.pool.fetch(prev)?;
-                    let mut npage = ng.write();
-                    npage.set_right_sibling(right);
-                    images.push((prev, npage.image()));
-                    neighbour_lsns.push(prev);
-                }
-            }
-            SidePointerMode::TwoWay => {
-                if left.is_valid() {
-                    let ng = self.pool.fetch(left)?;
-                    let mut npage = ng.write();
-                    npage.set_right_sibling(right);
-                    images.push((left, npage.image()));
-                    neighbour_lsns.push(left);
-                }
-                if right.is_valid() {
-                    let ng = self.pool.fetch(right)?;
-                    let mut npage = ng.write();
-                    npage.set_left_sibling(left);
-                    images.push((right, npage.image()));
-                    neighbour_lsns.push(right);
-                }
-            }
+        // Unlink from the side-pointer chain. Both neighbours stay latched
+        // until the record stamps them.
+        let left_n = match self.side {
+            SidePointerMode::None => None,
+            SidePointerMode::OneWay => one_way_prev,
+            SidePointerMode::TwoWay => Some(left),
+        };
+        let right_n = (self.side == SidePointerMode::TwoWay).then_some(right);
+        let (lng, rng) = (self.fetch_side(left_n)?, self.fetch_side(right_n)?);
+        let mut left_page = lng.as_ref().map(|g| (g.id(), g.write()));
+        let mut right_page = rng.as_ref().map(|g| (g.id(), g.write()));
+        if let Some((_, page)) = &mut left_page {
+            page.set_right_sibling(right);
+        }
+        if let Some((_, page)) = &mut right_page {
+            page.set_left_sibling(left);
         }
         // Remove the parent entry pointing at this leaf.
         let removed_low = {
@@ -1025,19 +990,16 @@ impl BTree {
             low
         };
         lpage.format(PageType::Free, 0);
-        images.push((leaf_id, lpage.image()));
-        images.push((parent_id, ppage.image()));
-        let lsn = self.log.append(&LogRecord::Smo {
-            images,
-            new_anchor: None,
-        });
-        lpage.set_lsn(lsn);
-        ppage.set_lsn(lsn);
-        for n in neighbour_lsns {
-            let g = self.pool.fetch(n)?;
-            g.write().set_lsn(lsn);
-        }
+        let mut pages: Vec<(PageId, &mut Page)> = left_page
+            .iter_mut()
+            .chain(&mut right_page)
+            .map(|(id, page)| (*id, &mut **page))
+            .collect();
+        pages.extend([(leaf_id, &mut *lpage), (parent_id, &mut *ppage)]);
+        log_smo(&self.log, &mut pages, None);
         let parent_level = ppage.level();
+        drop(left_page);
+        drop(right_page);
         drop(lpage);
         drop(ppage);
         self.notify_remove(parent_level, removed_low);
@@ -1073,18 +1035,23 @@ impl BTree {
             parent.remove_entry(low);
         }
         npage.format(PageType::Free, 0);
-        let lsn = self.log.append(&LogRecord::Smo {
-            images: vec![(node_id, npage.image()), (parent_id, ppage.image())],
-            new_anchor: None,
-        });
-        npage.set_lsn(lsn);
-        ppage.set_lsn(lsn);
+        log_smo(
+            &self.log,
+            &mut [(node_id, &mut *npage), (parent_id, &mut *ppage)],
+            None,
+        );
         drop(npage);
         drop(ppage);
         self.pool.flush_page(node_id)?;
         self.pool.discard(node_id);
         self.fsm.free(node_id);
         self.cascade_free_internal(path, idx - 1)
+    }
+
+    /// Pin a side-pointer neighbour, if there is one.
+    fn fetch_side(&self, neighbour: Option<PageId>) -> BTreeResult<Option<FrameGuard>> {
+        let neighbour = neighbour.filter(|n| n.is_valid());
+        Ok(neighbour.map(|n| self.pool.fetch(n)).transpose()?)
     }
 
     /// The leaf immediately left (in key order) of `leaf_id`, found via a
@@ -1386,6 +1353,36 @@ impl BTree {
     }
 }
 
+/// Log one structure modification: append one [`LogRecord::Smo`] holding
+/// the after-image of each of `pages`, in order, plus `new_anchor` when the
+/// root moved, and stamp every page with the record's LSN. This is the
+/// only place an `Smo` record is built.
+///
+/// The caller write-latches each page, names it once, and keeps it latched
+/// until this returns. A page then carries the record's LSN from the moment
+/// anyone else can see it, so `BufferPool::write_frame`, which forces the
+/// log to a page's LSN before writing it, never puts the change on disk
+/// ahead of the record that explains it (WAL-before-data, §5.1).
+pub fn log_smo(
+    log: &LogManager,
+    pages: &mut [(PageId, &mut Page)],
+    new_anchor: Option<(PageId, u8)>,
+) -> Lsn {
+    debug_assert!(
+        pages
+            .iter()
+            .enumerate()
+            .all(|(i, (id, _))| pages[..i].iter().all(|(seen, _)| seen != id)),
+        "an Smo record names each page once"
+    );
+    let images = pages.iter().map(|(id, page)| (*id, page.image())).collect();
+    let lsn = log.append(&LogRecord::Smo { images, new_anchor });
+    for (_, page) in pages.iter_mut() {
+        page.set_lsn(lsn);
+    }
+    lsn
+}
+
 /// What a transaction's write of `value` over `old` logs: an insert when
 /// the key was absent, an in-place update when it was present.
 fn txn_record(
@@ -1418,9 +1415,13 @@ fn txn_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obr_storage::{DiskManager, InMemoryDisk};
+    use obr_storage::{DiskManager, InMemoryDisk, PAGE_SIZE};
 
     fn setup(pages: u32) -> BTree {
+        setup_with(pages, SidePointerMode::TwoWay)
+    }
+
+    fn setup_with(pages: u32, side: SidePointerMode) -> BTree {
         let disk = Arc::new(InMemoryDisk::new(pages));
         let pool = Arc::new(BufferPool::new(
             disk as Arc<dyn DiskManager>,
@@ -1428,7 +1429,7 @@ mod tests {
         ));
         let fsm = Arc::new(FreeSpaceMap::new_all_free(pages));
         let log = Arc::new(LogManager::new());
-        BTree::create(pool, fsm, log, SidePointerMode::TwoWay).unwrap()
+        BTree::create(pool, fsm, log, side).unwrap()
     }
 
     fn val(k: u64, len: usize) -> Vec<u8> {
@@ -1673,5 +1674,119 @@ mod tests {
         assert!(!t.reorg_bit().unwrap());
         t.set_reorg_bit(true).unwrap();
         assert!(t.reorg_bit().unwrap());
+    }
+
+    /// Every page's bytes, as the pool (or, for a discarded page, the
+    /// disk) holds them.
+    fn snapshot(t: &BTree) -> Vec<Box<[u8; PAGE_SIZE]>> {
+        (0..t.fsm().num_pages())
+            .map(|p| t.pool().fetch(PageId(p)).unwrap().read().image())
+            .collect()
+    }
+
+    /// Run one structure modification and check that its single `Smo`
+    /// record covers exactly the pages it changed (plus the meta page for a
+    /// new anchor), and that every changed page carries the record's LSN.
+    fn assert_record_covers_changes(t: &BTree, smo: impl FnOnce()) {
+        let before = snapshot(t);
+        let from = t.log().next_lsn();
+        smo();
+        let after = snapshot(t);
+        let records = t.log().records_from(from).unwrap();
+        let [(lsn, LogRecord::Smo { images, new_anchor })] = &records[..] else {
+            panic!("expected one Smo record, got {records:?}");
+        };
+        let mut logged: Vec<PageId> = images.iter().map(|(id, _)| *id).collect();
+        if new_anchor.is_some() {
+            logged.push(t.meta_id());
+        }
+        logged.sort();
+        let changed: Vec<PageId> = (0..before.len())
+            .filter(|&p| before[p] != after[p])
+            .map(|p| PageId(p as u32))
+            .collect();
+        assert_eq!(changed, logged, "changed pages vs the record's pages");
+        for p in changed {
+            let page = t.pool().fetch(p).unwrap();
+            assert_eq!(page.read().lsn(), *lsn, "page {p} not stamped");
+        }
+    }
+
+    /// A tree of several leaves at about four 900-byte records each.
+    fn big_record_tree(side: SidePointerMode) -> BTree {
+        let t = setup_with(64, side);
+        for k in 0..24u64 {
+            t.insert(TxnId(1), Lsn::ZERO, k * 10, &val(k, 900)).unwrap();
+        }
+        assert_eq!(t.anchor().unwrap().1, 1, "one level above the leaves");
+        t
+    }
+
+    fn leaf_keys(t: &BTree, leaf: PageId) -> Vec<u64> {
+        LeafView::of(&t.pool().fetch(leaf).unwrap().read()).keys()
+    }
+
+    #[test]
+    fn each_smo_record_covers_exactly_the_pages_it_changed() {
+        // Root growth: the new root plus the meta page.
+        let t = setup(64);
+        t.insert(TxnId(1), Lsn::ZERO, 1, &val(1, 900)).unwrap();
+        let (root, _) = t.anchor().unwrap();
+        assert_record_covers_changes(&t, || {
+            let _g = t.smo_guard();
+            t.grow_root(root).unwrap();
+        });
+
+        // A right split with a right neighbour.
+        let t = big_record_tree(SidePointerMode::TwoWay);
+        let (parent, _) = t.anchor().unwrap();
+        let leaf = t.leaves_in_key_order().unwrap()[0];
+        assert!(leaf_keys(&t, leaf).len() >= 2);
+        assert!(t
+            .pool()
+            .fetch(leaf)
+            .unwrap()
+            .read()
+            .right_sibling()
+            .is_valid());
+        assert_record_covers_changes(&t, || {
+            let _g = t.smo_guard();
+            t.split_leaf(parent, leaf, 5).unwrap();
+        });
+        t.validate().unwrap();
+
+        // A left split of a one-record leaf with a left neighbour.
+        for side in [SidePointerMode::TwoWay, SidePointerMode::OneWay] {
+            let t = big_record_tree(side);
+            let (parent, _) = t.anchor().unwrap();
+            let leaf = t.leaves_in_key_order().unwrap()[1];
+            let keys = leaf_keys(&t, leaf);
+            let (&last, rest) = keys.split_last().unwrap();
+            for &k in rest {
+                t.delete(TxnId(1), Lsn::ZERO, k).unwrap();
+            }
+            assert_record_covers_changes(&t, || {
+                let _g = t.smo_guard();
+                t.split_leaf(parent, leaf, last - 1).unwrap();
+            });
+            assert_eq!(t.leaves_in_key_order().unwrap()[2], leaf, "split left");
+            t.validate().unwrap();
+        }
+
+        // Free-at-empty of a leaf with both neighbours.
+        let t = big_record_tree(SidePointerMode::TwoWay);
+        let leaf = t.leaves_in_key_order().unwrap()[1];
+        let keys = leaf_keys(&t, leaf);
+        {
+            let g = t.pool().fetch(leaf).unwrap();
+            let mut page = g.write();
+            assert!(page.left_sibling().is_valid() && page.right_sibling().is_valid());
+            let mut view = LeafView::new(&mut page);
+            for &k in &keys {
+                view.remove(k);
+            }
+        }
+        assert_record_covers_changes(&t, || t.free_at_empty(keys[0]).unwrap());
+        assert!(!t.leaves_in_key_order().unwrap().contains(&leaf));
     }
 }

@@ -20,10 +20,10 @@ use std::sync::Arc;
 use obr_btree::apply::{apply, shadow_before, shadow_check};
 use obr_btree::builder::UpperBuilder;
 use obr_btree::node::NODE_CAPACITY;
-use obr_btree::{NodeView, SmoObserver};
+use obr_btree::{log_smo, NodeView, SmoObserver};
 use obr_lock::{LockMode, OwnerId, ResourceId};
 use obr_obs::TraceKind;
-use obr_storage::{PageId, PageType, StorageError};
+use obr_storage::{Page, PageId, PageType, StorageError};
 use obr_wal::{LogRecord, Pass3State, TxnId};
 
 use crate::db::{Database, CK_IDLE};
@@ -204,8 +204,7 @@ impl<'a> NewTreeEditor<'a> {
             } else {
                 node.insert_entry(key, child).map_err(CoreError::Storage)?;
             }
-            drop(page);
-            log_images(self.db, &[page_id])?;
+            log_smo(self.db.log(), &mut [(page_id, &mut *page)], None);
             return Ok(());
         }
         // Full: split this node, then retry the insert from the (possibly
@@ -220,61 +219,63 @@ impl<'a> NewTreeEditor<'a> {
         let fsm = self.db.fsm();
         let node_id = path[idx];
         let new_id = fsm.allocate_internal().ok_or(StorageError::NoFreePage)?;
-        let (sib_low, level) = {
-            let ng = pool.fetch(node_id)?;
-            let sg = pool.fetch_new(new_id)?;
-            let mut npage = ng.write();
-            let mut spage = sg.write();
-            let level = npage.level();
-            let entries = NodeView::of(&npage).entries();
-            // Split at the configured fill so post-split pages stay near f2.
-            let at = (entries.len() / 2).min(self.node_fill_entries).max(1);
-            let (keep, moved) = entries.split_at(at);
-            let low_mark = npage.low_mark();
-            {
-                let mut node = NodeView::init(&mut npage, level);
-                for (k, c) in keep {
-                    node.insert_entry(*k, *c).map_err(CoreError::Storage)?;
-                }
-                node.page_mut().set_low_mark(low_mark);
+        let ng = pool.fetch(node_id)?;
+        let sg = pool.fetch_new(new_id)?;
+        let mut npage = ng.write();
+        let mut spage = sg.write();
+        let level = npage.level();
+        let entries = NodeView::of(&npage).entries();
+        // Split at the configured fill so post-split pages stay near f2.
+        let at = (entries.len() / 2).min(self.node_fill_entries).max(1);
+        let (keep, moved) = entries.split_at(at);
+        let low_mark = npage.low_mark();
+        {
+            let mut node = NodeView::init(&mut npage, level);
+            for (k, c) in keep {
+                node.insert_entry(*k, *c).map_err(CoreError::Storage)?;
             }
-            {
-                let mut sib = NodeView::init(&mut spage, level);
-                for (k, c) in moved {
-                    sib.insert_entry(*k, *c).map_err(CoreError::Storage)?;
-                }
-            }
-            (moved[0].0, level)
-        };
-        if idx == 0 {
-            // Root split: the new tree grows.
-            let root_id = fsm.allocate_internal().ok_or(StorageError::NoFreePage)?;
-            {
-                let rg = pool.fetch_new(root_id)?;
-                let mut rpage = rg.write();
-                let old_low = {
-                    let g = pool.fetch(node_id)?;
-                    let p = g.read();
-                    let lm = p.low_mark();
-                    if lm == u64::MAX {
-                        0
-                    } else {
-                        lm
-                    }
-                };
-                let mut root = NodeView::init(&mut rpage, level + 1);
-                root.insert_entry(old_low, node_id)
-                    .map_err(CoreError::Storage)?;
-                root.insert_entry(sib_low, new_id)
-                    .map_err(CoreError::Storage)?;
-            }
-            self.root = root_id;
-            self.height = level + 1;
-            log_images(self.db, &[node_id, new_id, root_id])?;
-        } else {
-            log_images(self.db, &[node_id, new_id])?;
-            self.upsert_at(path, idx - 1, sib_low, new_id)?;
+            node.page_mut().set_low_mark(low_mark);
         }
+        {
+            let mut sib = NodeView::init(&mut spage, level);
+            for (k, c) in moved {
+                sib.insert_entry(*k, *c).map_err(CoreError::Storage)?;
+            }
+        }
+        let sib_low = moved[0].0;
+        if idx > 0 {
+            log_smo(
+                self.db.log(),
+                &mut [(node_id, &mut *npage), (new_id, &mut *spage)],
+                None,
+            );
+            drop(npage);
+            drop(spage);
+            return self.upsert_at(path, idx - 1, sib_low, new_id);
+        }
+        // Root split: the new tree grows.
+        let root_id = fsm.allocate_internal().ok_or(StorageError::NoFreePage)?;
+        let rg = pool.fetch_new(root_id)?;
+        let mut rpage = rg.write();
+        let old_low = if low_mark == u64::MAX { 0 } else { low_mark };
+        {
+            let mut root = NodeView::init(&mut rpage, level + 1);
+            root.insert_entry(old_low, node_id)
+                .map_err(CoreError::Storage)?;
+            root.insert_entry(sib_low, new_id)
+                .map_err(CoreError::Storage)?;
+        }
+        self.root = root_id;
+        self.height = level + 1;
+        log_smo(
+            self.db.log(),
+            &mut [
+                (node_id, &mut *npage),
+                (new_id, &mut *spage),
+                (root_id, &mut *rpage),
+            ],
+            None,
+        );
         Ok(())
     }
 
@@ -292,9 +293,10 @@ impl<'a> NewTreeEditor<'a> {
                     node.remove_entry(k);
                 }
             }
-            node.is_empty()
+            let now_empty = node.is_empty();
+            log_smo(self.db.log(), &mut [(page_id, &mut *page)], None);
+            now_empty
         };
-        log_images(self.db, &[page_id])?;
         if now_empty && idx > 0 {
             // Free-at-empty cascade on the new tree.
             return self.remove_cascade(path, idx);
@@ -310,12 +312,15 @@ impl<'a> NewTreeEditor<'a> {
             let g = pool.fetch(parent_id)?;
             let mut page = g.write();
             let mut node = NodeView::new(&mut page);
-            node.low_key_of(page_id).inspect(|&low| {
+            let removed = node.low_key_of(page_id).inspect(|&low| {
                 node.remove_entry(low);
-            })
+            });
+            if removed.is_some() {
+                log_smo(self.db.log(), &mut [(parent_id, &mut *page)], None);
+            }
+            removed
         };
         if removed.is_some() {
-            log_images(self.db, &[parent_id])?;
             self.db.pool().discard(page_id);
             self.db.fsm().free(page_id);
             let parent_empty = {
@@ -477,7 +482,7 @@ impl Reorganizer {
 
     fn pass3_stable_point(&self, db: &Arc<Database>, builder: &mut UpperBuilder) -> CoreResult<()> {
         let touched = builder.take_touched();
-        log_images(db, &touched)?;
+        log_built_pages(db, &touched)?;
         // Pages the pool already evicted were written (and will be synced
         // just below); the skipped set distinguishes them from typos in the
         // touched bookkeeping, which would name pages never dirtied at all.
@@ -508,7 +513,7 @@ impl Reorganizer {
         // Make the whole new upper level durable before catch-up (§7.3).
         let pages = builder.pages_allocated();
         let built = builder.finish()?;
-        log_images(db, &pages)?;
+        log_built_pages(db, &pages)?;
         let _already_durable = db.pool().flush_pages(&pages)?;
         db.disk().sync()?;
         db.log().append_force(&LogRecord::Pass3Stable {
@@ -617,28 +622,27 @@ impl Reorganizer {
     }
 }
 
-/// Log full images of new-tree pages as one `Smo` record. The primary's
-/// own recovery never needs them (the pages are force-written before the
-/// stable record or the switch), but a log-shipping replica has no access
-/// to this disk: the log must carry everything, and redo's page-LSN gate
-/// makes the images free on the primary.
-fn log_images(db: &Database, pages: &[PageId]) -> CoreResult<()> {
-    if pages.is_empty() {
+/// Log the new-tree pages the builder wrote as one `Smo` record, latched
+/// together for the call. The builder changed them in earlier latch scopes;
+/// nothing else can reach them before the switch. The primary's own
+/// recovery never needs these images (the pages are force-written before
+/// the stable record or the switch), but a log-shipping replica has no
+/// access to this disk: the log must carry everything, and redo's page-LSN
+/// gate makes the images free on the primary.
+fn log_built_pages(db: &Database, ids: &[PageId]) -> CoreResult<()> {
+    if ids.is_empty() {
         return Ok(());
     }
-    let pool = db.pool();
-    let mut images = Vec::with_capacity(pages.len());
-    for &p in pages {
-        let g = pool.fetch(p)?;
-        images.push((p, g.read().image()));
-    }
-    let lsn = db.log().append(&LogRecord::Smo {
-        images,
-        new_anchor: None,
-    });
-    for &p in pages {
-        let g = pool.fetch(p)?;
-        g.write().set_lsn(lsn);
-    }
+    let guards = ids
+        .iter()
+        .map(|&p| db.pool().fetch(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut latches: Vec<_> = guards.iter().map(|g| g.write()).collect();
+    let mut pages: Vec<(PageId, &mut Page)> = ids
+        .iter()
+        .copied()
+        .zip(latches.iter_mut().map(|l| &mut **l))
+        .collect();
+    log_smo(db.log(), &mut pages, None);
     Ok(())
 }

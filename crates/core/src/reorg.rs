@@ -956,7 +956,13 @@ impl Reorganizer {
         #[cfg(debug_assertions)]
         self.debug_assert_unit_outcome(&[base], &[dest]);
         db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
-        db.reorg_table().finish_unit(largest_key);
+        // LK is pass 1's restart position (§5); a pass-2 move leaves it
+        // where pass 1 put it.
+        if pass == 1 {
+            db.reorg_table().finish_unit(largest_key);
+        } else {
+            db.reorg_table().abandon_unit();
+        }
         locks.release_all(owner);
         let cm = db.core_metrics();
         cm.units_completed.inc();

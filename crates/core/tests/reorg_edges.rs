@@ -251,3 +251,54 @@ fn stats_count_only_what_happened_since_the_reorganizer_was_built() {
     d.tree().validate().unwrap();
     assert_eq!(d.tree().collect_all().unwrap(), expected);
 }
+
+#[test]
+fn pass2_leaves_pass1_restart_key_alone() {
+    // §5: LK is pass 1's restart position in key order. A pass-2 move that
+    // set it would make the next pass 1 resume after the largest key pass 2
+    // moved and skip the tree below it.
+    let disk = Arc::new(InMemoryDisk::new(8192));
+    let d = Database::create_with_regions(
+        disk as Arc<dyn DiskManager>,
+        8192,
+        SidePointerMode::TwoWay,
+        512,
+    )
+    .unwrap();
+    // Odd-key inserts split the loaded leaves onto scattered pages, so pass
+    // 2 has moves to make; deletes then bring the fill to about 0.21.
+    let records: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k * 2, vec![9; 64])).collect();
+    d.tree().bulk_load(&records, 0.85, 0.9).unwrap();
+    for k in 0..1000u64 {
+        d.tree()
+            .insert(TxnId(1), Lsn::ZERO, k * 2 + 1, &[9; 64])
+            .unwrap();
+    }
+    for k in (0..2000u64).filter(|k| k % 8 >= 2) {
+        d.tree().delete(TxnId(1), Lsn::ZERO, k).unwrap();
+    }
+    let fill = d.tree().stats().unwrap().avg_leaf_fill;
+    assert!((0.17..0.25).contains(&fill), "fill {fill}");
+    let expected = d.tree().collect_all().unwrap();
+    let r = Reorganizer::new(Arc::clone(&d), ReorgConfig::default());
+    r.pass2_swap_move().unwrap();
+    let moved = r.stats();
+    assert!(moved.moves > 0, "pass 2 found nothing to move: {moved:?}");
+    assert_eq!(d.reorg_table().lk(), None, "pass 2 set LK");
+    let fill_before = d.tree().stats().unwrap().avg_leaf_fill;
+    r.pass1_compact().unwrap();
+    let s = r.stats();
+    assert!(
+        s.units > moved.units,
+        "pass 1 after pass 2 ran no unit: {s:?}"
+    );
+    let fill_after = d.tree().stats().unwrap().avg_leaf_fill;
+    assert!(
+        fill_after > fill_before,
+        "pass 1 left the fill at {fill_before} -> {fill_after}"
+    );
+    r.run().unwrap();
+    assert_eq!(d.reorg_table().lk(), None, "run() left LK set");
+    d.tree().validate().unwrap();
+    assert_eq!(d.tree().collect_all().unwrap(), expected);
+}

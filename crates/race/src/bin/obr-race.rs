@@ -1,6 +1,6 @@
 //! `obr-race` — deterministic interleaving explorer CLI.
 //!
-//! Runs the seven scripted concurrency scenarios under the model
+//! Runs the eight scripted concurrency scenarios under the model
 //! scheduler, sweeping seeded-random schedules and (optionally) a
 //! bounded exhaustive enumeration with DPOR-lite pruning, then checks
 //! the observed lock-acquisition-order edges against the committed
@@ -12,7 +12,7 @@
 //!
 //! Options:
 //!
-//! - `--scenario NAME` — run one scenario instead of all seven
+//! - `--scenario NAME` — run one scenario instead of all eight
 //! - `--seeds N` — random schedules per scenario (default 2500)
 //! - `--seed-base S` — first seed of the sweep (default 1)
 //! - `--exhaustive N` — additionally run up to N exhaustive

@@ -17,7 +17,7 @@
 //!
 //! Entry points (plain code spans, not links: the modules only exist
 //! under the model cfg and would break `cargo doc` otherwise):
-//! - `scenarios::all` — the seven scripted scenarios (model builds).
+//! - `scenarios::all` — the eight scripted scenarios (model builds).
 //! - `explore::run_random` / `explore::run_exhaustive` — the two
 //!   explorers (model builds).
 //! - `obr-race` binary — CLI over both, plus the lock-order diff.

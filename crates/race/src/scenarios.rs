@@ -1,4 +1,4 @@
-//! The seven scripted concurrency scenarios the explorer replays.
+//! The eight scripted concurrency scenarios the explorer replays.
 //!
 //! Each scenario is a plain `fn()` executed as thread 0 of a controlled
 //! run (see `obr_sync::model::run_controlled`); it spawns its worker
@@ -15,9 +15,10 @@
 use std::sync::atomic::{AtomicU64, Ordering as StdOrdering};
 use std::sync::Arc;
 
+use obr_btree::{BTree, SidePointerMode};
 use obr_core::{SideEntry, SideFile, SideOp};
 use obr_lock::{LockError, LockManager, LockMode, OwnerId, ResourceId};
-use obr_storage::{BufferPool, DiskManager, InMemoryDisk, PageId};
+use obr_storage::{BufferPool, DiskManager, FreeSpaceMap, InMemoryDisk, Lsn, PageId};
 use obr_sync::thread;
 use obr_wal::{LogManager, LogRecord, TxnId};
 
@@ -32,7 +33,7 @@ pub struct Scenario {
     pub run: fn(),
 }
 
-/// All seven scenarios, in canonical order.
+/// All eight scenarios, in canonical order.
 pub fn all() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -69,6 +70,11 @@ pub fn all() -> Vec<Scenario> {
             name: "lock_retry_vs_undo",
             about: "reorganizer deadlock-retry against a transaction's undo path",
             run: lock_retry_vs_undo,
+        },
+        Scenario {
+            name: "smo_neighbour_vs_flush",
+            about: "leaf split re-linking its right neighbour racing a flush of that neighbour",
+            run: smo_neighbour_vs_flush,
         },
     ]
 }
@@ -524,4 +530,72 @@ fn lock_retry_vs_undo() {
         m.validate_invariants().is_empty(),
         "lock table invariants violated after retry storm"
     );
+}
+
+/// Scenario 8: a leaf split re-links its right neighbour's back pointer
+/// (§4.3) while another thread flushes that neighbour. WAL-before-data
+/// (§5.1) covers side pointers too: the split must keep the neighbour
+/// latched until it carries the `Smo` record's LSN, so a flush that writes
+/// the new back pointer first forces the log through the record. A split
+/// that releases the neighbour before stamping it lets the flush write the
+/// page under its old LSN, ahead of the record.
+fn smo_neighbour_vs_flush() {
+    let disk = Arc::new(InMemoryDisk::new(8));
+    let pool = Arc::new(BufferPool::with_shards(disk.clone(), 8, 2));
+    let log = Arc::new(LogManager::new());
+    pool.set_wal(Arc::clone(&log) as Arc<dyn obr_storage::WalFlush>);
+    let fsm = Arc::new(FreeSpaceMap::new_all_free(8));
+    let tree = BTree::create(
+        Arc::clone(&pool),
+        fsm,
+        Arc::clone(&log),
+        SidePointerMode::TwoWay,
+    )
+    .expect("create");
+    // Two full leaves, loaded straight to disk: the left one must split,
+    // and its new sibling goes between it and its right neighbour.
+    let records: Vec<(u64, Vec<u8>)> = (0..8u64).map(|k| (k * 10, vec![k as u8; 900])).collect();
+    tree.bulk_load(&records, 1.0, 1.0).expect("bulk_load");
+    let leaves = tree.leaves_in_key_order().expect("leaves");
+    let [left, neighbour] = leaves[..] else {
+        panic!("expected two leaves, got {leaves:?}");
+    };
+    let splitter = thread::spawn(move || {
+        tree.insert(TxnId(1), Lsn::ZERO, 5, &[0xEE; 900])
+            .expect("insert");
+    });
+    let flusher = {
+        let (pool, log) = (Arc::clone(&pool), Arc::clone(&log));
+        thread::spawn(move || {
+            // Flush while the split is at work: it dirties the neighbour
+            // when it write-latches it to re-link the back pointer.
+            while !pool.is_dirty(neighbour) {
+                thread::yield_now();
+            }
+            pool.flush_page(neighbour).expect("flush_page");
+            let on_disk = disk.read_page(neighbour).expect("read back");
+            (on_disk.left_sibling(), log.durable_lsn())
+        })
+    };
+    splitter.join().unwrap();
+    let (back_pointer, durable) = flusher.join().unwrap();
+    let split_lsn = log
+        .records_from(Lsn::ZERO)
+        .expect("records")
+        .into_iter()
+        .find_map(|(lsn, rec)| match rec {
+            LogRecord::Smo { images, .. } if images.iter().any(|(p, _)| *p == neighbour) => {
+                Some(lsn)
+            }
+            _ => None,
+        })
+        .expect("the split logged its right neighbour");
+    if back_pointer != left {
+        assert!(
+            durable >= split_lsn,
+            "neighbour {neighbour} reached disk with the split's back pointer \
+             {back_pointer} while the log was durable only through {durable:?}, \
+             before the split's record {split_lsn:?}"
+        );
+    }
 }

@@ -79,8 +79,9 @@ impl ReorgStateTable {
         });
     }
 
-    /// The unit was undone (deadlock victim); its entry is deleted without
-    /// advancing LK.
+    /// The unit's entry is deleted without advancing LK: the unit was
+    /// undone (deadlock victim), or it was a pass-2 move, which has no
+    /// place in pass 1's key-order restart.
     pub fn abandon_unit(&self) {
         let mut g = self.inner.lock();
         g.begin_lsn = None;
