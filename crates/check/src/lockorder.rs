@@ -16,6 +16,10 @@
 //! - declared-but-unobserved edges are reported as notes, so coverage
 //!   loss is visible without failing the build.
 //!
+//! Same-class nesting is vetted in [`SELF_EDGE_OK`], not in the manifest
+//! (a self-loop would fail its acyclicity check); this diff and
+//! `check --protocol` both read it.
+//!
 //! The manifest is parsed by a deliberately tiny TOML-subset reader
 //! (tables, string and string-array values, comments) so the offline
 //! build needs no TOML dependency. The subset is documented in the
@@ -25,6 +29,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::report::Report;
+
+/// Classes where same-class nesting is a vetted pattern: page latches
+/// couple parent→child during descent and, under the SMO latch, hold a
+/// split's or free-at-empty's side-pointer neighbours until its record
+/// stamps them. Everything else (notably `pool.shard.frames`, whose
+/// shards must never be held two at a time) must never self-nest.
+pub const SELF_EDGE_OK: &[&str] = &["pool.frame.data"];
 
 /// A parsed `check/lockorder.toml`.
 #[derive(Debug, Default, Clone)]
@@ -174,8 +185,15 @@ pub fn check_lock_order(
         );
     }
 
+    // Vetted same-class nesting is not an edge of the order: set it apart
+    // before the declared-edge and cycle checks.
+    let (vetted, observed): (BTreeSet<_>, BTreeSet<_>) = observed
+        .iter()
+        .cloned()
+        .partition(|(held, acq)| held == acq && SELF_EDGE_OK.contains(&held.as_str()));
+
     // 3. Every observed edge must be declared; observed classes known.
-    for (held, acq) in observed {
+    for (held, acq) in &observed {
         if !manifest.classes.contains_key(held) || !manifest.classes.contains_key(acq) {
             report.error(
                 "lockorder",
@@ -201,7 +219,7 @@ pub fn check_lock_order(
 
     // 4. Belt and braces: the observed graph itself must be acyclic even
     //    if the manifest check above was skipped or wrong.
-    if let Some(cycle) = find_cycle(observed) {
+    if let Some(cycle) = find_cycle(&observed) {
         report.error(
             "lockorder",
             "observed-cycle",
@@ -226,6 +244,9 @@ pub fn check_lock_order(
     ));
     for (a, b) in unobserved {
         report.note(format!("declared edge never observed: {a:?} -> {b:?}"));
+    }
+    for (class, _) in vetted {
+        report.note(format!("vetted same-class nesting observed: {class:?}"));
     }
     report
 }
@@ -386,6 +407,29 @@ mod tests {
         let r = check_lock_order(&m, &edges(&[("c.lock", "a.lock")]));
         assert!(r.has_errors(), "{r}");
         assert!(r.findings.iter().any(|f| f.code == "undeclared-edge"));
+    }
+
+    #[test]
+    fn only_vetted_classes_may_self_nest() {
+        let text = r#"
+[classes]
+"pool.frame.data" = "page latch"
+"pool.shard.frames" = "frame table"
+[may_hold_while_acquiring]
+"pool.frame.data" = ["pool.shard.frames"]
+"#;
+        let m = parse_manifest(text).unwrap();
+        let page = ("pool.frame.data", "pool.frame.data");
+        let nested = edges(&[page, ("pool.frame.data", "pool.shard.frames")]);
+        let r = check_lock_order(&m, &nested);
+        assert!(r.is_clean(), "{r}");
+        assert!(r.info.iter().any(|l| l.contains("same-class")), "{r}");
+        let r = check_lock_order(&m, &edges(&[("pool.shard.frames", "pool.shard.frames")]));
+        assert!(
+            r.findings.iter().any(|f| f.code == "undeclared-edge"),
+            "{r}"
+        );
+        assert!(r.findings.iter().any(|f| f.code == "observed-cycle"), "{r}");
     }
 
     #[test]

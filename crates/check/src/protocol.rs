@@ -18,7 +18,8 @@
 //!   `(held, acquired)` lock-class pair — including pairs created
 //!   interprocedurally via callee summaries — must be declared in
 //!   `check/lockorder.toml`'s `may_hold_while_acquiring`. Same-class
-//!   nesting is an error unless the class is in the `SELF_EDGE_OK` list
+//!   nesting is an error unless the class is in the vetted
+//!   [`SELF_EDGE_OK`] list that the dynamic lock-order diff reads too
 //!   (page latches legitimately couple parent→child). This closes the
 //!   PR 3 cross-shard rule statically: holding one `pool.shard.frames`
 //!   lock while taking another is a self-edge and flagged.
@@ -49,18 +50,11 @@ use std::path::Path;
 
 use crate::callgraph::{FnId, Workspace};
 use crate::facts::{extract_file, AnnKind, Op, Seg};
-use crate::lockorder::load_manifest;
+use crate::lockorder::{load_manifest, SELF_EDGE_OK};
 use crate::report::Report;
 
 /// Checker name used in findings.
 const CHECKER: &str = "protocol";
-
-/// Classes where same-class nesting is a vetted pattern: page latches
-/// couple parent→child during descent and splits, always ordered by
-/// tree structure, so `pool.frame.data` may be held while acquiring
-/// another `pool.frame.data`. Everything else (notably
-/// `pool.shard.frames`, the PR 3 rule) must never self-nest.
-const SELF_EDGE_OK: &[&str] = &["pool.frame.data"];
 
 /// Directory names excluded anywhere in the tree.
 const SKIP_DIRS: &[&str] = &[

@@ -622,27 +622,28 @@ impl Reorganizer {
     }
 }
 
-/// Log the new-tree pages the builder wrote as one `Smo` record, latched
-/// together for the call. The builder changed them in earlier latch scopes;
-/// nothing else can reach them before the switch. The primary's own
-/// recovery never needs these images (the pages are force-written before
-/// the stable record or the switch), but a log-shipping replica has no
-/// access to this disk: the log must carry everything, and redo's page-LSN
-/// gate makes the images free on the primary.
+/// Log the new-tree pages the builder wrote as one `Smo` record. The
+/// builder changed them in earlier latch scopes and nothing else can reach
+/// them before the switch, so each is latched only to copy it and, after
+/// the append, to stamp it: the finished upper level may outnumber the
+/// pool's frames. The primary's own recovery never needs these images (the
+/// pages are force-written before the stable record or the switch), but a
+/// log-shipping replica has no access to this disk: the log must carry
+/// everything, and redo's page-LSN gate makes the images free on the
+/// primary.
 fn log_built_pages(db: &Database, ids: &[PageId]) -> CoreResult<()> {
     if ids.is_empty() {
         return Ok(());
     }
-    let guards = ids
-        .iter()
-        .map(|&p| db.pool().fetch(p))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut latches: Vec<_> = guards.iter().map(|g| g.write()).collect();
-    let mut pages: Vec<(PageId, &mut Page)> = ids
-        .iter()
-        .copied()
-        .zip(latches.iter_mut().map(|l| &mut **l))
-        .collect();
-    log_smo(db.log(), &mut pages, None);
+    let pool = db.pool();
+    let mut copies = Vec::with_capacity(ids.len());
+    for &p in ids {
+        copies.push((p, pool.fetch(p)?.read().clone()));
+    }
+    let mut pages: Vec<(PageId, &mut Page)> = copies.iter_mut().map(|(p, c)| (*p, c)).collect();
+    let lsn = log_smo(db.log(), &mut pages, None);
+    for &p in ids {
+        pool.fetch(p)?.write().set_lsn(lsn);
+    }
     Ok(())
 }

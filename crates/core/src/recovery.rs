@@ -545,7 +545,13 @@ fn complete_unit(
             }
         })?;
     }
-    let largest_key = last_key_of(db, dest)?;
+    // Only pass 1 advances LK (§5). A pass-2 unit moves one leaf, so its
+    // BEGIN lists one source and the target; pass 1 moves at least two.
+    let largest_key = if info.kind == ReorgKind::Move && info.leaf_pages.len() == 2 {
+        db.reorg_table().lk().unwrap_or(0)
+    } else {
+        last_key_of(db, dest)?
+    };
     // Finish the MODIFY on each base page. One whose entries name no source
     // has it durable already, or is not the unit's base.
     for &base in &info.base_pages {

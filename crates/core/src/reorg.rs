@@ -955,13 +955,21 @@ impl Reorganizer {
         // --- END. ---
         #[cfg(debug_assertions)]
         self.debug_assert_unit_outcome(&[base], &[dest]);
-        db.log().append(&LogRecord::ReorgEnd { unit, largest_key });
-        // LK is pass 1's restart position (§5); a pass-2 move leaves it
-        // where pass 1 put it.
-        if pass == 1 {
-            db.reorg_table().finish_unit(largest_key);
-        } else {
-            db.reorg_table().abandon_unit();
+        // LK is pass 1's restart position (§5). A pass-2 move leaves it
+        // where pass 1 put it, and its END carries that LK, so recovery,
+        // which rebuilds LK from the ENDs, rebuilds the same value.
+        let table = db.reorg_table();
+        let end_key = match pass {
+            1 => largest_key,
+            _ => table.lk().unwrap_or(0),
+        };
+        db.log().append(&LogRecord::ReorgEnd {
+            unit,
+            largest_key: end_key,
+        });
+        match pass {
+            1 => table.finish_unit(largest_key),
+            _ => table.abandon_unit(),
         }
         locks.release_all(owner);
         let cm = db.core_metrics();

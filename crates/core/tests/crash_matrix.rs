@@ -250,6 +250,64 @@ fn crash_during_pass2_chain_is_forward_completed() {
 }
 
 #[test]
+fn crash_in_a_pass2_only_run_leaves_pass1_restart_key_alone() {
+    use obr_core::ReorgTrigger;
+    // `run_if_needed` (the daemon's and REORG's path) runs pass 2 without
+    // pass 1 when the fill is high enough. Recovery rebuilds LK from the
+    // ENDs; a pass-2 END must not hand pass 1 a restart key, or the next
+    // pass 1 skips the tree below the largest key pass 2 moved.
+    let cfg = ReorgConfig {
+        shrink_pass: false,
+        ..ReorgConfig::default()
+    };
+    let trigger = ReorgTrigger {
+        shrink: false,
+        ..ReorgTrigger::default()
+    };
+    let clean = interleaved();
+    let d = Reorganizer::new(Arc::clone(&clean.db), cfg.clone())
+        .run_if_needed(trigger)
+        .unwrap();
+    assert!(!d.compacted && d.swapped, "{d:?}");
+    let units = clean
+        .db
+        .tracer()
+        .events()
+        .iter()
+        .filter(|e| e.kind == TraceKind::UnitBegin && e.pass == 2)
+        .count() as u64;
+    assert!(units > 1, "pass 2 ran {units} units");
+    // Crash the last unit, which holds the largest keys pass 2 moves.
+    for site in [FailSite::BeforeModify, FailSite::BeforeEnd] {
+        let sc = interleaved();
+        let fill_before = sc.db.tree().stats().unwrap().avg_leaf_fill;
+        let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
+            .with_fail_point(FailPoint::new(site, units - 1));
+        match reorg.run_if_needed(trigger) {
+            Err(CoreError::InjectedCrash(_)) => {}
+            other => panic!("expected a crash inside pass 2 at {site:?}, got {other:?}"),
+        }
+        let mut i = 0u64;
+        let (db2, report) = crash_and_recover(&sc, SidePointerMode::TwoWay, |_| {
+            i += 1;
+            i.is_multiple_of(2)
+        });
+        assert_eq!(report.forward_units_completed, 1, "{report:?}");
+        assert_eq!(db2.reorg_table().lk().unwrap_or(0), 0, "{site:?}");
+        Reorganizer::new(Arc::clone(&db2), cfg.clone())
+            .pass1_compact()
+            .unwrap();
+        db2.tree().validate().unwrap();
+        assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
+        let fill_after = db2.tree().stats().unwrap().avg_leaf_fill;
+        assert!(
+            fill_after > 0.7,
+            "{site:?}: pass 1 left the fill at {fill_before} -> {fill_after}"
+        );
+    }
+}
+
+#[test]
 fn recovery_is_idempotent() {
     let side = SidePointerMode::TwoWay;
     let sc = setup(side);

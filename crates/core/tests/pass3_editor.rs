@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use obr_btree::builder::UpperBuilder;
 use obr_btree::SidePointerMode;
-use obr_core::{Database, NewTreeEditor, SideEntry, SideOp};
+use obr_core::{Database, NewTreeEditor, ReorgConfig, Reorganizer, SideEntry, SideOp};
 use obr_storage::{DiskManager, InMemoryDisk, Lsn};
 use obr_wal::TxnId;
 
@@ -191,4 +191,31 @@ fn builder_resume_equals_uninterrupted_build() {
     let built = b2.finish().unwrap();
     let n = anchor_and_validate(&db, built.root, built.height);
     assert_eq!(n, 4000);
+}
+
+#[test]
+fn pass3_rebuilds_an_upper_level_larger_than_the_pool() {
+    // The finished build is logged as one record of every new upper page;
+    // it must not need all of them pinned at once.
+    let frames = 32;
+    let disk = Arc::new(InMemoryDisk::new(4096));
+    let db = Database::create(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        frames,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
+    let records: Vec<(u64, Vec<u8>)> = (0..3000u64).map(|k| (k, val(k))).collect();
+    db.tree().bulk_load(&records, 0.1, 0.9).unwrap();
+    let expected = db.tree().collect_all().unwrap();
+    let cfg = ReorgConfig {
+        node_fill: 0.01,
+        ..ReorgConfig::default()
+    };
+    let r = Reorganizer::new(Arc::clone(&db), cfg);
+    r.pass3_shrink().unwrap();
+    let internal = db.tree().stats().unwrap().internal_pages;
+    assert!(internal > frames, "{internal} new upper pages");
+    db.tree().validate().unwrap();
+    assert_eq!(db.tree().collect_all().unwrap(), expected);
 }
