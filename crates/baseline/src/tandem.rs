@@ -3,12 +3,11 @@
 use obr_sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use obr_sync::Mutex;
-
 use obr_btree::leaf::LEAF_BODY;
 use obr_btree::{log_smo, LeafView, NodeView};
 use obr_core::{CoreError, CoreResult, Database};
 use obr_lock::{LockError, LockMode, OwnerId, ResourceId};
+use obr_obs::Counter;
 use obr_storage::{PageId, PageType};
 
 /// Baseline configuration.
@@ -48,12 +47,24 @@ pub struct TandemStats {
     pub file_lock_waits: u64,
 }
 
+/// The live tally behind [`TandemStats`]: one counter per field.
+#[derive(Debug, Default)]
+struct TandemCounters {
+    transactions: Counter,
+    merges: Counter,
+    moves: Counter,
+    swaps: Counter,
+    pages_freed: Counter,
+    records_moved: Counter,
+    file_lock_waits: Counter,
+}
+
 /// The \[Smi90\]-style reorganizer.
 pub struct TandemReorganizer {
     db: Arc<Database>,
     cfg: TandemConfig,
     owner: OwnerId,
-    stats: Mutex<TandemStats>,
+    counters: TandemCounters,
     /// Raised externally to abandon the run (crash experiments).
     pub stop: AtomicBool,
 }
@@ -67,14 +78,23 @@ impl TandemReorganizer {
             db,
             cfg,
             owner,
-            stats: Mutex::named(TandemStats::default(), "tandem.stats"),
+            counters: TandemCounters::default(),
             stop: AtomicBool::new(false),
         }
     }
 
     /// Counters so far.
     pub fn stats(&self) -> TandemStats {
-        *self.stats.lock()
+        let c = &self.counters;
+        TandemStats {
+            transactions: c.transactions.get(),
+            merges: c.merges.get(),
+            moves: c.moves.get(),
+            swaps: c.swaps.get(),
+            pages_freed: c.pages_freed.get(),
+            records_moved: c.records_moved.get(),
+            file_lock_waits: c.file_lock_waits.get(),
+        }
     }
 
     /// Run the merge phase, then (optionally) the ordering phase.
@@ -95,14 +115,14 @@ impl TandemReorganizer {
                 Ok(()) => break,
                 Err(LockError::Deadlock) => {
                     locks.release_all(self.owner);
-                    self.stats.lock().file_lock_waits += 1;
+                    self.counters.file_lock_waits.inc();
                 }
                 Err(e) => return Err(e.into()),
             }
         }
         let result = op();
         locks.unlock(self.owner, ResourceId::Tree(gen));
-        self.stats.lock().transactions += 1;
+        self.counters.transactions.inc();
         result
     }
 
@@ -152,10 +172,9 @@ impl TandemReorganizer {
                 }
                 // Merge b into a: page-image logging of everything touched.
                 let moved = self.do_merge(base, ka, a, kb, b)?;
-                let mut st = self.stats.lock();
-                st.merges += 1;
-                st.pages_freed += 1;
-                st.records_moved += moved;
+                self.counters.merges.inc();
+                self.counters.pages_freed.inc();
+                self.counters.records_moved.add(moved);
                 return Ok(true);
             }
         }
@@ -229,7 +248,7 @@ impl TandemReorganizer {
             }
             if self.db.fsm().allocate_specific(target) {
                 self.file_transaction(|| self.do_move(leaf, target))?;
-                self.stats.lock().moves += 1;
+                self.counters.moves.inc();
                 leaves[i] = target;
             } else {
                 let occupied_by = leaves.iter().position(|&l| l == target);
@@ -241,7 +260,7 @@ impl TandemReorganizer {
                 match (is_leaf, occupied_by) {
                     (true, Some(j)) if j > i => {
                         self.file_transaction(|| self.do_swap(leaf, target))?;
-                        self.stats.lock().swaps += 1;
+                        self.counters.swaps.inc();
                         leaves[j] = leaf;
                         leaves[i] = target;
                     }
@@ -258,39 +277,45 @@ impl TandemReorganizer {
         let _g = tree.smo_guard();
         // The target will hold src's bytes, so both route through one base.
         let base = self.base_of(src)?;
-        let (left, right, moved) = {
+        let moved = {
             let gs = pool.fetch(src)?;
             let gt = pool.fetch_new(target)?;
             let gb = pool.fetch(base)?;
             let mut ps = gs.write();
+            // The chain neighbours the move re-links. Every page the
+            // transaction touches stays latched until the record stamps it;
+            // the file X lock and the SMO guard keep other multi-page
+            // latchers out.
+            let (left, right) = (ps.left_sibling(), ps.right_sibling());
+            let gl = left.is_valid().then(|| pool.fetch(left)).transpose()?;
+            let gr = right.is_valid().then(|| pool.fetch(right)).transpose()?;
             let mut pt = gt.write();
             let mut pb = gb.write();
+            let mut pl = gl.as_ref().map(|g| g.write());
+            let mut pr = gr.as_ref().map(|g| g.write());
+            let key = NodeView::of(&pb)
+                .low_key_of(src)
+                .ok_or_else(|| CoreError::Recovery(format!("leaf {src} not in base {base}")))?;
             pt.bytes_mut().copy_from_slice(&ps.bytes()[..]);
-            let (l, r) = (ps.left_sibling(), ps.right_sibling());
             let n = ps.slot_count() as u64;
             ps.format(PageType::Free, 0);
-            NodeView::new(&mut pb).repoint_child(src, target);
-            log_smo(
-                self.db.log(),
-                &mut [(src, &mut *ps), (target, &mut *pt), (base, &mut *pb)],
-                None,
-            );
-            (l, r, n)
-        };
-        // Repoint the chain. The neighbours are not in the record above.
-        for (n, setter_right) in [(left, true), (right, false)] {
-            if n.is_valid() {
-                let g = pool.fetch(n)?;
-                let mut p = g.write();
-                if setter_right {
-                    p.set_right_sibling(target);
-                } else {
-                    p.set_left_sibling(target);
-                }
+            NodeView::new(&mut pb)
+                .set_child(key, target)
+                .map_err(CoreError::Storage)?;
+            if let Some(p) = &mut pl {
+                p.set_right_sibling(target);
             }
-        }
+            if let Some(p) = &mut pr {
+                p.set_left_sibling(target);
+            }
+            let mut pages = vec![(src, &mut *ps), (target, &mut *pt), (base, &mut *pb)];
+            pages.extend(pl.as_mut().map(|p| (left, &mut **p)));
+            pages.extend(pr.as_mut().map(|p| (right, &mut **p)));
+            log_smo(self.db.log(), &mut pages, None);
+            n
+        };
         self.pool_flush_free(src, target)?;
-        self.stats.lock().records_moved += moved;
+        self.counters.records_moved.add(moved);
         Ok(())
     }
 
@@ -475,6 +500,48 @@ mod tests {
         let stats = db.tree().stats().unwrap();
         db.tree().validate().unwrap();
         assert_eq!(stats.leaf_discontinuities(), 0);
+    }
+
+    #[test]
+    fn a_move_logs_and_stamps_both_chain_neighbours() {
+        let db = sparse_db(4096, 2000, 0.25);
+        let t = TandemReorganizer::new(Arc::clone(&db), TandemConfig::default());
+        let leaves = db.tree().leaves_in_key_order().unwrap();
+        let src = leaves[leaves.len() / 2];
+        let (left, right) = {
+            let g = db.pool().fetch(src).unwrap();
+            let page = g.read();
+            (page.left_sibling(), page.right_sibling())
+        };
+        assert!(
+            left.is_valid() && right.is_valid(),
+            "src has both neighbours"
+        );
+        let target = (0..db.fsm().num_pages())
+            .map(PageId)
+            .rev()
+            .find(|&p| db.fsm().allocate_specific(p))
+            .expect("a free page to move to");
+        t.file_transaction(|| t.do_move(src, target)).unwrap();
+        db.tree().validate().unwrap();
+        let (lsn, record) = db
+            .log()
+            .records_from(obr_storage::Lsn(1))
+            .unwrap()
+            .pop()
+            .expect("the move logged a record");
+        let obr_wal::LogRecord::Smo { images, .. } = record else {
+            panic!("the move's record is {record:?}");
+        };
+        let logged: Vec<PageId> = images.iter().map(|(p, _)| *p).collect();
+        for n in [left, right] {
+            assert!(logged.contains(&n), "neighbour {n} not in {logged:?}");
+            let stamped = db.pool().fetch(n).unwrap().read().lsn();
+            assert_eq!(
+                stamped, lsn,
+                "neighbour {n} not stamped with the move's LSN"
+            );
+        }
     }
 
     #[test]

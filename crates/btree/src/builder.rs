@@ -22,7 +22,6 @@ use obr_storage::{BufferPool, FreeSpaceMap, PageId, StorageError};
 use crate::error::{BTreeError, BTreeResult};
 use crate::leaf::{LeafView, LEAF_BODY};
 use crate::node::{NodeView, NODE_CAPACITY};
-use crate::tree::SidePointerMode;
 
 /// Result of a bottom-up build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,7 +267,6 @@ pub fn bulk_build(
     records: &[(u64, Vec<u8>)],
     leaf_fill: f64,
     node_fill: f64,
-    side: SidePointerMode,
 ) -> BTreeResult<BuiltTree> {
     let leaf_budget = ((LEAF_BODY as f64 * leaf_fill) as usize).clamp(64, LEAF_BODY);
     // Cut records into leaves by the byte budget.
@@ -292,17 +290,13 @@ pub fn bulk_build(
         let mut leaf = LeafView::init(&mut page);
         leaf.extend(&records[start..i])?;
         leaf.page_mut().set_low_mark(records[start].0);
-        if side == SidePointerMode::TwoWay {
-            if let Some(prev) = prev_leaf {
-                page.set_left_sibling(prev);
-            }
+        if let Some(prev) = prev_leaf {
+            page.set_left_sibling(prev);
         }
         drop(page);
-        if side != SidePointerMode::None {
-            if let Some(prev) = prev_leaf {
-                let pg = pool.fetch(prev)?;
-                pg.write().set_right_sibling(id);
-            }
+        if let Some(prev) = prev_leaf {
+            let pg = pool.fetch(prev)?;
+            pg.write().set_right_sibling(id);
         }
         prev_leaf = Some(id);
         leaves.push((records[start].0, id));
@@ -411,7 +405,7 @@ mod tests {
     #[test]
     fn bulk_build_empty_records_gives_single_leaf() {
         let (pool, fsm) = env(64);
-        let built = bulk_build(&pool, &fsm, &[], 0.9, 0.9, SidePointerMode::TwoWay).unwrap();
+        let built = bulk_build(&pool, &fsm, &[], 0.9, 0.9).unwrap();
         assert_eq!(built.height, 0);
     }
 }

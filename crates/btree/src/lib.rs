@@ -5,7 +5,7 @@
 //! pointer); leaf pages contain the data records, because the tree is the
 //! primary index; deletes follow the **free-at-empty** policy of \[JS93\] —
 //! sparse nodes are never consolidated, only completely empty pages are
-//! deallocated; and leaves optionally carry side pointers (§4.3).
+//! deallocated; and leaves form one doubly linked side-pointer chain (§4.3).
 //!
 //! Concurrency split: this crate does *physical* synchronization (page
 //! latches plus a single structure-modification mutex); the *logical* lock

@@ -279,17 +279,6 @@ impl<P: DerefMut<Target = Page>> NodeView<P> {
             ))),
         }
     }
-
-    /// Replace the child pointer `old` wherever it appears (Tandem's
-    /// relocation repoints a parent by child identity, not by key).
-    /// Returns the entry's low key.
-    // protocol: page-mutation
-    pub fn repoint_child(&mut self, old: PageId, new: PageId) -> Option<u64> {
-        let i = self.index_of(old)?;
-        let (k, _) = self.entry_at(i);
-        self.write_entry_at(i, k, new);
-        Some(k)
-    }
 }
 
 #[cfg(test)]
@@ -385,10 +374,9 @@ mod tests {
         assert_eq!(v.remove_entry(10), None);
         assert_eq!(v.entries(), vec![(20, PageId(2))]);
         assert_eq!(v.low_key_of(PageId(2)), Some(20));
-        assert_eq!(v.repoint_child(PageId(2), PageId(9)), Some(20));
+        v.set_child(20, PageId(9)).unwrap();
         assert_eq!(v.low_key_of(PageId(2)), None);
         assert_eq!(v.child_for(25), Some(PageId(9)));
-        assert_eq!(v.repoint_child(PageId(2), PageId(9)), None);
         v.set_child(20, PageId(4)).unwrap();
         assert_eq!(v.child_for(25), Some(PageId(4)));
         assert!(v.set_child(99, PageId(4)).is_err());

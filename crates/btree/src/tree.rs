@@ -36,13 +36,14 @@ use crate::meta::MetaView;
 use crate::node::{NodeView, NODE_CAPACITY};
 use crate::stats::TreeStats;
 
-/// Side-pointer configuration (§4.3 of the paper).
+/// Leaf side-pointer layout (§4.3 of the paper). The leaf chain is always
+/// doubly linked: the reorganizer's leaf units and free-at-empty re-link a
+/// leaf's two neighbours through its back pointer, so `TwoWay` is the only
+/// layout. The type survives only because the `Database` constructors
+/// still take it (the benchmark passes it); a change that may touch the
+/// benchmark can drop it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SidePointerMode {
-    /// No leaf side pointers; range scans re-descend per leaf.
-    None,
-    /// Right-pointing chain only.
-    OneWay,
     /// Doubly-linked leaves.
     TwoWay,
 }
@@ -79,7 +80,6 @@ pub struct BTree {
     smo: RwLock<()>,
     /// Even = quiescent; odd = an SMO is mutating the structure.
     epoch: AtomicU64,
-    side: SidePointerMode,
     observer: RwLock<Option<Arc<dyn SmoObserver>>>,
 }
 
@@ -112,7 +112,6 @@ impl BTree {
         pool: Arc<BufferPool>,
         fsm: Arc<FreeSpaceMap>,
         log: Arc<LogManager>,
-        side: SidePointerMode,
     ) -> BTreeResult<BTree> {
         let meta_id = fsm.allocate_internal().ok_or(StorageError::NoFreePage)?;
         let root_id = fsm.allocate_leaf().ok_or(StorageError::NoFreePage)?;
@@ -137,7 +136,6 @@ impl BTree {
             meta_id,
             smo: RwLock::named((), "tree.smo"),
             epoch: AtomicU64::new(0),
-            side,
             observer: RwLock::named(None, "tree.observer"),
         })
     }
@@ -148,7 +146,6 @@ impl BTree {
         fsm: Arc<FreeSpaceMap>,
         log: Arc<LogManager>,
         meta_id: PageId,
-        side: SidePointerMode,
     ) -> BTreeResult<BTree> {
         {
             let mg = pool.fetch(meta_id)?;
@@ -161,7 +158,6 @@ impl BTree {
             meta_id,
             smo: RwLock::named((), "tree.smo"),
             epoch: AtomicU64::new(0),
-            side,
             observer: RwLock::named(None, "tree.observer"),
         })
     }
@@ -184,11 +180,6 @@ impl BTree {
     /// The meta page id.
     pub fn meta_id(&self) -> PageId {
         self.meta_id
-    }
-
-    /// The side-pointer configuration.
-    pub fn side_mode(&self) -> SidePointerMode {
-        self.side
     }
 
     /// `(root, height)` as currently anchored.
@@ -772,13 +763,6 @@ impl BTree {
     /// incoming key that triggered the split.
     fn split_leaf(&self, parent_id: PageId, leaf_id: PageId, key: u64) -> BTreeResult<()> {
         let new_id = self.fsm.allocate_leaf().ok_or(StorageError::NoFreePage)?;
-        // One-way chains have no back pointer; find the left neighbour via a
-        // tree walk *before* taking latches (the SMO mutex keeps it stable).
-        let one_way_prev = if self.side == SidePointerMode::OneWay {
-            self.find_left_neighbour(leaf_id)?
-        } else {
-            None
-        };
         let pg = self.pool.fetch(parent_id)?;
         let lg = self.pool.fetch(leaf_id)?;
         let sg = self.pool.fetch_new(new_id)?;
@@ -817,14 +801,11 @@ impl BTree {
             return Ok(()); // empty leaf always fits; nothing to do
         };
         // The side-pointer neighbour the split re-links: the right one when
-        // the new sibling goes right, the left one (or the one-way
-        // predecessor) when it goes left. It stays latched until the record
-        // stamps it.
-        let neighbour = match (&plan, self.side) {
-            (_, SidePointerMode::None) | (Plan::Right(..), SidePointerMode::OneWay) => None,
-            (Plan::Right(..), SidePointerMode::TwoWay) => Some(old_right),
-            (Plan::Left, SidePointerMode::OneWay) => one_way_prev,
-            (Plan::Left, SidePointerMode::TwoWay) => Some(old_left),
+        // the new sibling goes right, the left one when it goes left. It
+        // stays latched until the record stamps it.
+        let neighbour = match &plan {
+            Plan::Right(..) => old_right,
+            Plan::Left => old_left,
         };
         let ng = self.fetch_side(neighbour)?;
         let mut neighbour = ng.as_ref().map(|g| (g.id(), g.write()));
@@ -844,20 +825,11 @@ impl BTree {
                     sib.extend(&moved)?;
                     sib.page_mut().set_low_mark(sib_low);
                 }
-                match self.side {
-                    SidePointerMode::None => {}
-                    SidePointerMode::OneWay => {
-                        lpage.set_right_sibling(new_id);
-                        spage.set_right_sibling(old_right);
-                    }
-                    SidePointerMode::TwoWay => {
-                        lpage.set_right_sibling(new_id);
-                        spage.set_left_sibling(leaf_id);
-                        spage.set_right_sibling(old_right);
-                        if let Some((_, rpage)) = &mut neighbour {
-                            rpage.set_left_sibling(new_id);
-                        }
-                    }
+                lpage.set_right_sibling(new_id);
+                spage.set_left_sibling(leaf_id);
+                spage.set_right_sibling(old_right);
+                if let Some((_, rpage)) = &mut neighbour {
+                    rpage.set_left_sibling(new_id);
                 }
                 base_upserts.push((sib_low, new_id));
                 let mut parent = NodeView::new(&mut ppage);
@@ -883,15 +855,9 @@ impl BTree {
                     let mut sib = LeafView::init(&mut spage);
                     sib.page_mut().set_low_mark(key.min(l_entry_key));
                 }
-                match self.side {
-                    SidePointerMode::None => {}
-                    SidePointerMode::OneWay => spage.set_right_sibling(leaf_id),
-                    SidePointerMode::TwoWay => {
-                        spage.set_left_sibling(old_left);
-                        spage.set_right_sibling(leaf_id);
-                        lpage.set_left_sibling(new_id);
-                    }
-                }
+                spage.set_left_sibling(old_left);
+                spage.set_right_sibling(leaf_id);
+                lpage.set_left_sibling(new_id);
                 if let Some((_, lnpage)) = &mut neighbour {
                     lnpage.set_right_sibling(new_id);
                 }
@@ -950,11 +916,6 @@ impl BTree {
                 return Ok(());
             }
         }
-        let one_way_prev = if self.side == SidePointerMode::OneWay {
-            self.find_left_neighbour(leaf_id)?
-        } else {
-            None
-        };
         let lg = self.pool.fetch(leaf_id)?;
         let pg = self.pool.fetch(parent_id)?;
         let mut lpage = lg.write();
@@ -965,13 +926,7 @@ impl BTree {
         let (left, right) = (lpage.left_sibling(), lpage.right_sibling());
         // Unlink from the side-pointer chain. Both neighbours stay latched
         // until the record stamps them.
-        let left_n = match self.side {
-            SidePointerMode::None => None,
-            SidePointerMode::OneWay => one_way_prev,
-            SidePointerMode::TwoWay => Some(left),
-        };
-        let right_n = (self.side == SidePointerMode::TwoWay).then_some(right);
-        let (lng, rng) = (self.fetch_side(left_n)?, self.fetch_side(right_n)?);
+        let (lng, rng) = (self.fetch_side(left)?, self.fetch_side(right)?);
         let mut left_page = lng.as_ref().map(|g| (g.id(), g.write()));
         let mut right_page = rng.as_ref().map(|g| (g.id(), g.write()));
         if let Some((_, page)) = &mut left_page {
@@ -1048,21 +1003,12 @@ impl BTree {
         self.cascade_free_internal(path, idx - 1)
     }
 
-    /// Pin a side-pointer neighbour, if there is one.
-    fn fetch_side(&self, neighbour: Option<PageId>) -> BTreeResult<Option<FrameGuard>> {
-        let neighbour = neighbour.filter(|n| n.is_valid());
-        Ok(neighbour.map(|n| self.pool.fetch(n)).transpose()?)
-    }
-
-    /// The leaf immediately left (in key order) of `leaf_id`, found via a
-    /// tree walk (one-way side-pointer maintenance; call with no latches
-    /// held, under the SMO mutex).
-    fn find_left_neighbour(&self, leaf_id: PageId) -> BTreeResult<Option<PageId>> {
-        let leaves = self.leaves_in_key_order()?;
-        Ok(leaves
-            .iter()
-            .position(|&l| l == leaf_id)
-            .and_then(|i| i.checked_sub(1).map(|j| leaves[j])))
+    /// Pin a side-pointer neighbour, unless the chain ends there.
+    fn fetch_side(&self, neighbour: PageId) -> BTreeResult<Option<FrameGuard>> {
+        Ok(neighbour
+            .is_valid()
+            .then(|| self.pool.fetch(neighbour))
+            .transpose()?)
     }
 
     /// Inclusive range scan.
@@ -1075,52 +1021,32 @@ impl BTree {
     /// whole and only the base page is behind. Starting at the right leaf
     /// is the caller's part: in that window the base page may still route
     /// `lo` to an emptied source, which is why `Txn::scan` first takes a
-    /// validated S lock on the first leaf. Without side pointers the walk
-    /// goes through the base pages themselves and has no such guarantee.
+    /// validated S lock on the first leaf.
     pub fn range_scan(&self, lo: u64, hi: u64) -> BTreeResult<Vec<(u64, Vec<u8>)>> {
         let _frozen = self.smo.read();
         let mut out = Vec::new();
-        match self.side {
-            SidePointerMode::None => {
-                // No chain: walk leaves via the internal structure.
-                for leaf in self.leaves_in_key_order()? {
-                    let g = self.pool.fetch(leaf)?;
-                    let page = g.read();
-                    if page.page_type() != Some(PageType::Leaf) {
-                        continue;
-                    }
-                    let r = LeafView::of(&page);
-                    if r.first_key().map(|k| k > hi).unwrap_or(false) {
-                        break;
-                    }
-                    out.extend(r.range(lo, hi));
-                }
+        let path = self.path_for_locked(lo)?;
+        let mut cur = *path.last().expect("path never empty");
+        let mut hops = 0usize;
+        let bound = self.fsm.num_pages() as usize + 1;
+        while cur.is_valid() {
+            hops += 1;
+            if hops > bound {
+                return Err(BTreeError::Inconsistent(
+                    "side-pointer chain does not terminate (cycle)".into(),
+                ));
             }
-            _ => {
-                let path = self.path_for_locked(lo)?;
-                let mut cur = *path.last().expect("path never empty");
-                let mut hops = 0usize;
-                let bound = self.fsm.num_pages() as usize + 1;
-                while cur.is_valid() {
-                    hops += 1;
-                    if hops > bound {
-                        return Err(BTreeError::Inconsistent(
-                            "side-pointer chain does not terminate (cycle)".into(),
-                        ));
-                    }
-                    let g = self.pool.fetch(cur)?;
-                    let page = g.read();
-                    if page.page_type() != Some(PageType::Leaf) {
-                        break;
-                    }
-                    let r = LeafView::of(&page);
-                    out.extend(r.range(lo, hi));
-                    if r.last_key().map(|k| k >= hi).unwrap_or(false) {
-                        break;
-                    }
-                    cur = page.right_sibling();
-                }
+            let g = self.pool.fetch(cur)?;
+            let page = g.read();
+            if page.page_type() != Some(PageType::Leaf) {
+                break;
             }
+            let r = LeafView::of(&page);
+            out.extend(r.range(lo, hi));
+            if r.last_key().map(|k| k >= hi).unwrap_or(false) {
+                break;
+            }
+            cur = page.right_sibling();
         }
         Ok(out)
     }
@@ -1248,8 +1174,8 @@ impl BTree {
     /// Full structural validation. Returns the record count.
     ///
     /// Checks: page types per level, per-page invariants, global key order
-    /// across the in-order leaf walk, and (when side pointers are on) that
-    /// the chain visits exactly the in-order leaves.
+    /// across the in-order leaf walk, and that the chain visits exactly the
+    /// in-order leaves in both directions.
     pub fn validate(&self) -> BTreeResult<u64> {
         let (root, height) = self.anchor()?;
         // Per-level page checks.
@@ -1298,7 +1224,7 @@ impl BTree {
             }
         }
         // Side-pointer chain must equal the in-order walk.
-        if self.side != SidePointerMode::None && !leaves.is_empty() {
+        if !leaves.is_empty() {
             let mut chain = Vec::with_capacity(leaves.len());
             let mut cur = leaves[0];
             while cur.is_valid() && chain.len() <= leaves.len() {
@@ -1311,16 +1237,14 @@ impl BTree {
                     "side chain {chain:?} != in-order leaves {leaves:?}"
                 )));
             }
-            if self.side == SidePointerMode::TwoWay {
-                for w in leaves.windows(2) {
-                    let g = self.pool.fetch(w[1])?;
-                    let left = g.read().left_sibling();
-                    if left != w[0] {
-                        return Err(BTreeError::Inconsistent(format!(
-                            "left pointer of {} is {left}, expected {}",
-                            w[1], w[0]
-                        )));
-                    }
+            for w in leaves.windows(2) {
+                let g = self.pool.fetch(w[1])?;
+                let left = g.read().left_sibling();
+                if left != w[0] {
+                    return Err(BTreeError::Inconsistent(format!(
+                        "left pointer of {} is {left}, expected {}",
+                        w[1], w[0]
+                    )));
                 }
             }
         }
@@ -1344,9 +1268,8 @@ impl BTree {
                 self.fsm.free(p);
             }
         }
-        let built = crate::builder::bulk_build(
-            &self.pool, &self.fsm, records, leaf_fill, node_fill, self.side,
-        )?;
+        let built =
+            crate::builder::bulk_build(&self.pool, &self.fsm, records, leaf_fill, node_fill)?;
         self.set_anchor(built.root, built.height, Lsn::ZERO)?;
         self.pool.flush_all()?;
         Ok(())
@@ -1418,10 +1341,6 @@ mod tests {
     use obr_storage::{DiskManager, InMemoryDisk, PAGE_SIZE};
 
     fn setup(pages: u32) -> BTree {
-        setup_with(pages, SidePointerMode::TwoWay)
-    }
-
-    fn setup_with(pages: u32, side: SidePointerMode) -> BTree {
         let disk = Arc::new(InMemoryDisk::new(pages));
         let pool = Arc::new(BufferPool::new(
             disk as Arc<dyn DiskManager>,
@@ -1429,7 +1348,7 @@ mod tests {
         ));
         let fsm = Arc::new(FreeSpaceMap::new_all_free(pages));
         let log = Arc::new(LogManager::new());
-        BTree::create(pool, fsm, log, side).unwrap()
+        BTree::create(pool, fsm, log).unwrap()
     }
 
     fn val(k: u64, len: usize) -> Vec<u8> {
@@ -1459,9 +1378,8 @@ mod tests {
         let pool = Arc::clone(t.pool());
         pool.flush_all().unwrap();
         assert_eq!(t.validate().unwrap(), 2_000);
-        let side = t.side_mode();
         let (fsm, log) = (Arc::clone(t.fsm()), Arc::clone(t.log()));
-        BTree::open(Arc::clone(&pool), fsm, log, t.meta_id(), side).unwrap();
+        BTree::open(Arc::clone(&pool), fsm, log, t.meta_id()).unwrap();
         let pages = t.reachable_pages().unwrap();
         assert!(pages.len() > 2);
         for p in pages {
@@ -1561,21 +1479,6 @@ mod tests {
         let r = t.range_scan(100, 140).unwrap();
         let keys: Vec<u64> = r.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (50..=70).map(|k| k * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_scan_without_side_pointers() {
-        let disk = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new(disk as Arc<dyn DiskManager>, 256));
-        let fsm = Arc::new(FreeSpaceMap::new_all_free(256));
-        let log = Arc::new(LogManager::new());
-        let t = BTree::create(pool, fsm, log, SidePointerMode::None).unwrap();
-        for k in 0..300u64 {
-            t.insert(TxnId(1), Lsn::ZERO, k, &val(k, 64)).unwrap();
-        }
-        let r = t.range_scan(10, 20).unwrap();
-        assert_eq!(r.len(), 11);
-        t.validate().unwrap();
     }
 
     #[test]
@@ -1713,8 +1616,8 @@ mod tests {
     }
 
     /// A tree of several leaves at about four 900-byte records each.
-    fn big_record_tree(side: SidePointerMode) -> BTree {
-        let t = setup_with(64, side);
+    fn big_record_tree() -> BTree {
+        let t = setup(64);
         for k in 0..24u64 {
             t.insert(TxnId(1), Lsn::ZERO, k * 10, &val(k, 900)).unwrap();
         }
@@ -1738,7 +1641,7 @@ mod tests {
         });
 
         // A right split with a right neighbour.
-        let t = big_record_tree(SidePointerMode::TwoWay);
+        let t = big_record_tree();
         let (parent, _) = t.anchor().unwrap();
         let leaf = t.leaves_in_key_order().unwrap()[0];
         assert!(leaf_keys(&t, leaf).len() >= 2);
@@ -1756,25 +1659,23 @@ mod tests {
         t.validate().unwrap();
 
         // A left split of a one-record leaf with a left neighbour.
-        for side in [SidePointerMode::TwoWay, SidePointerMode::OneWay] {
-            let t = big_record_tree(side);
-            let (parent, _) = t.anchor().unwrap();
-            let leaf = t.leaves_in_key_order().unwrap()[1];
-            let keys = leaf_keys(&t, leaf);
-            let (&last, rest) = keys.split_last().unwrap();
-            for &k in rest {
-                t.delete(TxnId(1), Lsn::ZERO, k).unwrap();
-            }
-            assert_record_covers_changes(&t, || {
-                let _g = t.smo_guard();
-                t.split_leaf(parent, leaf, last - 1).unwrap();
-            });
-            assert_eq!(t.leaves_in_key_order().unwrap()[2], leaf, "split left");
-            t.validate().unwrap();
+        let t = big_record_tree();
+        let (parent, _) = t.anchor().unwrap();
+        let leaf = t.leaves_in_key_order().unwrap()[1];
+        let keys = leaf_keys(&t, leaf);
+        let (&last, rest) = keys.split_last().unwrap();
+        for &k in rest {
+            t.delete(TxnId(1), Lsn::ZERO, k).unwrap();
         }
+        assert_record_covers_changes(&t, || {
+            let _g = t.smo_guard();
+            t.split_leaf(parent, leaf, last - 1).unwrap();
+        });
+        assert_eq!(t.leaves_in_key_order().unwrap()[2], leaf, "split left");
+        t.validate().unwrap();
 
         // Free-at-empty of a leaf with both neighbours.
-        let t = big_record_tree(SidePointerMode::TwoWay);
+        let t = big_record_tree();
         let leaf = t.leaves_in_key_order().unwrap()[1];
         let keys = leaf_keys(&t, leaf);
         {

@@ -1,14 +1,14 @@
 //! Edge-case tests for the tree: giant records (single-record leaves and
-//! the left-sibling split plan), side-pointer modes, and update paths.
+//! the left-sibling split plan), side-pointer upkeep, and update paths.
 
 use std::sync::Arc;
 
 use obr_btree::leaf::MAX_VALUE;
-use obr_btree::{BTree, BTreeError, SidePointerMode};
+use obr_btree::{BTree, BTreeError};
 use obr_storage::{BufferPool, DiskManager, FreeSpaceMap, InMemoryDisk, Lsn};
 use obr_wal::{LogManager, TxnId};
 
-fn tree(pages: u32, side: SidePointerMode) -> BTree {
+fn tree(pages: u32) -> BTree {
     let disk = Arc::new(InMemoryDisk::new(pages));
     let pool = Arc::new(BufferPool::new(
         disk as Arc<dyn DiskManager>,
@@ -16,12 +16,12 @@ fn tree(pages: u32, side: SidePointerMode) -> BTree {
     ));
     let fsm = Arc::new(FreeSpaceMap::new_all_free(pages));
     let log = Arc::new(LogManager::new());
-    BTree::create(pool, fsm, log, side).unwrap()
+    BTree::create(pool, fsm, log).unwrap()
 }
 
 #[test]
 fn giant_records_one_per_leaf() {
-    let t = tree(256, SidePointerMode::TwoWay);
+    let t = tree(256);
     let big = vec![0xEE; MAX_VALUE];
     // Ascending giant inserts: every leaf holds exactly one record, every
     // split takes the "new empty sibling on the right" plan.
@@ -38,7 +38,7 @@ fn giant_records_one_per_leaf() {
 
 #[test]
 fn giant_records_descending_exercise_left_split_plan() {
-    let t = tree(256, SidePointerMode::TwoWay);
+    let t = tree(256);
     let big = vec![0xDD; MAX_VALUE];
     // Descending giant inserts force the single-record leaf to split with
     // the incoming key *below* the resident record (Plan::Left).
@@ -56,7 +56,7 @@ fn giant_records_descending_exercise_left_split_plan() {
 
 #[test]
 fn giant_records_random_order() {
-    let t = tree(512, SidePointerMode::TwoWay);
+    let t = tree(512);
     let big = vec![0xCC; MAX_VALUE - 7];
     let mut keys: Vec<u64> = (0..40).map(|i| (i * 2654435761u64) % 1000).collect();
     keys.sort_unstable();
@@ -80,7 +80,7 @@ fn giant_records_random_order() {
 
 #[test]
 fn oversized_record_is_rejected_cleanly() {
-    let t = tree(64, SidePointerMode::TwoWay);
+    let t = tree(64);
     let too_big = vec![0; MAX_VALUE + 1];
     assert!(matches!(
         t.insert(TxnId(1), Lsn::ZERO, 1, &too_big),
@@ -91,43 +91,8 @@ fn oversized_record_is_rejected_cleanly() {
 }
 
 #[test]
-fn one_way_side_pointers_maintained_through_splits_and_frees() {
-    let t = tree(512, SidePointerMode::OneWay);
-    for k in 0..800u64 {
-        t.insert(TxnId(1), Lsn::ZERO, k, &[1u8; 64]).unwrap();
-    }
-    t.validate().unwrap();
-    // Delete a whole middle range so free-at-empty unlinks leaves.
-    for k in 200..400u64 {
-        t.delete(TxnId(1), Lsn::ZERO, k).unwrap();
-    }
-    t.validate().unwrap();
-    let scan = t.range_scan(100, 500).unwrap();
-    assert_eq!(scan.len(), 100 + 101); // 100..200 and 400..=500
-}
-
-#[test]
-fn no_side_pointers_mode_still_scans_correctly() {
-    let t = tree(512, SidePointerMode::None);
-    for k in 0..800u64 {
-        t.insert(TxnId(1), Lsn::ZERO, k * 3, &[2u8; 64]).unwrap();
-    }
-    for k in 0..800u64 {
-        if k % 2 == 0 {
-            t.delete(TxnId(1), Lsn::ZERO, k * 3).unwrap();
-        }
-    }
-    t.validate().unwrap();
-    let scan = t.range_scan(0, 2400).unwrap();
-    assert_eq!(
-        scan.len(),
-        (0..800).filter(|k| k % 2 == 1 && k * 3 <= 2400).count()
-    );
-}
-
-#[test]
 fn interleaved_insert_delete_churn_stays_valid() {
-    let t = tree(1024, SidePointerMode::TwoWay);
+    let t = tree(1024);
     let mut live = std::collections::BTreeSet::new();
     let mut rng = 0xABCD_u64;
     for round in 0..3000u64 {
@@ -153,7 +118,7 @@ fn interleaved_insert_delete_churn_stays_valid() {
 
 #[test]
 fn bulk_load_then_point_updates_round_trip() {
-    let t = tree(1024, SidePointerMode::TwoWay);
+    let t = tree(1024);
     let records: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k, vec![0u8; 32])).collect();
     t.bulk_load(&records, 0.8, 0.8).unwrap();
     // Delete + reinsert with a different value ("update").
@@ -168,7 +133,7 @@ fn bulk_load_then_point_updates_round_trip() {
 
 #[test]
 fn delete_to_empty_then_refill() {
-    let t = tree(256, SidePointerMode::TwoWay);
+    let t = tree(256);
     for k in 0..500u64 {
         t.insert(TxnId(1), Lsn::ZERO, k, &[3u8; 64]).unwrap();
     }
@@ -192,7 +157,7 @@ fn small_buffer_pool_forces_eviction_mid_operation() {
     let pool = Arc::new(BufferPool::new(disk as Arc<dyn DiskManager>, 24));
     let fsm = Arc::new(FreeSpaceMap::new_all_free(2048));
     let log = Arc::new(LogManager::new());
-    let t = BTree::create(pool, fsm, log, SidePointerMode::TwoWay).unwrap();
+    let t = BTree::create(pool, fsm, log).unwrap();
     for k in 0..1500u64 {
         t.insert(TxnId(1), Lsn::ZERO, k, &[5u8; 64]).unwrap();
     }

@@ -6,8 +6,9 @@
 //! * **Key ordering** — strictly sorted keys inside every leaf and internal
 //!   node, and strictly increasing across the in-order leaf sequence.
 //! * **Side-pointer chain** — the right-sibling chain visits exactly the
-//!   in-order leaves; two-way chains also have consistent back pointers
-//!   (the structure Pass 2 relies on for sequential range scans, §6).
+//!   in-order leaves and every back pointer names the in-order
+//!   predecessor (the structure Pass 2 relies on for sequential range
+//!   scans, §6).
 //! * **Parent/child agreement** — every child's keys lie inside the key
 //!   range its parent's routing entry grants it (child 0 also absorbs keys
 //!   clamped below its entry key, matching the router's semantics).
@@ -329,31 +330,18 @@ impl Walker<'_> {
         }
     }
 
-    /// The in-order leaves must equal the side-pointer chain. Chain mode is
-    /// inferred: no right pointers at all means `SidePointerMode::None`
-    /// (nothing to check); back pointers are checked only where present so
-    /// one-way chains pass.
+    /// The in-order leaves must equal the side-pointer chain, which is
+    /// always doubly linked: every leaf's right pointer names its in-order
+    /// successor and its left pointer its predecessor (INVALID at the ends).
     fn check_chain(&mut self) {
-        let n = self.leaves.len();
-        if n == 0 {
-            return;
-        }
-        let sib = |walker: &Self, id: PageId| -> (PageId, PageId) {
-            walker
+        let leaves = self.leaves.clone();
+        for (i, &id) in leaves.iter().enumerate() {
+            let (left, right) = self
                 .src
                 .page(id)
                 .map(|p| (p.left_sibling(), p.right_sibling()))
-                .unwrap_or((PageId::INVALID, PageId::INVALID))
-        };
-        let any_right = self.leaves.iter().any(|&l| sib(self, l).1.is_valid());
-        if !any_right && n > 1 {
-            self.report
-                .note("no side pointers present; skipping chain checks".to_string());
-            return;
-        }
-        let leaves = self.leaves.clone();
-        for (i, &id) in leaves.iter().enumerate() {
-            let (left, right) = sib(self, id);
+                .unwrap_or((PageId::INVALID, PageId::INVALID));
+            let expect_left = i.checked_sub(1).map_or(PageId::INVALID, |j| leaves[j]);
             let expect_right = leaves.get(i + 1).copied().unwrap_or(PageId::INVALID);
             if right != expect_right {
                 self.err(
@@ -365,22 +353,15 @@ impl Walker<'_> {
                     ),
                 );
             }
-            if left.is_valid() {
-                let expect_left = if i == 0 {
-                    PageId::INVALID
-                } else {
-                    leaves[i - 1]
-                };
-                if left != expect_left {
-                    self.err(
-                        "chain-left",
-                        id,
-                        format!(
-                            "left sibling is {left}, expected {expect_left} \
-                             (in-order predecessor)"
-                        ),
-                    );
-                }
+            if left != expect_left {
+                self.err(
+                    "chain-left",
+                    id,
+                    format!(
+                        "left sibling is {left}, expected {expect_left} \
+                         (in-order predecessor)"
+                    ),
+                );
             }
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end acceptance tests for the checkers: a healthy database passes
-//! every check, and seeded corruption (flipped sibling pointer, reordered
-//! key, torn or spliced log) is caught with a finding naming the damaged
+//! every check, and seeded corruption (flipped or cleared sibling pointers,
+//! reordered key, torn or spliced log) is caught with a finding naming the damaged
 //! page or LSN.
 
 use std::fs;
@@ -128,6 +128,56 @@ fn flipped_sibling_pointer_is_caught_in_the_file() {
         "no finding names page {victim}: {}",
         fsck.report
     );
+}
+
+/// The leaf chain is always doubly linked, so losing either direction is
+/// damage: clearing every leaf's back pointer draws a `chain-left` finding,
+/// clearing every forward pointer a `chain-right` one, each naming a leaf
+/// whose pointer was cleared.
+#[test]
+fn a_chain_missing_one_direction_is_caught_in_the_file() {
+    let scratch = Scratch::new("onedir");
+    build_reorganized_db(scratch.path());
+    let pages_db = scratch.path().join("pages.db");
+    let healthy = fs::read(&pages_db).unwrap();
+    let leaves = leaf_pages(&healthy);
+    assert!(leaves.len() >= 2, "need two leaves to have a chain");
+    type Pointer = fn(&obr_storage::Page) -> obr_storage::PageId;
+    type Clear = fn(&mut obr_storage::Page);
+    let cases: [(&str, Pointer, Clear); 2] = [
+        (
+            "chain-left",
+            |p| p.left_sibling(),
+            |p| p.set_left_sibling(obr_storage::PageId::INVALID),
+        ),
+        (
+            "chain-right",
+            |p| p.right_sibling(),
+            |p| p.set_right_sibling(obr_storage::PageId::INVALID),
+        ),
+    ];
+    for (code, pointer, clear) in cases {
+        let mut bytes = healthy.clone();
+        let cleared: Vec<obr_storage::PageId> = leaves
+            .iter()
+            .filter(|&&i| pointer(&page_at(&bytes, i)).is_valid())
+            .map(|&i| obr_storage::PageId(i as u32))
+            .collect();
+        assert!(!cleared.is_empty(), "no leaf has a {code} pointer to clear");
+        for &i in &leaves {
+            edit_page(&mut bytes, i, clear);
+        }
+        fs::write(&pages_db, &bytes).unwrap();
+        let fsck = fsck_file(&pages_db, &FsckOptions::default()).unwrap();
+        assert!(
+            fsck.report
+                .findings
+                .iter()
+                .any(|f| f.code == code && f.page.is_some_and(|p| cleared.contains(&p))),
+            "no {code} finding names a cleared leaf: {}",
+            fsck.report
+        );
+    }
 }
 
 #[test]

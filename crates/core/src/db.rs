@@ -131,7 +131,9 @@ impl Database {
     }
 
     /// Create a fresh database over `disk` with a buffer pool of
-    /// `pool_frames` frames and a brand-new (empty) tree.
+    /// `pool_frames` frames and a brand-new (empty) tree. `side` names the
+    /// leaf chain's layout, which is always [`SidePointerMode::TwoWay`];
+    /// every constructor takes it for the same reason.
     pub fn create(
         disk: Arc<dyn DiskManager>,
         pool_frames: usize,
@@ -216,11 +218,11 @@ impl Database {
         let fsm = Arc::new(FreeSpaceMap::new_all_free(disk.num_pages()));
         fsm.set_leaf_boundary(PageId(cfg.internal_region_pages));
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
+        let SidePointerMode::TwoWay = side; // the only layout
         let tree = Arc::new(BTree::create(
             Arc::clone(&pool),
             Arc::clone(&fsm),
             Arc::clone(&log),
-            side,
         )?);
         Ok(Self::assemble(disk, pool, fsm, log, tree))
     }
@@ -276,12 +278,12 @@ impl Database {
         let pool = Arc::new(BufferPool::new(Arc::clone(&disk), pool_frames));
         let fsm = Arc::new(FreeSpaceMap::new_all_allocated(disk.num_pages()));
         pool.set_wal(Arc::clone(&log) as Arc<dyn WalFlush>);
+        let SidePointerMode::TwoWay = side; // the only layout
         let tree = Arc::new(BTree::open(
             Arc::clone(&pool),
             Arc::clone(&fsm),
             Arc::clone(&log),
             PageId(0),
-            side,
         )?);
         Ok(Self::assemble(disk, pool, fsm, log, tree))
     }

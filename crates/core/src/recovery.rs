@@ -577,12 +577,7 @@ fn complete_unit(
 /// Rebuild the leaf side-pointer chain from the in-order walk, logging a
 /// SIDEPTR record for every page whose links change.
 fn repair_side_chain(db: &Arc<Database>, unit: UnitId) -> CoreResult<()> {
-    let tree = db.tree();
-    if tree.side_mode() == obr_btree::SidePointerMode::None {
-        return Ok(());
-    }
-    let two_way = tree.side_mode() == obr_btree::SidePointerMode::TwoWay;
-    let leaves = tree.leaves_in_key_order()?;
+    let leaves = db.tree().leaves_in_key_order()?;
     for (i, &leaf) in leaves.iter().enumerate() {
         let want_left = if i == 0 {
             PageId::INVALID
@@ -590,10 +585,7 @@ fn repair_side_chain(db: &Arc<Database>, unit: UnitId) -> CoreResult<()> {
             leaves[i - 1]
         };
         let want_right = leaves.get(i + 1).copied().unwrap_or(PageId::INVALID);
-        // One-way chains keep whatever their left links hold.
-        set_siblings(db, unit, leaf, |left, _| {
-            (if two_way { want_left } else { left }, want_right)
-        })?;
+        set_siblings(db, unit, leaf, |_, _| (want_left, want_right))?;
     }
     Ok(())
 }

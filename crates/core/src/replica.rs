@@ -27,7 +27,6 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use obr_btree::SidePointerMode;
 use obr_obs::{Counter, Gauge};
 use obr_storage::{DiskManager, InMemoryDisk, Lsn};
 use obr_sync::Mutex;
@@ -57,11 +56,15 @@ pub struct Replica {
 
 impl Replica {
     /// Create a replica with its own in-memory disk and buffer pool, shaped
-    /// like the primary (`pages`, `side` must match the primary's creation
-    /// parameters so physical redo lands on identical page layouts).
-    pub fn new(pages: u32, pool_frames: usize, side: SidePointerMode) -> CoreResult<Replica> {
+    /// like the primary (`pages` must match the primary's creation
+    /// parameter so physical redo lands on identical page layouts).
+    pub fn new(pages: u32, pool_frames: usize) -> CoreResult<Replica> {
         let disk = Arc::new(InMemoryDisk::new(pages));
-        let db = Database::create(disk as Arc<dyn DiskManager>, pool_frames, side)?;
+        let db = Database::create(
+            disk as Arc<dyn DiskManager>,
+            pool_frames,
+            obr_btree::SidePointerMode::TwoWay,
+        )?;
         Ok(Self::over(db))
     }
 

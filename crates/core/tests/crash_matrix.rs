@@ -26,9 +26,14 @@ struct Scenario {
     expected: Vec<(u64, Vec<u8>)>,
 }
 
-fn setup(side: SidePointerMode) -> Scenario {
+fn setup() -> Scenario {
     let disk = Arc::new(InMemoryDisk::new(8192));
-    let db = Database::create(Arc::clone(&disk) as Arc<dyn DiskManager>, 8192, side).unwrap();
+    let db = Database::create(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        8192,
+        SidePointerMode::TwoWay,
+    )
+    .unwrap();
     let records: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k, val(k))).collect();
     db.tree().bulk_load(&records, 0.25, 0.9).unwrap();
     db.checkpoint().unwrap();
@@ -36,13 +41,13 @@ fn setup(side: SidePointerMode) -> Scenario {
     Scenario { disk, db, expected }
 }
 
-/// A fresh engine over the crashed scenario's disk and log.
-fn reopen(sc: &Scenario, side: SidePointerMode) -> Arc<Database> {
+/// A fresh engine over the scenario's disk and the log of `crashed`.
+fn reopen(sc: &Scenario, crashed: &Database) -> Arc<Database> {
     Database::reopen(
         Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(sc.db.log()),
+        Arc::clone(crashed.log()),
         8192,
-        side,
+        SidePointerMode::TwoWay,
     )
     .unwrap()
 }
@@ -51,11 +56,10 @@ fn reopen(sc: &Scenario, side: SidePointerMode) -> Arc<Database> {
 /// the data, and return the recovered database with recovery's report.
 fn crash_and_recover(
     sc: &Scenario,
-    side: SidePointerMode,
     mut keep: impl FnMut(PageId) -> bool,
 ) -> (Arc<Database>, RecoveryReport) {
     sc.db.crash(&mut keep).unwrap();
-    let db2 = reopen(sc, side);
+    let db2 = reopen(sc, &sc.db);
     let report = recover(&db2).unwrap();
     db2.tree().validate().unwrap();
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
@@ -78,8 +82,7 @@ fn last_unit_begun(db: &Database) -> (ReorgKind, usize) {
 }
 
 fn run_site(site: FailSite, nth: u64, strategy: LogStrategy, keep_mod: u64) {
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let cfg = ReorgConfig {
         swap_pass: false,
         shrink_pass: false,
@@ -93,7 +96,7 @@ fn run_site(site: FailSite, nth: u64, strategy: LogStrategy, keep_mod: u64) {
         other => panic!("expected injected crash at {site:?}, got {other:?}"),
     }
     let mut i = 0u64;
-    let (db2, _) = crash_and_recover(&sc, side, |_| {
+    let (db2, _) = crash_and_recover(&sc, |_| {
         i += 1;
         keep_mod != 0 && i.is_multiple_of(keep_mod)
     });
@@ -144,7 +147,6 @@ fn crash_before_modify_full_records() {
 /// Crash pass 2's unit number `nth` at `site` with `cfg`, check that it
 /// was a one-leaf Move unit, recover forward, and let pass 2 finish.
 fn crash_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, nth: u64) -> Arc<Database> {
-    let side = SidePointerMode::TwoWay;
     let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
         .with_fail_point(FailPoint::new(site, nth));
     match reorg.pass2_swap_move() {
@@ -154,7 +156,7 @@ fn crash_pass2_unit(sc: &Scenario, cfg: ReorgConfig, site: FailSite, nth: u64) -
     // A Move unit lists its one source and the target.
     assert_eq!(last_unit_begun(&sc.db), (ReorgKind::Move, 2));
     let mut i = 0u64;
-    let (db2, report) = crash_and_recover(sc, side, |_| {
+    let (db2, report) = crash_and_recover(sc, |_| {
         i += 1;
         i.is_multiple_of(2)
     });
@@ -176,7 +178,7 @@ fn crash_during_pass2_move_is_forward_completed() {
         ..ReorgConfig::default()
     };
     for site in [FailSite::AfterFirstMove, FailSite::BeforeModify] {
-        let sc = setup(SidePointerMode::TwoWay);
+        let sc = setup();
         Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
             .pass1_compact()
             .unwrap();
@@ -288,7 +290,7 @@ fn crash_in_a_pass2_only_run_leaves_pass1_restart_key_alone() {
             other => panic!("expected a crash inside pass 2 at {site:?}, got {other:?}"),
         }
         let mut i = 0u64;
-        let (db2, report) = crash_and_recover(&sc, SidePointerMode::TwoWay, |_| {
+        let (db2, report) = crash_and_recover(&sc, |_| {
             i += 1;
             i.is_multiple_of(2)
         });
@@ -309,8 +311,7 @@ fn crash_in_a_pass2_only_run_leaves_pass1_restart_key_alone() {
 
 #[test]
 fn recovery_is_idempotent() {
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let cfg = ReorgConfig {
         swap_pass: false,
         shrink_pass: false,
@@ -320,13 +321,7 @@ fn recovery_is_idempotent() {
         .with_fail_point(FailPoint::new(FailSite::BeforeModify, 1));
     let _ = reorg.pass1_compact().unwrap_err();
     sc.db.crash(|p| p.0 % 3 == 0).unwrap();
-    let db2 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(sc.db.log()),
-        8192,
-        side,
-    )
-    .unwrap();
+    let db2 = reopen(&sc, &sc.db);
     let r1 = recover(&db2).unwrap();
     assert_eq!(r1.forward_units_completed, 1);
     assert_eq!(db2.tree().collect_all().unwrap(), sc.expected);
@@ -335,13 +330,7 @@ fn recovery_is_idempotent() {
     // idempotent.
     db2.log().flush_all().unwrap();
     db2.crash(|_| false).unwrap();
-    let db3 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(db2.log()),
-        8192,
-        side,
-    )
-    .unwrap();
+    let db3 = reopen(&sc, &db2);
     let r2 = recover(&db3).unwrap();
     // The unit was already closed by the first recovery's END record.
     assert_eq!(r2.forward_units_completed, 0);
@@ -350,40 +339,10 @@ fn recovery_is_idempotent() {
 }
 
 #[test]
-fn reorg_under_one_way_side_pointers() {
-    let side = SidePointerMode::OneWay;
-    let disk = Arc::new(InMemoryDisk::new(8192));
-    let db = Database::create(Arc::clone(&disk) as Arc<dyn DiskManager>, 8192, side).unwrap();
-    let records: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k, val(k))).collect();
-    db.tree().bulk_load(&records, 0.25, 0.9).unwrap();
-    let expected = db.tree().collect_all().unwrap();
-    let reorg = Reorganizer::new(Arc::clone(&db), ReorgConfig::default());
-    reorg.run().unwrap();
-    db.tree().validate().unwrap();
-    assert_eq!(db.tree().collect_all().unwrap(), expected);
-    assert!(db.tree().stats().unwrap().avg_leaf_fill > 0.7);
-}
-
-#[test]
-fn reorg_without_side_pointers() {
-    let side = SidePointerMode::None;
-    let disk = Arc::new(InMemoryDisk::new(8192));
-    let db = Database::create(Arc::clone(&disk) as Arc<dyn DiskManager>, 8192, side).unwrap();
-    let records: Vec<(u64, Vec<u8>)> = (0..2000u64).map(|k| (k, val(k))).collect();
-    db.tree().bulk_load(&records, 0.25, 0.9).unwrap();
-    let expected = db.tree().collect_all().unwrap();
-    let reorg = Reorganizer::new(Arc::clone(&db), ReorgConfig::default());
-    reorg.run().unwrap();
-    db.tree().validate().unwrap();
-    assert_eq!(db.tree().collect_all().unwrap(), expected);
-}
-
-#[test]
 fn double_crash_within_one_unit() {
     // Crash, recover (forward-completes the unit), start reorganizing
     // again, crash again in a later unit, recover again.
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let cfg = ReorgConfig {
         swap_pass: false,
         shrink_pass: false,
@@ -392,18 +351,12 @@ fn double_crash_within_one_unit() {
     let reorg = Reorganizer::new(Arc::clone(&sc.db), cfg.clone())
         .with_fail_point(FailPoint::new(FailSite::AfterFirstMove, 1));
     let _ = reorg.pass1_compact().unwrap_err();
-    let (db2, _) = crash_and_recover(&sc, side, |p| p.0 % 2 == 0);
+    let (db2, _) = crash_and_recover(&sc, |p| p.0 % 2 == 0);
     let reorg2 = Reorganizer::new(Arc::clone(&db2), cfg.clone())
         .with_fail_point(FailPoint::new(FailSite::BeforeEnd, 2));
     let _ = reorg2.pass1_compact().unwrap_err();
     db2.crash(|p| p.0 % 2 == 1).unwrap();
-    let db3 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(db2.log()),
-        8192,
-        side,
-    )
-    .unwrap();
+    let db3 = reopen(&sc, &db2);
     recover(&db3).unwrap();
     db3.tree().validate().unwrap();
     assert_eq!(db3.tree().collect_all().unwrap(), sc.expected);
@@ -497,7 +450,7 @@ fn log_truncation_respects_the_low_water_mark() {
             }
         }
     }
-    let sc = setup(SidePointerMode::TwoWay);
+    let sc = setup();
     run_committed_ops(&sc.db, 200);
     let before = sc.db.log().len();
     let dropped = sc.db.truncate_log().unwrap();
@@ -507,13 +460,7 @@ fn log_truncation_respects_the_low_water_mark() {
     // checkpoint the truncation wrote.
     sc.db.log().flush_all().unwrap();
     sc.db.crash(|_| false).unwrap();
-    let db2 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(sc.db.log()),
-        8192,
-        SidePointerMode::TwoWay,
-    )
-    .unwrap();
+    let db2 = reopen(&sc, &sc.db);
     recover(&db2).unwrap();
     db2.tree().validate().unwrap();
     let mut expected = sc.expected.clone();
@@ -523,7 +470,7 @@ fn log_truncation_respects_the_low_water_mark() {
 
 #[test]
 fn active_transaction_pins_the_low_water_mark() {
-    let sc = setup(SidePointerMode::TwoWay);
+    let sc = setup();
     let txn = sc.db.begin_txn();
     let first_lsn = sc
         .db
@@ -559,7 +506,7 @@ fn active_transaction_pins_the_low_water_mark() {
 
 #[test]
 fn open_reader_does_not_pin_the_log() {
-    let sc = setup(SidePointerMode::TwoWay);
+    let sc = setup();
     // A transaction that has begun and read, and stays open.
     let reader = sc.db.begin_txn();
     sc.db.tree().search(7).unwrap();
@@ -590,7 +537,7 @@ fn open_reader_does_not_pin_the_log() {
 
 #[test]
 fn loser_whose_first_record_is_an_update_is_undone() {
-    let sc = setup(SidePointerMode::TwoWay);
+    let sc = setup();
     let loser = sc.db.begin_txn();
     let mut prev = obr_storage::Lsn::ZERO;
     for k in 0..5u64 {
@@ -607,13 +554,7 @@ fn loser_whose_first_record_is_an_update_is_undone() {
     // only the undo pass can take them out again.
     sc.db.log().flush_all().unwrap();
     sc.db.crash(|_| true).unwrap();
-    let db2 = Database::reopen(
-        Arc::clone(&sc.disk) as Arc<dyn DiskManager>,
-        Arc::clone(sc.db.log()),
-        8192,
-        SidePointerMode::TwoWay,
-    )
-    .unwrap();
+    let db2 = reopen(&sc, &sc.db);
     let report = recover(&db2).unwrap();
     assert_eq!(report.losers_undone, 1);
     assert_eq!(report.clrs_written, 6);
@@ -623,8 +564,7 @@ fn loser_whose_first_record_is_an_update_is_undone() {
 
 #[test]
 fn committed_update_whose_leaf_was_lost_is_redone() {
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let txn = sc.db.begin_txn();
     let (lsn, old) = sc
         .db
@@ -640,7 +580,7 @@ fn committed_update_whose_leaf_was_lost_is_redone() {
     sc.db.end_txn(txn);
     // No dirty page reaches disk: only redo of the update brings it back.
     sc.db.crash(|_| false).unwrap();
-    let db2 = reopen(&sc, side);
+    let db2 = reopen(&sc, &sc.db);
     let report = recover(&db2).unwrap();
     assert!(report.redo_applied >= 1);
     assert_eq!(report.losers_undone, 0);
@@ -652,8 +592,7 @@ fn committed_update_whose_leaf_was_lost_is_redone() {
 
 #[test]
 fn loser_update_that_reached_disk_is_undone() {
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let loser = sc.db.begin_txn();
     let (lsn, _) = sc
         .db
@@ -663,7 +602,7 @@ fn loser_update_that_reached_disk_is_undone() {
     sc.db.note_txn_lsn(loser, lsn);
     sc.db.log().flush_all().unwrap();
     sc.db.crash(|_| true).unwrap();
-    let db2 = reopen(&sc, side);
+    let db2 = reopen(&sc, &sc.db);
     let report = recover(&db2).unwrap();
     assert_eq!((report.losers_undone, report.clrs_written), (1, 1));
     db2.tree().validate().unwrap();
@@ -672,8 +611,7 @@ fn loser_update_that_reached_disk_is_undone() {
 
 #[test]
 fn update_that_grows_into_a_split_aborts_to_the_old_value() {
-    let side = SidePointerMode::TwoWay;
-    let sc = setup(side);
+    let sc = setup();
     let tree = sc.db.tree();
     let leaves = tree.stats().unwrap().leaf_pages;
     let txn = sc.db.begin_txn();
@@ -695,7 +633,7 @@ fn update_that_grows_into_a_split_aborts_to_the_old_value() {
     assert_eq!(tree.collect_all().unwrap(), sc.expected);
     // Split, update, CLR and abort replay to the same records.
     sc.db.log().flush_all().unwrap();
-    crash_and_recover(&sc, side, |_| false);
+    crash_and_recover(&sc, |_| false);
 }
 
 #[test]
@@ -715,7 +653,7 @@ fn trigger_skips_healthy_trees_and_fixes_sick_ones() {
     let d = r.run_if_needed(ReorgTrigger::default()).unwrap();
     assert!(!d.compacted && !d.swapped && !d.shrunk, "{d:?}");
     // A sparse tree: compaction (at least) must run.
-    let sc = setup(SidePointerMode::TwoWay);
+    let sc = setup();
     let r2 = Reorganizer::new(Arc::clone(&sc.db), ReorgConfig::default());
     let d2 = r2.run_if_needed(ReorgTrigger::default()).unwrap();
     assert!(d2.compacted, "{d2:?}");

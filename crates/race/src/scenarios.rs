@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering as StdOrdering};
 use std::sync::Arc;
 
-use obr_btree::{BTree, SidePointerMode};
+use obr_btree::BTree;
 use obr_core::{SideEntry, SideFile, SideOp};
 use obr_lock::{LockError, LockManager, LockMode, OwnerId, ResourceId};
 use obr_storage::{BufferPool, DiskManager, FreeSpaceMap, InMemoryDisk, Lsn, PageId};
@@ -545,13 +545,7 @@ fn smo_neighbour_vs_flush() {
     let log = Arc::new(LogManager::new());
     pool.set_wal(Arc::clone(&log) as Arc<dyn obr_storage::WalFlush>);
     let fsm = Arc::new(FreeSpaceMap::new_all_free(8));
-    let tree = BTree::create(
-        Arc::clone(&pool),
-        fsm,
-        Arc::clone(&log),
-        SidePointerMode::TwoWay,
-    )
-    .expect("create");
+    let tree = BTree::create(Arc::clone(&pool), fsm, Arc::clone(&log)).expect("create");
     // Two full leaves, loaded straight to disk: the left one must split,
     // and its new sibling goes between it and its right neighbour.
     let records: Vec<(u64, Vec<u8>)> = (0..8u64).map(|k| (k * 10, vec![k as u8; 900])).collect();

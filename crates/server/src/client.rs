@@ -4,7 +4,6 @@
 use std::fmt;
 use std::net::TcpStream;
 
-use obr_btree::SidePointerMode;
 use obr_core::Replica;
 use obr_storage::Lsn;
 
@@ -80,8 +79,6 @@ pub type ClientResult<T> = Result<T, ClientError>;
 pub struct DbInfo {
     /// Page count of the primary's disk.
     pub pages: u32,
-    /// Side-pointer mode the primary's tree was created with.
-    pub side_mode: SidePointerMode,
     /// Oldest LSN still available in the primary's log.
     pub first_lsn: Lsn,
     /// Primary's durable LSN at answer time.
@@ -235,12 +232,10 @@ impl Client {
         match self.call(&Request::DbInfo, "DB_INFO")? {
             Response::Info {
                 pages,
-                side_mode,
                 first_lsn,
                 durable_lsn,
             } => Ok(DbInfo {
                 pages,
-                side_mode,
                 first_lsn,
                 durable_lsn,
             }),
@@ -290,7 +285,7 @@ impl NetReplica {
     /// Bootstrap a fresh replica shaped like the primary behind `client`.
     pub fn bootstrap(client: &mut Client, pool_frames: usize) -> ClientResult<NetReplica> {
         let info = client.db_info()?;
-        let replica = Replica::new(info.pages, pool_frames, info.side_mode)
+        let replica = Replica::new(info.pages, pool_frames)
             .map_err(|e| ClientError::Replica(e.to_string()))?;
         Ok(NetReplica { replica })
     }

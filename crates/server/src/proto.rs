@@ -22,7 +22,6 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use obr_btree::SidePointerMode;
 use obr_storage::Lsn;
 
 /// Protocol magic carried in `HELLO` (`b"OBR1"`).
@@ -277,8 +276,6 @@ pub enum Response {
     Info {
         /// Page count of the primary's disk.
         pages: u32,
-        /// Side-pointer mode the tree was created with.
-        side_mode: SidePointerMode,
         /// Oldest LSN still available in the primary's log.
         first_lsn: Lsn,
         /// Primary's durable LSN at answer time.
@@ -379,22 +376,10 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn side_mode_to_u8(m: SidePointerMode) -> u8 {
-    match m {
-        SidePointerMode::None => 0,
-        SidePointerMode::OneWay => 1,
-        SidePointerMode::TwoWay => 2,
-    }
-}
-
-fn side_mode_from_u8(v: u8) -> ProtoResult<SidePointerMode> {
-    Ok(match v {
-        0 => SidePointerMode::None,
-        1 => SidePointerMode::OneWay,
-        2 => SidePointerMode::TwoWay,
-        _ => return Err(ProtoError::BadField("side_mode")),
-    })
-}
+/// `INFO.side_mode`: the leaf chain's layout byte. The chain is always
+/// doubly linked, so 2 is the only value; 0 (no side pointers) and 1
+/// (one-way) named layouts that no longer exist and are refused.
+const SIDE_MODE_TWO_WAY: u8 = 2;
 
 // --- request codec ---------------------------------------------------------
 
@@ -549,13 +534,12 @@ impl Response {
             }
             Response::Info {
                 pages,
-                side_mode,
                 first_lsn,
                 durable_lsn,
             } => {
                 out.push(0x85);
                 out.extend_from_slice(&pages.to_be_bytes());
-                out.push(side_mode_to_u8(*side_mode));
+                out.push(SIDE_MODE_TWO_WAY);
                 out.extend_from_slice(&first_lsn.0.to_be_bytes());
                 out.extend_from_slice(&durable_lsn.0.to_be_bytes());
             }
@@ -633,12 +617,17 @@ impl Response {
                 let s = String::from_utf8(bytes).map_err(|_| ProtoError::BadField("json.utf8"))?;
                 Response::Json(s)
             }
-            0x85 => Response::Info {
-                pages: b.u32("info.pages")?,
-                side_mode: side_mode_from_u8(b.u8("info.side_mode")?)?,
-                first_lsn: Lsn(b.u64("info.first_lsn")?),
-                durable_lsn: Lsn(b.u64("info.durable_lsn")?),
-            },
+            0x85 => {
+                let pages = b.u32("info.pages")?;
+                if b.u8("info.side_mode")? != SIDE_MODE_TWO_WAY {
+                    return Err(ProtoError::BadField("side_mode"));
+                }
+                Response::Info {
+                    pages,
+                    first_lsn: Lsn(b.u64("info.first_lsn")?),
+                    durable_lsn: Lsn(b.u64("info.durable_lsn")?),
+                }
+            }
             0x86 => {
                 let more = b.u8("segments.more")? != 0;
                 let durable_lsn = Lsn(b.u64("segments.durable_lsn")?);
@@ -791,7 +780,6 @@ mod tests {
             Response::Json("{\"x\":1}".into()),
             Response::Info {
                 pages: 4096,
-                side_mode: SidePointerMode::TwoWay,
                 first_lsn: Lsn(5),
                 durable_lsn: Lsn(99),
             },
@@ -936,6 +924,29 @@ mod tests {
             Response::decode(&[0x01]),
             Err(ProtoError::UnknownOpcode(0x01))
         ));
+    }
+
+    #[test]
+    fn info_accepts_only_the_two_way_layout_byte() {
+        // INFO = opcode, pages, side_mode, first_lsn, durable_lsn.
+        let frame = |side_mode: u8| {
+            let mut enc = vec![0x85];
+            enc.extend_from_slice(&4096u32.to_be_bytes());
+            enc.push(side_mode);
+            enc.extend_from_slice(&5u64.to_be_bytes());
+            enc.extend_from_slice(&99u64.to_be_bytes());
+            enc
+        };
+        assert!(Response::decode(&frame(2)).is_ok());
+        for retired in [0u8, 1] {
+            assert!(
+                matches!(
+                    Response::decode(&frame(retired)),
+                    Err(ProtoError::BadField("side_mode"))
+                ),
+                "side_mode {retired} must be refused"
+            );
+        }
     }
 
     #[test]

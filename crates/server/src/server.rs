@@ -554,7 +554,6 @@ fn handle_request(shared: &Shared, conn: &mut Conn, req: Request) -> Response {
         }
         Request::DbInfo => Response::Info {
             pages: shared.db.disk().num_pages(),
-            side_mode: shared.db.tree().side_mode(),
             first_lsn: shared.db.log().first_lsn(),
             durable_lsn: shared.db.log().durable_lsn(),
         },

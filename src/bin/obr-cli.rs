@@ -763,8 +763,8 @@ fn run_client(args: &[String]) -> ! {
         }
         ["info"] => client.db_info().map(|info| {
             println!(
-                "pages={} side_mode={:?} first_lsn={} durable_lsn={}",
-                info.pages, info.side_mode, info.first_lsn.0, info.durable_lsn.0
+                "pages={} first_lsn={} durable_lsn={}",
+                info.pages, info.first_lsn.0, info.durable_lsn.0
             );
         }),
         _ => {

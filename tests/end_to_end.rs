@@ -219,14 +219,7 @@ fn file_disk_round_trip() {
         ));
         let fsm = Arc::new(obr::storage::FreeSpaceMap::new_all_allocated(2048));
         let log = Arc::new(obr::wal::LogManager::new());
-        let tree = obr::btree::BTree::open(
-            pool,
-            fsm,
-            log,
-            obr::storage::PageId(0),
-            SidePointerMode::TwoWay,
-        )
-        .unwrap();
+        let tree = obr::btree::BTree::open(pool, fsm, log, obr::storage::PageId(0)).unwrap();
         assert_eq!(tree.validate().unwrap(), 500);
         assert_eq!(tree.search(123).unwrap().unwrap(), 123u64.to_le_bytes());
     }

@@ -54,7 +54,7 @@ fn primary_and_replica(tag: &str) -> (Scratch, Arc<Database>, Replica) {
         },
     )
     .unwrap();
-    let replica = Replica::new(PAGES, FRAMES, SidePointerMode::TwoWay).unwrap();
+    let replica = Replica::new(PAGES, FRAMES).unwrap();
     (scratch, db, replica)
 }
 

@@ -129,7 +129,7 @@ fn open_dir_outcome(dir: &Path) -> Outcome {
 }
 
 fn replica_outcome(dir: &Path) -> (Outcome, Lsn) {
-    let replica = Replica::new(PAGES, FRAMES, SidePointerMode::TwoWay).unwrap();
+    let replica = Replica::new(PAGES, FRAMES).unwrap();
     let outcome = match replica.ingest_dir(dir) {
         Ok(_) => Outcome::Through(replica.applied_lsn()),
         Err(CoreError::Recovery(msg)) => Outcome::Refused(phrase(&msg)),
